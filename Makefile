@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race serve bench bench-short bench-baseline bench-compare bench-cache bench-why bench-serve bench-trace bench-incr bench-summary clean
+.PHONY: all build vet test race serve bench bench-short
 
 all: build vet test
 
@@ -30,56 +30,3 @@ bench:
 # One iteration per benchmark: a smoke pass cheap enough for CI.
 bench-short:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
-
-# Snapshot the named perf benchmarks (parser, interpreter hot loop,
-# clustering) into BENCH_baseline.json using the diffcode-metrics/v1
-# schema, so an optimisation PR can diff its run against the baseline.
-bench-baseline:
-	BENCH_BASELINE_OUT=$(CURDIR)/BENCH_baseline.json $(GO) test -run TestWriteBenchBaseline -count=1 -v .
-
-# Run the pooled hot paths at 1 worker (the exact serial pipeline) and at 8
-# workers, and snapshot both timings plus the speedup ratio into
-# BENCH_parallel.json (same schema as the baseline).
-bench-compare:
-	BENCH_PARALLEL_OUT=$(CURDIR)/BENCH_parallel.json $(GO) test -run TestWriteBenchParallel -count=1 -v .
-
-# Distance-cache speedup snapshot: the clustering distance matrix over a
-# duplicate-rich corpus with the memoized engine on vs off, at 1 and 8
-# workers, into BENCH_cache.json (same schema as the other snapshots).
-bench-cache:
-	BENCH_CACHE_OUT=$(CURDIR)/BENCH_cache.json $(GO) test -run TestWriteBenchCache -count=1 -v .
-
-# Provenance overhead snapshot: the interpreter hot loop with -why's def-site
-# tagging on vs off, plus the witness reconstruction cost, into
-# BENCH_why.json (same schema). Acceptance: overhead_milli < 1100 (<10%).
-bench-why:
-	BENCH_WHY_OUT=$(CURDIR)/BENCH_why.json $(GO) test -run TestWriteBenchWhy -count=1 -v .
-
-# Server throughput snapshot: concurrent /v1/check load through the full
-# admission → guard → analyze → respond ladder over real HTTP, into
-# BENCH_serve.json (same schema): req/sec plus p50/p99 request latency.
-bench-serve:
-	BENCH_SERVE_OUT=$(CURDIR)/BENCH_serve.json $(GO) test -run TestWriteBenchServe -count=1 -v .
-
-# Trace overhead snapshot: the interpreter hot loop on an untraced context
-# vs under a per-run root span, into BENCH_trace.json (same schema).
-# Acceptance: overhead_milli < 1100 (<10%), asserted by the test itself.
-bench-trace:
-	BENCH_TRACE_OUT=$(CURDIR)/BENCH_trace.json $(GO) test -run TestWriteBenchTrace -count=1 -v .
-
-# Incremental-run snapshot: the mining pipeline cold (empty artifact
-# directory) vs fully warm (re-run over the populated directory), into
-# BENCH_incr.json (same schema). Acceptance: speedup_milli >= 10000 (>=10x)
-# and zero analysis misses on the warm run, asserted by the test itself.
-bench-incr:
-	BENCH_INCR_OUT=$(CURDIR)/BENCH_incr.json $(GO) test -run TestWriteBenchIncr -count=1 -v .
-
-# Summary-memoization snapshot: the abstract interpreter over a helper-heavy
-# program with per-method summaries on vs off, into BENCH_summary.json (same
-# schema). Acceptance: speedup_milli >= 3000 (>=3x) and hits > misses on the
-# memoized run, asserted by the test itself.
-bench-summary:
-	BENCH_SUMMARY_OUT=$(CURDIR)/BENCH_summary.json $(GO) test -run TestWriteBenchSummary -count=1 -v .
-
-clean:
-	rm -f BENCH_baseline.json BENCH_parallel.json BENCH_cache.json BENCH_why.json BENCH_serve.json BENCH_trace.json BENCH_incr.json BENCH_summary.json

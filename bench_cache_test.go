@@ -5,22 +5,15 @@ package diffcode
 // scenario is a ≥30% duplicate corpus, which is what mined usage changes
 // look like after abstraction (the same fix recurs across projects) — so
 // the cached/uncached ratio measures all three memoization levels: label
-// caching, path caching, and the matrix-level fingerprint fan-out.
-//
-//	make bench-cache           # writes BENCH_cache.json
-//
-// Without BENCH_CACHE_OUT the snapshot runner skips, keeping `go test .`
-// fast; the named benchmarks run under `-bench` as usual.
+// caching, path caching, and the matrix-level fingerprint fan-out. The
+// uncached side is the reference kernel (cluster.DistMatrixPool).
 
 import (
 	"fmt"
-	"os"
-	"runtime"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/distcache"
-	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/textdist"
 	"repro/internal/usage"
@@ -60,9 +53,10 @@ func cacheBenchChanges(n int, dupFrac float64) []UsageChange {
 }
 
 // benchDistMatrixCachedAt builds the distance matrix over the duplicate-rich
-// corpus at a fixed worker count, with or without a memoized engine. A fresh
-// engine per iteration measures the cold-cache cost (interning included),
-// which is the honest comparison against the uncached path.
+// corpus at a fixed worker count, through a memoized engine or the uncached
+// reference kernel. A fresh engine per iteration measures the cold-cache
+// cost (interning included), which is the honest comparison against the
+// uncached path.
 func benchDistMatrixCachedAt(workers int, cached bool) func(*testing.B) {
 	return func(b *testing.B) {
 		changes := cacheBenchChanges(120, 0.4)
@@ -70,11 +64,13 @@ func benchDistMatrixCachedAt(workers int, cached bool) func(*testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			var eng *distcache.Engine
+			var d [][]float64
 			if cached {
-				eng = distcache.New(nil)
+				d = cluster.DistMatrixEngine(changes, nil, p, distcache.New(nil))
+			} else {
+				d = cluster.DistMatrixPool(changes, nil, p)
 			}
-			if len(cluster.DistMatrixEngine(changes, nil, p, eng)) != len(changes) {
+			if len(d) != len(changes) {
 				b.Fatal("bad matrix")
 			}
 		}
@@ -160,8 +156,7 @@ func BenchmarkLevenshteinBanded(b *testing.B) {
 // BenchmarkPathDistUncached is the allocation regression guard for the
 // LabelLen fix: the uncached PathDist used to convert payloads to []rune on
 // every comparison; counting runes in place dropped those allocations
-// (check with -benchmem — the engine-free path is what the -dist-cache=false
-// toggle runs).
+// (check with -benchmem; this is the reference kernel DistMatrixPool runs).
 func BenchmarkPathDistUncached(b *testing.B) {
 	changes := cacheBenchChanges(40, 0)
 	var paths []usage.Path
@@ -178,51 +173,4 @@ func BenchmarkPathDistUncached(b *testing.B) {
 			}
 		}
 	}
-}
-
-// TestWriteBenchCache snapshots the cache-on/off distance-matrix timings at
-// workers 1 and 8 into BENCH_cache.json (diffcode-metrics/v1 schema, like
-// the baseline and parallel snapshots). Skips unless BENCH_CACHE_OUT is set.
-func TestWriteBenchCache(t *testing.T) {
-	out := os.Getenv("BENCH_CACHE_OUT")
-	if out == "" {
-		t.Skip("set BENCH_CACHE_OUT=<file> to write the cache speedup snapshot")
-	}
-	reg := obs.NewRegistry()
-	reg.Gauge("bench.gomaxprocs").Set(int64(runtime.GOMAXPROCS(0)))
-	reg.Gauge("bench.cache_corpus.changes").Set(120)
-	reg.Gauge("bench.cache_corpus.duplicate_permille").Set(400)
-	for _, w := range []int{1, 8} {
-		uncached := testing.Benchmark(benchDistMatrixCachedAt(w, false))
-		cached := testing.Benchmark(benchDistMatrixCachedAt(w, true))
-		if uncached.N == 0 || cached.N == 0 {
-			t.Fatal("benchmark did not run")
-		}
-		reg.Gauge(fmt.Sprintf("bench.dist_matrix.workers%d_uncached_ns_per_op", w)).Set(uncached.NsPerOp())
-		reg.Gauge(fmt.Sprintf("bench.dist_matrix.workers%d_cached_ns_per_op", w)).Set(cached.NsPerOp())
-		// Speedup in thousandths: 2000 = the cached matrix is 2.0x faster.
-		speedup := int64(0)
-		if cached.NsPerOp() > 0 {
-			speedup = uncached.NsPerOp() * 1000 / cached.NsPerOp()
-		}
-		reg.Gauge(fmt.Sprintf("bench.dist_matrix.workers%d_speedup_milli", w)).Set(speedup)
-		t.Logf("dist_matrix workers=%d  uncached %12d ns/op   cached %12d ns/op   speedup %d.%03dx",
-			w, uncached.NsPerOp(), cached.NsPerOp(), speedup/1000, speedup%1000)
-	}
-	banded := testing.Benchmark(func(b *testing.B) {
-		runes := make([][2][]rune, len(levenshteinPairs))
-		for i, p := range levenshteinPairs {
-			runes[i] = [2][]rune{[]rune(p[0]), []rune(p[1])}
-		}
-		for i := 0; i < b.N; i++ {
-			for _, p := range runes {
-				textdist.Levenshtein(p[0], p[1])
-			}
-		}
-	})
-	reg.Gauge("bench.levenshtein.banded_ns_per_op").Set(banded.NsPerOp())
-	if err := obs.WriteSnapshotFile(out, reg, false); err != nil {
-		t.Fatalf("writing cache snapshot: %v", err)
-	}
-	t.Logf("cache speedup snapshot written to %s", out)
 }

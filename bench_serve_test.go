@@ -4,20 +4,12 @@ package diffcode
 // matters for a service is sustained throughput at bounded tail latency:
 // requests per second through the full admission → guard → analyze →
 // respond ladder, plus the p50/p99 of the server's own latency histogram.
-//
-//	make bench-serve           # writes BENCH_serve.json
-//
-// Without BENCH_SERVE_OUT the snapshot runner skips, keeping `go test .`
-// fast; the named benchmark runs under `-bench` as usual.
 
 import (
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -46,85 +38,4 @@ func BenchmarkServeCheck(b *testing.B) {
 			b.Fatalf("status %d: %s", w.Code, w.Body.String())
 		}
 	}
-}
-
-// TestWriteBenchServe snapshots the server's sustained throughput under
-// concurrent load into BENCH_serve.json (diffcode-metrics/v1 schema, like
-// the other snapshots): total requests, req/sec, and the p50/p99 of the
-// server's own serve.check.latency_us histogram, over real HTTP. Skips
-// unless BENCH_SERVE_OUT is set.
-func TestWriteBenchServe(t *testing.T) {
-	out := os.Getenv("BENCH_SERVE_OUT")
-	if out == "" {
-		t.Skip("set BENCH_SERVE_OUT=<file> to write the server throughput snapshot")
-	}
-	reg := obs.NewRegistry()
-	s := serve.New(serve.Options{Checker: core.Options{Metrics: reg}})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	const (
-		clients   = 8
-		perClient = 40
-		totalWant = clients * perClient
-	)
-	var failures sync.Map
-	start := time.Now()
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for i := 0; i < perClient; i++ {
-				resp, err := http.Post(ts.URL+"/v1/check", "application/json", strings.NewReader(serveBenchBody))
-				if err != nil {
-					failures.Store(c, err)
-					return
-				}
-				resp.Body.Close()
-				if resp.StatusCode != http.StatusOK {
-					failures.Store(c, resp.Status)
-					return
-				}
-			}
-		}(c)
-	}
-	wg.Wait()
-	wall := time.Since(start)
-	failures.Range(func(k, v any) bool {
-		t.Errorf("client %v failed: %v", k, v)
-		return true
-	})
-	if t.Failed() {
-		t.FailNow()
-	}
-
-	// The quantiles come from the snapshot (HistSnapshot.P50/P99) rather
-	// than re-deriving them from the live histogram: one estimator, shared
-	// with every -metrics artifact.
-	lat := obs.TakeSnapshot(reg, false).Histograms["serve.check.latency_us"]
-	bench := obs.NewRegistry()
-	bench.Gauge("bench.serve.requests").Set(int64(totalWant))
-	bench.Gauge("bench.serve.clients").Set(clients)
-	bench.Gauge("bench.serve.wall_us").Set(wall.Microseconds())
-	if us := wall.Microseconds(); us > 0 {
-		bench.Gauge("bench.serve.req_per_sec").Set(int64(totalWant) * 1_000_000 / us)
-	}
-	bench.Gauge("bench.serve.p50_us").Set(lat.P50)
-	bench.Gauge("bench.serve.p99_us").Set(lat.P99)
-	t.Logf("served %d requests in %v (%d req/s), p50 %dµs p99 %dµs",
-		totalWant, wall.Round(time.Millisecond),
-		int64(totalWant)*1_000_000/max64(wall.Microseconds(), 1),
-		lat.P50, lat.P99)
-	if err := obs.WriteSnapshotFile(out, bench, false); err != nil {
-		t.Fatalf("writing serve snapshot: %v", err)
-	}
-	t.Logf("server throughput snapshot written to %s", out)
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

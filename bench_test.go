@@ -164,9 +164,8 @@ class T {
 }
 
 // ---------------------------------------------------------------------------
-// Perf baseline (DESIGN.md §7): the three named hot paths. These are the
-// benchmarks the bench-baseline runner snapshots into BENCH_baseline.json so
-// later optimisation PRs have a fixed reference to diff against.
+// Hot paths (DESIGN.md §7): parser, interpreter, and clustering
+// micro-benchmarks; the end-to-end workloads live in the bench module.
 // ---------------------------------------------------------------------------
 
 // benchSources is a small multi-file program exercising the parser and the
@@ -245,7 +244,7 @@ func BenchmarkClusteringDistMatrix(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if len(cluster.DistMatrix(all)) != len(all) {
+		if len(cluster.DistMatrixPool(all, nil, nil)) != len(all) {
 			b.Fatal("bad matrix")
 		}
 	}
@@ -255,7 +254,7 @@ func BenchmarkClusteringDistMatrix(b *testing.B) {
 // complete linkage given a precomputed distance matrix.
 func BenchmarkClusteringAgglomerate(b *testing.B) {
 	all := benchSurvivors(b)
-	d := cluster.DistMatrix(all)
+	d := cluster.DistMatrixPool(all, nil, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -269,9 +268,7 @@ func BenchmarkClusteringAgglomerate(b *testing.B) {
 // Parallel pipeline (DESIGN.md §8): worker sweeps over the three pooled hot
 // paths. Each sweep runs the identical workload at 1, 2, 4, and 8 workers —
 // the -workers 1 sub-benchmark IS the serial pipeline (exact serial path),
-// so the ratio between sub-benchmarks is the pool's speedup. The
-// bench-compare runner (bench_parallel_test.go) snapshots the same helpers
-// into BENCH_parallel.json.
+// so the ratio between sub-benchmarks is the pool's speedup.
 // ---------------------------------------------------------------------------
 
 var workerSweep = []int{1, 2, 4, 8}
@@ -441,7 +438,7 @@ func BenchmarkAblationLinkage(b *testing.B) {
 	if len(all) < 4 {
 		b.Skip("not enough survivors at bench scale")
 	}
-	d := cluster.DistMatrix(all)
+	d := cluster.DistMatrixPool(all, nil, nil)
 	for name, linkage := range map[string]cluster.Linkage{
 		"complete": cluster.Complete,
 		"single":   cluster.Single,

@@ -5,21 +5,14 @@ package diffcode
 // overhead a traced context adds to the interpreter's step loop — span
 // minting, the step-count attribute, and the nil-checks the untraced path
 // pays. The acceptance bound is <10% ns/op over the untraced hot loop on the
-// same pre-parsed program (overhead_milli < 1100).
-//
-//	make bench-trace           # writes BENCH_trace.json
-//
-// Without BENCH_TRACE_OUT the snapshot runner skips, keeping `go test .`
-// fast; the named benchmark runs under `-bench` as usual.
+// same pre-parsed program.
 
 import (
 	"context"
 	"fmt"
-	"os"
 	"testing"
 
 	"repro/internal/analysis"
-	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
@@ -58,56 +51,4 @@ func BenchmarkInterpreterTraced(b *testing.B) {
 	for _, traced := range []bool{false, true} {
 		b.Run(fmt.Sprintf("trace=%t", traced), benchInterpreterTracedAt(traced))
 	}
-}
-
-// TestWriteBenchTrace snapshots the traced/untraced interpreter timings into
-// BENCH_trace.json (diffcode-metrics/v1 schema, like the other snapshots)
-// and asserts the acceptance bound: overhead_milli < 1100, i.e. a traced
-// context costs the interpreter hot loop less than 10%. The gauge is in
-// thousandths: 1050 means tracing costs 5%. Skips unless BENCH_TRACE_OUT is
-// set.
-func TestWriteBenchTrace(t *testing.T) {
-	out := os.Getenv("BENCH_TRACE_OUT")
-	if out == "" {
-		t.Skip("set BENCH_TRACE_OUT=<file> to write the trace overhead snapshot")
-	}
-	reg := obs.NewRegistry()
-	// Interleave off/on rounds and keep each variant's fastest round: the
-	// two loops allocate near-identically from round to round, so min-of-N
-	// cancels the machine's slow drift (GC phase, neighboring load) that a
-	// single back-to-back pair would bake into the ratio.
-	const rounds = 3
-	var off, on testing.BenchmarkResult
-	for i := 0; i < rounds; i++ {
-		o := testing.Benchmark(benchInterpreterTracedAt(false))
-		p := testing.Benchmark(benchInterpreterTracedAt(true))
-		if o.N == 0 || p.N == 0 {
-			t.Fatal("benchmark did not run")
-		}
-		if i == 0 || o.NsPerOp() < off.NsPerOp() {
-			off = o
-		}
-		if i == 0 || p.NsPerOp() < on.NsPerOp() {
-			on = p
-		}
-	}
-	reg.Gauge("bench.interpreter_trace.off_ns_per_op").Set(off.NsPerOp())
-	reg.Gauge("bench.interpreter_trace.on_ns_per_op").Set(on.NsPerOp())
-	reg.Gauge("bench.interpreter_trace.off_allocs_per_op").Set(off.AllocsPerOp())
-	reg.Gauge("bench.interpreter_trace.on_allocs_per_op").Set(on.AllocsPerOp())
-	overhead := int64(0)
-	if off.NsPerOp() > 0 {
-		overhead = on.NsPerOp() * 1000 / off.NsPerOp()
-	}
-	reg.Gauge("bench.interpreter_trace.overhead_milli").Set(overhead)
-	t.Logf("interpreter  untraced %12d ns/op   traced %12d ns/op   overhead %d.%03dx",
-		off.NsPerOp(), on.NsPerOp(), overhead/1000, overhead%1000)
-	if overhead >= 1100 {
-		t.Errorf("traced interpreter overhead %d.%03dx exceeds the 1.100x acceptance bound",
-			overhead/1000, overhead%1000)
-	}
-	if err := obs.WriteSnapshotFile(out, reg, false); err != nil {
-		t.Fatalf("writing trace snapshot: %v", err)
-	}
-	t.Logf("trace overhead snapshot written to %s", out)
 }

@@ -5,19 +5,12 @@ package diffcode
 // matters is the overhead it adds to the interpreter's step loop when a user
 // asks for witness traces — the acceptance bound is <10% ns/op over the
 // tracking-off hot loop on the same pre-parsed program.
-//
-//	make bench-why             # writes BENCH_why.json
-//
-// Without BENCH_WHY_OUT the snapshot runner skips, keeping `go test .` fast;
-// the named benchmark runs under `-bench` as usual.
 
 import (
 	"fmt"
-	"os"
 	"testing"
 
 	"repro/internal/analysis"
-	"repro/internal/obs"
 	"repro/internal/rules"
 	"repro/internal/witness"
 )
@@ -71,59 +64,4 @@ func BenchmarkWitnessReconstruct(b *testing.B) {
 			b.Fatal("empty rendering")
 		}
 	}
-}
-
-// TestWriteBenchWhy snapshots the provenance-on/off interpreter timings and
-// the witness reconstruction cost into BENCH_why.json (diffcode-metrics/v1
-// schema, like the other snapshots). The overhead gauge is in thousandths:
-// 1050 means provenance tracking costs 5% over the tracking-off loop — the
-// acceptance bound for this knob is overhead_milli < 1100. Skips unless
-// BENCH_WHY_OUT is set.
-func TestWriteBenchWhy(t *testing.T) {
-	out := os.Getenv("BENCH_WHY_OUT")
-	if out == "" {
-		t.Skip("set BENCH_WHY_OUT=<file> to write the provenance overhead snapshot")
-	}
-	reg := obs.NewRegistry()
-	// Interleave off/on rounds and keep each variant's fastest round: the
-	// two loops allocate identically from round to round, so min-of-N
-	// cancels the machine's slow drift (GC phase, neighboring load) that a
-	// single back-to-back pair would bake into the ratio.
-	const rounds = 3
-	var off, on testing.BenchmarkResult
-	for i := 0; i < rounds; i++ {
-		o := testing.Benchmark(benchInterpreterAt(false))
-		p := testing.Benchmark(benchInterpreterAt(true))
-		if o.N == 0 || p.N == 0 {
-			t.Fatal("benchmark did not run")
-		}
-		if i == 0 || o.NsPerOp() < off.NsPerOp() {
-			off = o
-		}
-		if i == 0 || p.NsPerOp() < on.NsPerOp() {
-			on = p
-		}
-	}
-	reg.Gauge("bench.interpreter_provenance.off_ns_per_op").Set(off.NsPerOp())
-	reg.Gauge("bench.interpreter_provenance.on_ns_per_op").Set(on.NsPerOp())
-	reg.Gauge("bench.interpreter_provenance.off_allocs_per_op").Set(off.AllocsPerOp())
-	reg.Gauge("bench.interpreter_provenance.on_allocs_per_op").Set(on.AllocsPerOp())
-	overhead := int64(0)
-	if off.NsPerOp() > 0 {
-		overhead = on.NsPerOp() * 1000 / off.NsPerOp()
-	}
-	reg.Gauge("bench.interpreter_provenance.overhead_milli").Set(overhead)
-	t.Logf("interpreter  off %12d ns/op   on %12d ns/op   overhead %d.%03dx",
-		off.NsPerOp(), on.NsPerOp(), overhead/1000, overhead%1000)
-	wit := testing.Benchmark(BenchmarkWitnessReconstruct)
-	if wit.N == 0 {
-		t.Fatal("witness benchmark did not run")
-	}
-	reg.Gauge("bench.witness_reconstruct.ns_per_op").Set(wit.NsPerOp())
-	reg.Gauge("bench.witness_reconstruct.allocs_per_op").Set(wit.AllocsPerOp())
-	t.Logf("witness reconstruct %12d ns/op", wit.NsPerOp())
-	if err := obs.WriteSnapshotFile(out, reg, false); err != nil {
-		t.Fatalf("writing why snapshot: %v", err)
-	}
-	t.Logf("provenance overhead snapshot written to %s", out)
 }

@@ -44,10 +44,9 @@ func main() {
 		metrics   = flag.String("metrics", "", "write a JSON metrics snapshot to this file at exit")
 		verbose   = flag.Bool("v", false, "print a stage-by-stage telemetry summary to stderr at exit")
 		debugAddr = flag.String("debug-addr", "", "serve live metrics and pprof on this address (e.g. localhost:6060)")
-		// -why, -dist-cache, -cache-dir, -summaries, and -max-inline are
-		// accepted for CLI parity; generation runs no analysis, clustering,
-		// or checking, so there is nothing to cache, memoize, or inline —
-		// scripts can still pass one uniform flag set.
+		// -why and -cache-dir are accepted for CLI parity; generation runs
+		// no analysis, clustering, or checking, so there is nothing to
+		// explain or cache — scripts can still pass one uniform flag set.
 		std = cliutil.StandardFlags("corpusgen")
 	)
 	std.Parse()

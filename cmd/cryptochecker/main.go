@@ -59,9 +59,7 @@ func main() {
 		failFast  = flag.Bool("fail-fast", false, "abort at the first unreadable input")
 		metrics   = flag.String("metrics", "", "write a JSON metrics snapshot to this file at exit")
 		debugAddr = flag.String("debug-addr", "", "serve live metrics and pprof on this address (e.g. localhost:6060)")
-		// -dist-cache is accepted for CLI parity; checking runs no
-		// clustering, so there is no distance cache to toggle here.
-		std = cliutil.StandardFlags("cryptochecker")
+		std       = cliutil.StandardFlags("cryptochecker")
 	)
 	std.Parse()
 	why := std.Why()
@@ -181,13 +179,10 @@ func main() {
 	sp := run.Reg.StartSpan("check")
 	err = resilience.Guard("analyze", func() error {
 		var aerr error
+		// Method summaries share the tool's artifact store, so a warm
+		// -cache-dir re-check replays helpers instead of re-interpreting.
 		aopts := analysis.Options{Budget: resilience.NewBudget(*budget, 0), Metrics: run.Reg,
-			Provenance: why.On(), MaxInline: std.MaxInline()}
-		if std.Summaries() {
-			// Method summaries share the tool's artifact store, so a warm
-			// -cache-dir re-check replays helpers instead of re-interpreting.
-			aopts.Summaries = summary.NewTable(store, run.Reg)
-		}
+			Provenance: why.On(), Summaries: summary.NewTable(store, run.Reg)}
 		res, aerr = analysis.AnalyzeBudgetedCtx(tctx, analysis.ParseProgramStoreCtx(tctx, sources, run.Reg, pool, store),
 			aopts)
 		return aerr

@@ -65,17 +65,14 @@ func main() {
 	tctx, troot := std.Trace().Begin("diffcode")
 	defer std.Trace().Dump(os.Stderr, troot)
 	opts := core.Options{
-		Depth:            *depth,
-		BudgetSteps:      *budget,
-		MaxErrors:        *maxErrors,
-		FailFast:         *failFast,
-		Metrics:          run.Reg,
-		Workers:          std.Workers(),
-		DisableDistCache: !std.DistCache(),
-		DisableSummaries: !std.Summaries(),
-		Artifacts:        std.Artifacts(run.Reg),
+		Depth:       *depth,
+		BudgetSteps: *budget,
+		MaxErrors:   *maxErrors,
+		FailFast:    *failFast,
+		Metrics:     run.Reg,
+		Workers:     std.Workers(),
+		Artifacts:   std.Artifacts(run.Reg),
 	}
-	opts.Analysis.MaxInline = std.MaxInline()
 	// The rule-pack gate: -rules packs must compile and lint before any
 	// mode runs (exit 2 on error findings unless -rules-lax). The merged
 	// set feeds the -why check path; mining itself evaluates no rules.

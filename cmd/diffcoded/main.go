@@ -55,9 +55,8 @@ func main() {
 		drain       = flag.Duration("drain", 15*time.Second, "graceful-drain budget for in-flight requests on SIGTERM")
 		metrics     = flag.String("metrics", "", "write a final JSON metrics snapshot to this file on shutdown")
 		verbose     = flag.Bool("v", false, "print a telemetry summary to stderr on shutdown")
-		// -why and -dist-cache are accepted for CLI parity; witness traces
-		// are a per-request option (the "why" request field) and the server
-		// endpoints run no clustering.
+		// -why is accepted for CLI parity; witness traces are a
+		// per-request option (the "why" request field).
 		std = cliutil.StandardFlags("diffcoded")
 	)
 	std.Parse()
@@ -72,12 +71,10 @@ func main() {
 		tracer = trace.New()
 	}
 	copts := core.Options{
-		BudgetSteps:      *budget,
-		Workers:          std.Workers(),
-		Metrics:          reg,
-		DisableSummaries: !std.Summaries(),
+		BudgetSteps: *budget,
+		Workers:     std.Workers(),
+		Metrics:     reg,
 	}
-	copts.Analysis.MaxInline = std.MaxInline()
 	// The rule-pack gate: -rules packs must lint before the server binds
 	// (exit 2 on error findings unless -rules-lax). The pack paths stay
 	// with the server for hot reload — SIGHUP or POST /v1/rules/reload

@@ -101,20 +101,17 @@ func main() {
 	_ = std.ActiveRules(run.Reg)
 	cfg := corpus.Config{Seed: *seed, Scale: *scale, Projects: *projects, ExtraProjects: *extra}
 	opts := core.Options{
-		Depth:            *depth,
-		BudgetSteps:      *budget,
-		MaxErrors:        *maxErr,
-		FailFast:         *failFast,
-		Metrics:          run.Reg,
-		Workers:          std.Workers(),
-		DisableDistCache: !std.DistCache(),
-		DisableSummaries: !std.Summaries(),
+		Depth:       *depth,
+		BudgetSteps: *budget,
+		MaxErrors:   *maxErr,
+		FailFast:    *failFast,
+		Metrics:     run.Reg,
+		Workers:     std.Workers(),
 		// -cache-dir wires the artifact store through the checker paths
 		// (Figure 10, -trend); the evaluation harness itself strips it
 		// (NewEvaluationCtx needs live analysis results for Figure 7).
 		Artifacts: std.Artifacts(run.Reg),
 	}
-	opts.Analysis.MaxInline = std.MaxInline()
 
 	start := time.Now()
 	gsp := troot.Child("generate")

@@ -186,7 +186,8 @@ func CheckSource(src string, ctx RuleContext, opts Options) []Violation {
 }
 
 // AnalyzeUsages exposes the abstract usages AUses of a source (primarily
-// for tooling and tests).
+// for tooling and tests), analyzed under the same effective options as
+// BuildDAGs and CheckSource.
 func AnalyzeUsages(src string, opts Options) *analysis.Result {
-	return analysis.AnalyzeSource(src, analysis.Options{})
+	return core.AnalyzeSource(src, opts)
 }

@@ -1,8 +1,13 @@
 package diffcode
 
 import (
+	"fmt"
+	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
+	"repro/internal/usage"
 )
 
 // TestPublicAPIPaperExample drives the whole public surface on the paper's
@@ -122,5 +127,54 @@ func TestDefaultCorpusConfig(t *testing.T) {
 	cfg := DefaultCorpusConfig()
 	if cfg.Projects != 461 || cfg.ExtraProjects != 58 || cfg.Scale != 1.0 {
 		t.Errorf("default config = %+v", cfg)
+	}
+}
+
+// dagLabels renders the node labels of a DAG set in a canonical order.
+func dagLabels(gs []*Graph) string {
+	var out []string
+	for i, g := range gs {
+		for k := range g.NodeSet() {
+			out = append(out, fmt.Sprintf("%d %s", i, g.Label(k)))
+		}
+	}
+	sort.Strings(out)
+	return strings.Join(out, "\n")
+}
+
+// TestAnalyzeUsagesHonorsOptions pins the facade's option routing:
+// AnalyzeUsages analyzes under the same effective options as BuildDAGs, so
+// interpreter telemetry lands in Options.Metrics and the Cipher usages
+// behind both are identical, down to the "DES" constant threaded through a
+// six-deep helper chain.
+func TestAnalyzeUsagesHonorsOptions(t *testing.T) {
+	const src = `class Deep {
+    void entry() { h1("DES"); }
+    void h1(String a) { h2(a); }
+    void h2(String a) { h3(a); }
+    void h3(String a) { h4(a); }
+    void h4(String a) { h5(a); }
+    void h5(String a) { h6(a); }
+    void h6(String a) { Cipher c = Cipher.getInstance(a); }
+}
+`
+	reg := obs.NewRegistry()
+	opts := Options{Metrics: reg}
+	res := AnalyzeUsages(src, opts)
+	if n := reg.Counter("analysis.runs").Value(); n != 1 {
+		t.Errorf("analysis.runs = %d, want 1 (telemetry must land in Options.Metrics)", n)
+	}
+	var events []string
+	for _, o := range res.ObjsOfType(Cipher) {
+		for _, e := range res.Uses[o] {
+			events = append(events, e.Key())
+		}
+	}
+	if len(events) != 1 || !strings.Contains(events[0], `"DES"`) {
+		t.Errorf("Cipher events = %q, want the getInstance call with the DES constant", events)
+	}
+	got := dagLabels(usage.BuildAll(res, Cipher, usage.DefaultDepth))
+	if want := dagLabels(BuildDAGs(src, Cipher, Options{})); got != want {
+		t.Errorf("AnalyzeUsages DAGs differ from BuildDAGs:\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
 }

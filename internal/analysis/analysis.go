@@ -2,7 +2,8 @@
 // of the paper's §5.1. It discovers allocation sites of target API classes,
 // determines entry methods via a reverse call graph, and performs a forward
 // abstract execution from each entry — forking at branch points, inlining
-// calls inter-procedurally with a depth bound — to compute the abstract
+// calls inter-procedurally up to recursion (optionally replaying memoized
+// per-method summaries) — to compute the abstract
 // usages AUses : AObjs → P(Methods × AStates).
 //
 // Like the paper's analyzer, it operates on partial programs (library code
@@ -39,8 +40,6 @@ type Options struct {
 	// MaxStates caps the number of simultaneously tracked execution forks
 	// per entry method; overflow states are joined. Default 16.
 	MaxStates int
-	// MaxInline bounds the call-inlining depth. Default 4.
-	MaxInline int
 	// Budget, when non-nil, bounds the abstract execution: one step is
 	// consumed per statement and expression visited, and exhaustion abandons
 	// the analysis with resilience.ErrBudgetExhausted. Budgets are single-use
@@ -58,22 +57,18 @@ type Options struct {
 	Provenance bool
 	// Summaries, when non-nil, enables memoized per-method summaries
 	// (DESIGN.md §14): inlineCall consults the table before executing a
-	// callee, replaying a recorded effect triple on a hit, and the MaxInline
-	// depth cliff is replaced by cycle detection (recursive SCCs widen to
-	// Top). The table may be shared across analyses — a mining run shares
-	// one table across all changes, a server across all requests. Nil keeps
-	// the exact legacy re-inlining interpreter. With Provenance on, lookups
-	// are skipped (summaries carry no provenance) but the depth lift still
-	// applies, so -why and plain runs agree on the violation set.
+	// callee and replays a recorded effect triple on a hit. The table may be
+	// shared across analyses — a mining run shares one table across all
+	// changes, a server across all requests. Nil means live execution of
+	// every call under the same cycle policy (recursive SCCs widen to Top),
+	// which is also what runs with Provenance on (summaries carry no
+	// provenance), so every mode agrees on the violation set.
 	Summaries *summary.Table
 }
 
 func (o Options) withDefaults() Options {
 	if o.MaxStates <= 0 {
 		o.MaxStates = 16
-	}
-	if o.MaxInline <= 0 {
-		o.MaxInline = 4
 	}
 	return o
 }
@@ -339,13 +334,13 @@ type analyzer struct {
 	curFile     int
 	budget      *resilience.Budget
 
-	// Summary machinery (summary.go). sums is the shared table (nil =
-	// summaries off, the exact legacy interpreter); memoOK gates lookups
-	// (off under provenance or for fingerprint-less programs, where only
-	// the depth lift applies). siteOf is the reverse of sites — it renders
-	// abstract objects portably. recs is the stack of in-flight recordings
-	// that the allocObj/record/markExecuted tee points feed; localSums
-	// caches summaries already rebound into this analyzer's object table.
+	// Summary machinery (summary.go). sums is the shared table (nil = live
+	// execution of every call); memoOK gates lookups (off under provenance
+	// or for fingerprint-less programs, which execute live). siteOf is the
+	// reverse of sites — it renders abstract objects portably. recs is the
+	// stack of in-flight recordings that the allocObj/record/markExecuted
+	// tee points feed; localSums caches summaries already rebound into this
+	// analyzer's object table.
 	sums      *summary.Table
 	memoOK    bool
 	sumOptsFP string
@@ -425,8 +420,8 @@ func newAnalyzer(prog *Program, opts Options) *analyzer {
 		siteOf:      map[*absdom.AObj]siteKey{},
 	}
 	// Memoization needs provenance off (entries carry none) and a program
-	// fingerprint (the key's exactness anchor); otherwise only the depth
-	// lift of the summaries mode applies.
+	// fingerprint (the key's exactness anchor); otherwise every call
+	// executes live under the same cycle policy.
 	an.memoOK = an.sums != nil && !an.provOn && prog.SourceFP != ""
 	if an.memoOK {
 		an.localSums = map[*summary.Entry]*resolvedSum{}
@@ -598,7 +593,7 @@ func (an *analyzer) runEntry(ci *classInfo, m *javaast.MethodDecl) {
 		st.SetVar(p.Name, v)
 		fr.varTypes[p.Name] = p.Type
 	}
-	an.execMethod(ci, m, nil, st, 0)
+	an.execMethod(ci, m, nil, st)
 }
 
 // initFields evaluates field initializers and initializer blocks into st.
@@ -607,7 +602,7 @@ func (an *analyzer) initFields(ci *classInfo, st *absdom.State, fr *frame) {
 		fd := ci.fields[name]
 		key := ci.decl.Name + "." + name
 		if fd.Init != nil {
-			v := an.eval(fd.Init, st, fr, 0)
+			v := an.eval(fd.Init, st, fr)
 			v = refine(v, fd.Type)
 			if an.provOn {
 				v.Prov = an.prov1(absdom.ProvField, fd, shField, key, v.Prov)
@@ -623,7 +618,7 @@ func (an *analyzer) initFields(ci *classInfo, st *absdom.State, fr *frame) {
 	}
 	for _, m := range ci.decl.Methods {
 		if m.Name == "<static-init>" || m.Name == "<instance-init>" {
-			an.execMethod(ci, m, nil, st, 0)
+			an.execMethod(ci, m, nil, st)
 		}
 	}
 }
@@ -663,7 +658,7 @@ func refine(v absdom.Value, typ *javaast.TypeRef) absdom.Value {
 
 // execMethod runs a method body with the given argument values, mutating st
 // to the join of all exit states, and returns the joined return value.
-func (an *analyzer) execMethod(ci *classInfo, m *javaast.MethodDecl, args []absdom.Value, st *absdom.State, depth int) absdom.Value {
+func (an *analyzer) execMethod(ci *classInfo, m *javaast.MethodDecl, args []absdom.Value, st *absdom.State) absdom.Value {
 	if m.Body == nil {
 		return returnTop(m)
 	}
@@ -687,7 +682,7 @@ func (an *analyzer) execMethod(ci *classInfo, m *javaast.MethodDecl, args []absd
 		st.SetVar(p.Name, v)
 		fr.varTypes[p.Name] = p.Type
 	}
-	live := fr.execStmts(m.Body.Stmts, []*absdom.State{st}, depth)
+	live := fr.execStmts(m.Body.Stmts, []*absdom.State{st})
 	// Join every surviving state (live and returned) back into st so field
 	// effects are visible to the caller.
 	for _, s := range append(live, fr.finished...) {

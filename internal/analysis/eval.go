@@ -11,7 +11,7 @@ import (
 
 // eval computes the abstract value of an expression in state st, recording
 // API usage events and allocating abstract objects as side effects.
-func (an *analyzer) eval(e javaast.Expr, st *absdom.State, fr *frame, depth int) absdom.Value {
+func (an *analyzer) eval(e javaast.Expr, st *absdom.State, fr *frame) absdom.Value {
 	an.step()
 	switch x := e.(type) {
 	case nil:
@@ -35,23 +35,23 @@ func (an *analyzer) eval(e javaast.Expr, st *absdom.State, fr *frame, depth int)
 		return absdom.TopObj("")
 
 	case *javaast.FieldAccess:
-		return an.evalFieldAccess(x, st, fr, depth)
+		return an.evalFieldAccess(x, st, fr)
 
 	case *javaast.Call:
-		return an.evalCall(x, st, fr, depth)
+		return an.evalCall(x, st, fr)
 
 	case *javaast.New:
-		return an.evalNew(x, st, fr, depth)
+		return an.evalNew(x, st, fr)
 
 	case *javaast.NewArray:
-		return an.evalNewArray(x, st, fr, depth)
+		return an.evalNewArray(x, st, fr)
 
 	case *javaast.ArrayInit:
 		// Bare initializer; element type comes from the declaration, which
 		// refine() fixes afterward. Byte-ish is the common crypto case.
 		allConst := true
 		for _, el := range x.Elems {
-			if !an.eval(el, st, fr, depth).IsConst() {
+			if !an.eval(el, st, fr).IsConst() {
 				allConst = false
 			}
 		}
@@ -67,8 +67,8 @@ func (an *analyzer) eval(e javaast.Expr, st *absdom.State, fr *frame, depth int)
 		return v
 
 	case *javaast.Index:
-		v := an.eval(x.X, st, fr, depth)
-		an.eval(x.I, st, fr, depth)
+		v := an.eval(x.X, st, fr)
+		an.eval(x.I, st, fr)
 		var el absdom.Value
 		switch v.Kind {
 		case absdom.KConstByteArr:
@@ -88,8 +88,8 @@ func (an *analyzer) eval(e javaast.Expr, st *absdom.State, fr *frame, depth int)
 		return el
 
 	case *javaast.Binary:
-		l := an.eval(x.L, st, fr, depth)
-		r := an.eval(x.R, st, fr, depth)
+		l := an.eval(x.L, st, fr)
+		r := an.eval(x.R, st, fr)
 		v := foldBinary(x.Op, l, r)
 		if an.provOn && (l.Prov != nil || r.Prov != nil) {
 			v.Prov = an.prov2(absdom.ProvDerived, x, shOperator, x.Op, l.Prov, r.Prov)
@@ -97,7 +97,7 @@ func (an *analyzer) eval(e javaast.Expr, st *absdom.State, fr *frame, depth int)
 		return v
 
 	case *javaast.Unary:
-		v := an.eval(x.X, st, fr, depth)
+		v := an.eval(x.X, st, fr)
 		u := foldUnary(x.Op, v)
 		if an.provOn && v.Prov != nil {
 			u.Prov = an.prov1(absdom.ProvDerived, x, shOperator, x.Op, v.Prov)
@@ -105,16 +105,16 @@ func (an *analyzer) eval(e javaast.Expr, st *absdom.State, fr *frame, depth int)
 		return u
 
 	case *javaast.Assign:
-		return an.evalAssign(x, st, fr, depth)
+		return an.evalAssign(x, st, fr)
 
 	case *javaast.Cond:
-		an.eval(x.C, st, fr, depth)
-		t := an.eval(x.T, st, fr, depth)
-		f := an.eval(x.F, st, fr, depth)
+		an.eval(x.C, st, fr)
+		t := an.eval(x.T, st, fr)
+		f := an.eval(x.F, st, fr)
 		return absdom.JoinIn(&an.provArena, t, f)
 
 	case *javaast.Cast:
-		v := an.eval(x.X, st, fr, depth)
+		v := an.eval(x.X, st, fr)
 		// A cast asserts the value's runtime type: any unknown object value
 		// refines to the ⊤ of the cast target (e.g. (byte[]) loaded()).
 		if !v.IsValid() || v.Kind == absdom.KTopObj {
@@ -127,7 +127,7 @@ func (an *analyzer) eval(e javaast.Expr, st *absdom.State, fr *frame, depth int)
 		return v
 
 	case *javaast.InstanceOf:
-		an.eval(x.X, st, fr, depth)
+		an.eval(x.X, st, fr)
 		return absdom.TopInt()
 
 	case *javaast.This:
@@ -184,7 +184,7 @@ func (an *analyzer) lookupField(ci *classInfo, name string, st *absdom.State) (a
 	return v, true
 }
 
-func (an *analyzer) evalFieldAccess(x *javaast.FieldAccess, st *absdom.State, fr *frame, depth int) absdom.Value {
+func (an *analyzer) evalFieldAccess(x *javaast.FieldAccess, st *absdom.State, fr *frame) absdom.Value {
 	// this.f
 	if _, isThis := x.X.(*javaast.This); isThis {
 		if v, ok := an.lookupField(fr.ci, x.Name, st); ok {
@@ -211,7 +211,7 @@ func (an *analyzer) evalFieldAccess(x *javaast.FieldAccess, st *absdom.State, fr
 		}
 	}
 	// Heap access through an object value.
-	v := an.eval(x.X, st, fr, depth)
+	v := an.eval(x.X, st, fr)
 	if v.Kind == absdom.KObj {
 		if fs, ok := st.Heap[v.Obj]; ok {
 			if fv, ok := fs[x.Name]; ok {
@@ -248,7 +248,7 @@ func (an *analyzer) staticFieldValue(ci *classInfo, fd *javaast.FieldDecl) absdo
 	an.curFile = ci.file
 	tmp := absdom.NewState()
 	tmpFr := &frame{an: an, ci: ci, varTypes: map[string]*javaast.TypeRef{}}
-	v := refine(an.eval(fd.Init, tmp, tmpFr, 0), fd.Type)
+	v := refine(an.eval(fd.Init, tmp, tmpFr), fd.Type)
 	if an.provOn {
 		v.Prov = an.prov1x(absdom.ProvField, fd, shStaticField, ci.decl.Name, fd.Name, v.Prov)
 	}
@@ -309,17 +309,17 @@ func isAllCaps(name string) bool {
 // Calls and allocations
 // ---------------------------------------------------------------------------
 
-func (an *analyzer) evalCall(c *javaast.Call, st *absdom.State, fr *frame, depth int) absdom.Value {
+func (an *analyzer) evalCall(c *javaast.Call, st *absdom.State, fr *frame) absdom.Value {
 	args := make([]absdom.Value, len(c.Args))
 	for i, a := range c.Args {
-		args[i] = an.eval(a, st, fr, depth)
+		args[i] = an.eval(a, st, fr)
 	}
 
 	// Unqualified or this-qualified call: same-class method, inlined.
 	_, recvIsThis := c.Recv.(*javaast.This)
 	if c.Recv == nil || recvIsThis {
 		if ms := an.pickMethod(fr.ci, c.Name, len(args)); ms != nil {
-			ret := an.inlineCall(fr.ci, ms, args, st, depth)
+			ret := an.inlineCall(fr.ci, ms, args, st)
 			if an.provOn && ret.Prov != nil {
 				ret.Prov = an.prov1(absdom.ProvCall, c, shInlined, c.Name, ret.Prov)
 			}
@@ -341,7 +341,7 @@ func (an *analyzer) evalCall(c *javaast.Call, st *absdom.State, fr *frame, depth
 			}
 			if ci2, isClass := an.classes[base]; isClass {
 				if ms := an.pickMethod(ci2, c.Name, len(args)); ms != nil {
-					ret := an.inlineCall(ci2, ms, args, st, depth)
+					ret := an.inlineCall(ci2, ms, args, st)
 					if an.provOn && ret.Prov != nil {
 						ret.Prov = an.prov1x(absdom.ProvCall, c, shInlinedQual, base, c.Name, ret.Prov)
 					}
@@ -359,7 +359,7 @@ func (an *analyzer) evalCall(c *javaast.Call, st *absdom.State, fr *frame, depth
 		}
 	}
 	// Decoder-instance chains: Base64.getDecoder().decode("...").
-	if v, ok := an.foldDecoderChain(c, args, st, fr, depth); ok {
+	if v, ok := an.foldDecoderChain(c, args, st, fr); ok {
 		if an.provOn {
 			p0, p1 := argProvs(args)
 			v.Prov = an.prov2(absdom.ProvCall, c, shBase64, c.Name, p0, p1)
@@ -368,7 +368,7 @@ func (an *analyzer) evalCall(c *javaast.Call, st *absdom.State, fr *frame, depth
 	}
 
 	// Instance call through an object value.
-	recv := an.eval(c.Recv, st, fr, depth)
+	recv := an.eval(c.Recv, st, fr)
 	if recv.Kind == absdom.KStrConst {
 		v := foldStringMethod(recv.Payload, c.Name, args)
 		if an.provOn {
@@ -510,24 +510,11 @@ func (an *analyzer) pickMethod(ci *classInfo, name string, arity int) *javaast.M
 }
 
 // inlineCall executes a callee in the caller's state with the callee's own
-// variable scope. Without summaries (Options.Summaries nil) this is the
-// exact legacy interpreter: recursion-guarded and bounded by MaxInline.
-// With summaries on, the depth cliff is lifted — reach is bounded by cycle
-// detection (recursive SCCs widen to Top, counted as summary.cycles) plus a
-// generous backstop — and, when memoization applies (provenance off,
-// fingerprinted program), the summary table is consulted before executing.
-func (an *analyzer) inlineCall(ci *classInfo, m *javaast.MethodDecl, args []absdom.Value, st *absdom.State, depth int) absdom.Value {
-	if an.sums == nil {
-		if depth >= an.opts.MaxInline {
-			return returnTop(m)
-		}
-		for _, on := range an.inlineStack {
-			if on == m {
-				return returnTop(m)
-			}
-		}
-		return an.inlineLive(ci, m, args, st, depth)
-	}
+// variable scope. Reach is bounded by cycle detection (recursive SCCs widen
+// to Top, counted as summary.cycles) plus a generous backstop, and, when
+// memoization applies (a table attached, provenance off, fingerprinted
+// program), the summary table is consulted before executing.
+func (an *analyzer) inlineCall(ci *classInfo, m *javaast.MethodDecl, args []absdom.Value, st *absdom.State) absdom.Value {
 	for i, on := range an.inlineStack {
 		if on == m {
 			an.noteCycle(i, m)
@@ -541,13 +528,13 @@ func (an *analyzer) inlineCall(ci *classInfo, m *javaast.MethodDecl, args []absd
 		return returnTop(m)
 	}
 	if !an.memoOK {
-		return an.inlineLive(ci, m, args, st, depth)
+		return an.inlineLive(ci, m, args, st)
 	}
-	return an.inlineMemo(ci, m, args, st, depth)
+	return an.inlineMemo(ci, m, args, st)
 }
 
 // inlineLive pushes the callee frame and executes its body in st.
-func (an *analyzer) inlineLive(ci *classInfo, m *javaast.MethodDecl, args []absdom.Value, st *absdom.State, depth int) absdom.Value {
+func (an *analyzer) inlineLive(ci *classInfo, m *javaast.MethodDecl, args []absdom.Value, st *absdom.State) absdom.Value {
 	an.inlineStack = append(an.inlineStack, m)
 	savedFile := an.curFile
 	an.curFile = ci.file
@@ -560,15 +547,15 @@ func (an *analyzer) inlineLive(ci *classInfo, m *javaast.MethodDecl, args []absd
 	// the same field/heap state.
 	saved := st.Vars
 	st.Vars = map[string]absdom.Value{}
-	ret := an.execMethod(ci, m, args, st, depth+1)
+	ret := an.execMethod(ci, m, args, st)
 	st.Vars = saved
 	return ret
 }
 
-func (an *analyzer) evalNew(x *javaast.New, st *absdom.State, fr *frame, depth int) absdom.Value {
+func (an *analyzer) evalNew(x *javaast.New, st *absdom.State, fr *frame) absdom.Value {
 	args := make([]absdom.Value, len(x.Args))
 	for i, a := range x.Args {
-		args[i] = an.eval(a, st, fr, depth)
+		args[i] = an.eval(a, st, fr)
 	}
 	typ := x.Type.Base()
 	obj := an.allocObj(an.fileOf(x), x, typ)
@@ -585,14 +572,14 @@ func (an *analyzer) evalNew(x *javaast.New, st *absdom.State, fr *frame, depth i
 	return v
 }
 
-func (an *analyzer) evalNewArray(x *javaast.NewArray, st *absdom.State, fr *frame, depth int) absdom.Value {
+func (an *analyzer) evalNewArray(x *javaast.NewArray, st *absdom.State, fr *frame) absdom.Value {
 	for _, l := range x.Lens {
-		an.eval(l, st, fr, depth)
+		an.eval(l, st, fr)
 	}
 	elemConst := true
 	var labels []string
 	for _, el := range x.Elems {
-		v := an.eval(el, st, fr, depth)
+		v := an.eval(el, st, fr)
 		if !v.IsConst() {
 			elemConst = false
 		}
@@ -633,17 +620,17 @@ func (an *analyzer) evalNewArray(x *javaast.NewArray, st *absdom.State, fr *fram
 }
 
 // evalAssign handles simple and compound assignment.
-func (an *analyzer) evalAssign(x *javaast.Assign, st *absdom.State, fr *frame, depth int) absdom.Value {
-	v := an.eval(x.R, st, fr, depth)
+func (an *analyzer) evalAssign(x *javaast.Assign, st *absdom.State, fr *frame) absdom.Value {
+	v := an.eval(x.R, st, fr)
 	if x.Op != "=" {
-		cur := an.eval(x.L, st, fr, depth)
+		cur := an.eval(x.L, st, fr)
 		v = foldBinary(strings.TrimSuffix(x.Op, "="), cur, v)
 	}
-	an.assignTo(x.L, v, st, fr, depth)
+	an.assignTo(x.L, v, st, fr)
 	return v
 }
 
-func (an *analyzer) assignTo(lhs javaast.Expr, v absdom.Value, st *absdom.State, fr *frame, depth int) {
+func (an *analyzer) assignTo(lhs javaast.Expr, v absdom.Value, st *absdom.State, fr *frame) {
 	switch l := lhs.(type) {
 	case *javaast.Name:
 		if an.provOn && v.Prov != nil {
@@ -671,7 +658,7 @@ func (an *analyzer) assignTo(lhs javaast.Expr, v absdom.Value, st *absdom.State,
 				return
 			}
 		}
-		recv := an.eval(l.X, st, fr, depth)
+		recv := an.eval(l.X, st, fr)
 		if recv.Kind == absdom.KObj {
 			fs := st.Heap[recv.Obj]
 			if fs == nil {
@@ -682,7 +669,7 @@ func (an *analyzer) assignTo(lhs javaast.Expr, v absdom.Value, st *absdom.State,
 		}
 	case *javaast.Index:
 		// Writing a non-constant element degrades a constant array.
-		base := an.eval(l.X, st, fr, depth)
+		base := an.eval(l.X, st, fr)
 		if !v.IsConst() && base.Kind == absdom.KConstByteArr {
 			if n, ok := l.X.(*javaast.Name); ok {
 				if _, isVar := st.LookupVar(n.Ident); isVar {
@@ -757,7 +744,7 @@ func foldWellKnownStatic(class, method string, args []absdom.Value) (absdom.Valu
 // foldDecoderChain handles Base64.getDecoder().decode(x) /
 // Base64.getEncoder().encodeToString(x) — the decoder object itself is
 // opaque, but the chain's constness is determined by x.
-func (an *analyzer) foldDecoderChain(c *javaast.Call, args []absdom.Value, st *absdom.State, fr *frame, depth int) (absdom.Value, bool) {
+func (an *analyzer) foldDecoderChain(c *javaast.Call, args []absdom.Value, st *absdom.State, fr *frame) (absdom.Value, bool) {
 	inner, ok := c.Recv.(*javaast.Call)
 	if !ok {
 		return absdom.Value{}, false

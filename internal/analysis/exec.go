@@ -17,9 +17,9 @@ type frame struct {
 
 // execStmts flows the state set through a statement sequence, forking at
 // branches and capping the fork count per Options.MaxStates.
-func (f *frame) execStmts(stmts []javaast.Stmt, states []*absdom.State, depth int) []*absdom.State {
+func (f *frame) execStmts(stmts []javaast.Stmt, states []*absdom.State) []*absdom.State {
 	for _, s := range stmts {
-		states = f.execStmt(s, states, depth)
+		states = f.execStmt(s, states)
 		if len(states) == 0 {
 			return nil
 		}
@@ -40,18 +40,18 @@ func (f *frame) cap(states []*absdom.State) []*absdom.State {
 	return states[:max]
 }
 
-func (f *frame) execStmt(s javaast.Stmt, states []*absdom.State, depth int) []*absdom.State {
+func (f *frame) execStmt(s javaast.Stmt, states []*absdom.State) []*absdom.State {
 	f.an.step()
 	switch x := s.(type) {
 	case *javaast.Block:
-		return f.execStmts(x.Stmts, states, depth)
+		return f.execStmts(x.Stmts, states)
 
 	case *javaast.LocalVarDecl:
 		f.varTypes[x.Name] = x.Type
 		for _, st := range states {
 			var v absdom.Value
 			if x.Init != nil {
-				v = f.an.eval(x.Init, st, f, depth)
+				v = f.an.eval(x.Init, st, f)
 			}
 			v = refine(v, x.Type)
 			if f.an.provOn && v.Prov != nil {
@@ -63,22 +63,22 @@ func (f *frame) execStmt(s javaast.Stmt, states []*absdom.State, depth int) []*a
 
 	case *javaast.ExprStmt:
 		for _, st := range states {
-			f.an.eval(x.X, st, f, depth)
+			f.an.eval(x.X, st, f)
 		}
 		return states
 
 	case *javaast.IfStmt:
 		var out []*absdom.State
 		for _, st := range states {
-			f.an.eval(x.Cond, st, f, depth)
+			f.an.eval(x.Cond, st, f)
 			thenSt := st.Clone()
 			thenLive := []*absdom.State{thenSt}
 			if x.Then != nil {
-				thenLive = f.execStmt(x.Then, thenLive, depth)
+				thenLive = f.execStmt(x.Then, thenLive)
 			}
 			elseLive := []*absdom.State{st}
 			if x.Else != nil {
-				elseLive = f.execStmt(x.Else, elseLive, depth)
+				elseLive = f.execStmt(x.Else, elseLive)
 			}
 			out = append(out, thenLive...)
 			out = append(out, elseLive...)
@@ -86,36 +86,36 @@ func (f *frame) execStmt(s javaast.Stmt, states []*absdom.State, depth int) []*a
 		return f.cap(out)
 
 	case *javaast.WhileStmt:
-		return f.execLoop(nil, x.Cond, nil, x.Body, states, depth)
+		return f.execLoop(nil, x.Cond, nil, x.Body, states)
 	case *javaast.DoStmt:
 		// The body runs at least once.
-		states = f.execStmt(x.Body, states, depth)
+		states = f.execStmt(x.Body, states)
 		for _, st := range states {
-			f.an.eval(x.Cond, st, f, depth)
+			f.an.eval(x.Cond, st, f)
 		}
 		return states
 	case *javaast.ForStmt:
-		states = f.execStmts(x.Init, states, depth)
-		return f.execLoop(nil, x.Cond, x.Post, x.Body, states, depth)
+		states = f.execStmts(x.Init, states)
+		return f.execLoop(nil, x.Cond, x.Post, x.Body, states)
 	case *javaast.ForEachStmt:
 		f.varTypes[x.Var.Name] = x.Var.Type
 		for _, st := range states {
-			f.an.eval(x.Expr, st, f, depth)
+			f.an.eval(x.Expr, st, f)
 			st.SetVar(x.Var.Name, absdom.TopOfType(x.Var.Type.Base(), x.Var.Type.Dims))
 		}
-		return f.execLoop(nil, nil, nil, x.Body, states, depth)
+		return f.execLoop(nil, nil, nil, x.Body, states)
 
 	case *javaast.ReturnStmt:
 		for _, st := range states {
 			if x.X != nil {
-				f.retVals = append(f.retVals, f.an.eval(x.X, st, f, depth))
+				f.retVals = append(f.retVals, f.an.eval(x.X, st, f))
 			}
 			f.finished = append(f.finished, st)
 		}
 		return nil
 	case *javaast.ThrowStmt:
 		for _, st := range states {
-			f.an.eval(x.X, st, f, depth)
+			f.an.eval(x.X, st, f)
 			f.finished = append(f.finished, st)
 		}
 		return nil
@@ -126,7 +126,7 @@ func (f *frame) execStmt(s javaast.Stmt, states []*absdom.State, depth int) []*a
 			for _, st := range states {
 				var v absdom.Value
 				if r.Init != nil {
-					v = f.an.eval(r.Init, st, f, depth)
+					v = f.an.eval(r.Init, st, f)
 				}
 				st.SetVar(r.Name, refine(v, r.Type))
 			}
@@ -138,7 +138,7 @@ func (f *frame) execStmt(s javaast.Stmt, states []*absdom.State, depth int) []*a
 		for _, st := range states {
 			preBody = append(preBody, st.Clone())
 		}
-		live := f.execStmts(x.Body.Stmts, states, depth)
+		live := f.execStmts(x.Body.Stmts, states)
 		for _, c := range x.Catches {
 			catchStates := preBody
 			preBody = nil
@@ -147,7 +147,7 @@ func (f *frame) execStmt(s javaast.Stmt, states []*absdom.State, depth int) []*a
 					st.SetVar(c.Param.Name, absdom.TopOfType(c.Param.Type.Base(), 0))
 				}
 			}
-			live = append(live, f.execStmts(c.Body.Stmts, catchStates, depth)...)
+			live = append(live, f.execStmts(c.Body.Stmts, catchStates)...)
 			if len(x.Catches) > 1 {
 				// Additional catches fork again from the same pre-state.
 				preBody = nil
@@ -158,13 +158,13 @@ func (f *frame) execStmt(s javaast.Stmt, states []*absdom.State, depth int) []*a
 		}
 		live = f.cap(live)
 		if x.Finally != nil {
-			live = f.execStmts(x.Finally.Stmts, live, depth)
+			live = f.execStmts(x.Finally.Stmts, live)
 		}
 		return live
 
 	case *javaast.SwitchStmt:
 		for _, st := range states {
-			f.an.eval(x.Tag, st, f, depth)
+			f.an.eval(x.Tag, st, f)
 		}
 		var out []*absdom.State
 		for _, st := range states {
@@ -175,7 +175,7 @@ func (f *frame) execStmt(s javaast.Stmt, states []*absdom.State, depth int) []*a
 				}
 				matched = true
 				fork := st.Clone()
-				out = append(out, f.execStmts(cs.Body, []*absdom.State{fork}, depth)...)
+				out = append(out, f.execStmts(cs.Body, []*absdom.State{fork})...)
 			}
 			if !matched {
 				out = append(out, st)
@@ -187,21 +187,21 @@ func (f *frame) execStmt(s javaast.Stmt, states []*absdom.State, depth int) []*a
 
 	case *javaast.SyncStmt:
 		for _, st := range states {
-			f.an.eval(x.Lock, st, f, depth)
+			f.an.eval(x.Lock, st, f)
 		}
-		return f.execStmts(x.Body.Stmts, states, depth)
+		return f.execStmts(x.Body.Stmts, states)
 
 	case *javaast.LabeledStmt:
 		if x.Stmt == nil {
 			return states
 		}
-		return f.execStmt(x.Stmt, states, depth)
+		return f.execStmt(x.Stmt, states)
 
 	case *javaast.AssertStmt:
 		for _, st := range states {
-			f.an.eval(x.Cond, st, f, depth)
+			f.an.eval(x.Cond, st, f)
 			if x.Msg != nil {
-				f.an.eval(x.Msg, st, f, depth)
+				f.an.eval(x.Msg, st, f)
 			}
 		}
 		return states
@@ -218,11 +218,11 @@ func (f *frame) execStmt(s javaast.Stmt, states []*absdom.State, depth int) []*a
 // is the union of skipping the body and executing it once. This covers the
 // feature-extraction needs of the abstraction (events inside loop bodies are
 // observed) without fixpoint iteration.
-func (f *frame) execLoop(init []javaast.Stmt, cond javaast.Expr, post []javaast.Expr, body javaast.Stmt, states []*absdom.State, depth int) []*absdom.State {
-	states = f.execStmts(init, states, depth)
+func (f *frame) execLoop(init []javaast.Stmt, cond javaast.Expr, post []javaast.Expr, body javaast.Stmt, states []*absdom.State) []*absdom.State {
+	states = f.execStmts(init, states)
 	for _, st := range states {
 		if cond != nil {
-			f.an.eval(cond, st, f, depth)
+			f.an.eval(cond, st, f)
 		}
 	}
 	var out []*absdom.State
@@ -230,11 +230,11 @@ func (f *frame) execLoop(init []javaast.Stmt, cond javaast.Expr, post []javaast.
 		skip := st.Clone()
 		once := []*absdom.State{st}
 		if body != nil {
-			once = f.execStmt(body, once, depth)
+			once = f.execStmt(body, once)
 		}
 		for _, s := range once {
 			for _, p := range post {
-				f.an.eval(p, s, f, depth)
+				f.an.eval(p, s, f)
 			}
 		}
 		out = append(out, skip)

@@ -30,10 +30,9 @@ package analysis
 // frames (depth is deliberately outside the key; putting it in would
 // fragment the table per call depth).
 //
-// Cycle policy: with summaries on, the MaxInline depth cliff is replaced by
-// cycle detection — a recursive call (direct or through a SCC) widens to
-// the callee's ⊤ return, which is a post-fixpoint of the recursive
-// equation, so convergence is immediate. A recording whose execution hit
+// Cycle policy (shared with live execution): a recursive call (direct or
+// through a SCC) widens to the callee's ⊤ return, which is a post-fixpoint
+// of the recursive equation, so convergence is immediate. A recording whose execution hit
 // the guard against a method *outside* its own frame records that method as
 // an OuterGuard: the entry is replayed only under callers that still have
 // it on the stack (and, dually, never while any method the recording
@@ -51,8 +50,8 @@ import (
 	"repro/internal/summary"
 )
 
-// maxLiftedInline is the backstop inlining bound with summaries on. Cycle
-// detection already bounds the stack by the number of distinct methods;
+// maxLiftedInline is the backstop inlining bound. Cycle detection already
+// bounds the stack by the number of distinct methods;
 // this only guards degenerate programs with thousands of distinct nested
 // calls (the step budget remains the real safety valve).
 const maxLiftedInline = 512
@@ -124,10 +123,10 @@ func (an *analyzer) noteCycle(stackIdx int, m *javaast.MethodDecl) {
 // inlineMemo is inlineCall's summaries path: consult the table, replay on a
 // valid hit, otherwise execute live under a fresh recording and memoize the
 // result.
-func (an *analyzer) inlineMemo(ci *classInfo, m *javaast.MethodDecl, args []absdom.Value, st *absdom.State, depth int) absdom.Value {
+func (an *analyzer) inlineMemo(ci *classInfo, m *javaast.MethodDecl, args []absdom.Value, st *absdom.State) absdom.Value {
 	key, ok := an.summaryKey(ci, m, args, st)
 	if !ok {
-		return an.inlineLive(ci, m, args, st, depth)
+		return an.inlineLive(ci, m, args, st)
 	}
 	if rs := an.lookupSummary(key); rs != nil && an.summaryValid(rs) {
 		an.sums.Hit()
@@ -141,7 +140,7 @@ func (an *analyzer) inlineMemo(ci *classInfo, m *javaast.MethodDecl, args []absd
 		outerIn:    map[*javaast.MethodDecl]bool{},
 	}
 	an.recs = append(an.recs, rec)
-	ret := an.inlineLive(ci, m, args, st, depth)
+	ret := an.inlineLive(ci, m, args, st)
 	// On a budget panic the unwind abandons the partial recording with the
 	// analyzer — entries are only ever inserted for completed executions.
 	an.recs = an.recs[:len(an.recs)-1]

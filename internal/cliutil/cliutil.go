@@ -26,14 +26,6 @@ func WorkersFlag() *int {
 		"parallel workers for analysis, clustering, and checking (1 = serial; default GOMAXPROCS)")
 }
 
-// DistCacheFlag registers the uniform -dist-cache flag on the default flag
-// set. The cache is on by default; output is bit-identical either way (the
-// flag exists for benchmarking and as an escape hatch, not a trade-off).
-func DistCacheFlag() *bool {
-	return flag.Bool("dist-cache", true,
-		"memoize clustering distance kernels (results are identical either way; -dist-cache=false recomputes every pair)")
-}
-
 // CacheDirFlag registers the uniform -cache-dir flag on the default flag
 // set: the root directory of the persistent artifact store behind
 // incremental runs. Empty (the default) keeps artifacts in memory only —
@@ -43,41 +35,12 @@ func CacheDirFlag() *string {
 		"persist content-addressed artifacts (parsed ASTs, analysis results, check outcomes) under this directory; warm re-runs recompute only what changed (empty = in-memory only)")
 }
 
-// MaxInlineFlag registers the uniform -max-inline flag on the default flag
-// set: the call-inlining depth bound of the abstract interpreter (the
-// paper's §5.1 bound, default 4). With -summaries on the bound is lifted —
-// summary-based analysis reaches past it via cycle detection — so the flag
-// mainly shapes -summaries=false runs.
-func MaxInlineFlag() *int {
-	return flag.Int("max-inline", 4,
-		"call-inlining depth bound of the abstract interpreter (with -summaries on, reach extends past it; 0 applies the default)")
-}
-
-// SummariesFlag registers the uniform -summaries flag on the default flag
-// set. On by default: callees are memoized as per-method summaries and
-// interprocedural reach is bounded by cycle detection instead of
-// -max-inline. -summaries=false restores the exact re-inlining interpreter.
-func SummariesFlag() *bool {
-	return flag.Bool("summaries", true,
-		"memoize per-method summaries (interpret each helper once per distinct abstract input, reach past -max-inline); -summaries=false re-inlines every call")
-}
-
 // ValidateWorkers checks a -workers value: every worker pool needs at least
 // one worker, so N < 1 is a usage error (0 does not mean "auto" at the CLI
 // — the auto default is already the flag's default value).
 func ValidateWorkers(n int) error {
 	if n < 1 {
 		return fmt.Errorf("-workers must be at least 1 (got %d)", n)
-	}
-	return nil
-}
-
-// ValidateMaxInline checks a -max-inline value: negative depths are a usage
-// error (0 means "use the analyzer default", mirroring the library zero
-// value; the -workers pattern of validating at parse time applies).
-func ValidateMaxInline(n int) error {
-	if n < 0 {
-		return fmt.Errorf("-max-inline must be non-negative (got %d)", n)
 	}
 	return nil
 }
@@ -95,19 +58,19 @@ func UsageError(tool, format string, args ...any) {
 var osExit = os.Exit
 
 // Standard is the shared cross-tool flag set, registered and validated in
-// one place so the tools cannot drift: -workers, -why, and -dist-cache
-// with identical names, defaults, and help text everywhere. Tools that
-// have no use for one of the flags still accept it (the established
-// parity convention — scripts pass a uniform flag set to every tool).
+// one place so the tools cannot drift: -workers, -why, -trace, -cache-dir,
+// -rules, and -rules-lax with identical names, defaults, and help text
+// everywhere. Tools that have no use for one of the flags still accept it
+// (the established parity convention — scripts pass a uniform flag set to
+// every tool). There is no engine selection: every tool analyzes with
+// memoized method summaries and clusters through the memoized distance
+// engine, both exact.
 type Standard struct {
 	tool      string
 	workers   *int
 	why       *WhyMode
-	distCache *bool
 	trace     *TraceMode
 	cacheDir  *string
-	maxInline *int
-	summaries *bool
 	rulePacks *[]string
 	rulesLax  *bool
 }
@@ -119,11 +82,8 @@ func StandardFlags(tool string) *Standard {
 		tool:      tool,
 		workers:   WorkersFlag(),
 		why:       WhyFlag(),
-		distCache: DistCacheFlag(),
 		trace:     TraceFlag(),
 		cacheDir:  CacheDirFlag(),
-		maxInline: MaxInlineFlag(),
-		summaries: SummariesFlag(),
 		rulePacks: RulePacksFlag(),
 		rulesLax:  RulesLaxFlag(),
 	}
@@ -134,9 +94,6 @@ func StandardFlags(tool string) *Standard {
 func (s *Standard) Parse() {
 	flag.Parse()
 	if err := ValidateWorkers(*s.workers); err != nil {
-		UsageError(s.tool, "%v", err)
-	}
-	if err := ValidateMaxInline(*s.maxInline); err != nil {
 		UsageError(s.tool, "%v", err)
 	}
 }
@@ -150,20 +107,11 @@ func (s *Standard) Workers() int { return *s.workers }
 // Why returns the parsed -why mode.
 func (s *Standard) Why() WhyMode { return *s.why }
 
-// DistCache reports whether the memoized distance engine is enabled.
-func (s *Standard) DistCache() bool { return *s.distCache }
-
 // Trace returns the parsed -trace mode.
 func (s *Standard) Trace() TraceMode { return *s.trace }
 
 // CacheDir returns the -cache-dir value ("" = in-memory artifacts only).
 func (s *Standard) CacheDir() string { return *s.cacheDir }
-
-// MaxInline returns the validated -max-inline value (0 = analyzer default).
-func (s *Standard) MaxInline() int { return *s.maxInline }
-
-// Summaries reports whether memoized per-method summaries are enabled.
-func (s *Standard) Summaries() bool { return *s.summaries }
 
 // Artifacts builds the tool's artifact store from -cache-dir: disk-backed
 // when a directory was given, in-memory otherwise. Every CLI run gets a

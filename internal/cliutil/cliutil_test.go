@@ -75,16 +75,13 @@ func TestStandardFlagsParseAndValidate(t *testing.T) {
 
 	flag.CommandLine = flag.NewFlagSet("test", flag.ContinueOnError)
 	std := StandardFlags("test")
-	os.Args = []string{"test", "-workers", "3", "-why=json", "-dist-cache=false"}
+	os.Args = []string{"test", "-workers", "3", "-why=json"}
 	std.Parse()
 	if std.Workers() != 3 {
 		t.Errorf("Workers() = %d, want 3", std.Workers())
 	}
 	if std.Why() != WhyJSON {
 		t.Errorf("Why() = %q, want %q", std.Why(), WhyJSON)
-	}
-	if std.DistCache() {
-		t.Error("DistCache() = true, want false")
 	}
 	if std.Tool() != "test" {
 		t.Errorf("Tool() = %q, want %q", std.Tool(), "test")
@@ -184,62 +181,5 @@ func TestStandardFlagsRejectBadWorkers(t *testing.T) {
 	}
 	if strings.Count(strings.TrimRight(msg, "\n"), "\n") != 0 {
 		t.Errorf("usage error spans multiple lines:\n%s", msg)
-	}
-}
-
-func TestValidateMaxInline(t *testing.T) {
-	for _, n := range []int{0, 1, 4, 64} {
-		if err := ValidateMaxInline(n); err != nil {
-			t.Errorf("ValidateMaxInline(%d) = %v, want nil", n, err)
-		}
-	}
-	for _, n := range []int{-1, -8} {
-		if err := ValidateMaxInline(n); err == nil {
-			t.Errorf("ValidateMaxInline(%d) = nil, want error", n)
-		}
-	}
-}
-
-func TestStandardFlagsSummariesAndMaxInline(t *testing.T) {
-	oldCmd := flag.CommandLine
-	oldArgs := os.Args
-	defer func() { flag.CommandLine = oldCmd; os.Args = oldArgs }()
-
-	flag.CommandLine = flag.NewFlagSet("test", flag.ContinueOnError)
-	std := StandardFlags("test")
-	os.Args = []string{"test"}
-	std.Parse()
-	if !std.Summaries() {
-		t.Error("Summaries() = false by default, want true")
-	}
-	if std.MaxInline() != 4 {
-		t.Errorf("MaxInline() = %d by default, want 4", std.MaxInline())
-	}
-
-	flag.CommandLine = flag.NewFlagSet("test", flag.ContinueOnError)
-	std = StandardFlags("test")
-	os.Args = []string{"test", "-summaries=false", "-max-inline", "8"}
-	std.Parse()
-	if std.Summaries() {
-		t.Error("Summaries() = true with -summaries=false")
-	}
-	if std.MaxInline() != 8 {
-		t.Errorf("MaxInline() = %d, want 8", std.MaxInline())
-	}
-}
-
-func TestStandardFlagsMaxInlineNegativeUsageError(t *testing.T) {
-	oldCmd := flag.CommandLine
-	oldArgs := os.Args
-	defer func() { flag.CommandLine = oldCmd; os.Args = oldArgs }()
-	flag.CommandLine = flag.NewFlagSet("test", flag.ContinueOnError)
-	std := StandardFlags("test")
-	os.Args = []string{"test", "-max-inline=-2"}
-	code, msg := captureUsageError(t, std.Parse)
-	if code != 2 {
-		t.Errorf("exit status = %d, want 2", code)
-	}
-	if !strings.Contains(msg, "max-inline") {
-		t.Errorf("stderr %q does not name -max-inline", msg)
 	}
 }

@@ -80,19 +80,10 @@ func (n *Node) Items() []int {
 	return out
 }
 
-// DistMatrix computes the symmetric usageDist matrix over usage changes.
-func DistMatrix(changes []change.UsageChange) [][]float64 {
-	return DistMatrixObs(changes, nil)
-}
-
-// DistMatrixObs is DistMatrix with telemetry: every pairwise UsageDist
-// evaluation is counted into reg (nil reg is a no-op).
-func DistMatrixObs(changes []change.UsageChange, reg *obs.Registry) [][]float64 {
-	return DistMatrixPool(changes, reg, nil)
-}
-
-// DistMatrixPool is DistMatrixObs over a worker pool: the strict upper
-// triangle is split into row chunks balanced by pair count (row i owns
+// DistMatrixPool computes the symmetric usageDist matrix over usage changes
+// on a worker pool, counting every pairwise UsageDist evaluation into reg
+// (nil reg is a no-op). It is the uncached reference for DistMatrixEngine.
+// The strict upper triangle is split into row chunks balanced by pair count (row i owns
 // n-1-i pairs) and computed concurrently. Each pair (i, j) is owned by
 // exactly one chunk, which writes both d[i][j] and d[j][i], so chunks
 // never touch the same cell and the result is identical to the serial
@@ -126,34 +117,21 @@ func DistMatrixPool(changes []change.UsageChange, reg *obs.Registry, p *parallel
 	return d
 }
 
-// Agglomerate builds the dendrogram over the given usage changes. It
-// returns nil for empty input; a single change yields a lone leaf.
-func Agglomerate(changes []change.UsageChange, linkage Linkage) *Node {
-	return AgglomerateObs(changes, linkage, nil)
-}
-
-// AgglomerateObs is Agglomerate with telemetry: distance computations,
-// merge iterations, and candidate-pair scans are counted into reg.
-func AgglomerateObs(changes []change.UsageChange, linkage Linkage, reg *obs.Registry) *Node {
-	return AgglomeratePool(changes, linkage, reg, nil)
-}
-
-// AgglomeratePool is AgglomerateObs over a worker pool: both the distance
-// matrix and the per-merge scans/updates run row-chunked. The dendrogram is
-// identical at any worker count (see AgglomerateMatrixPool).
+// AgglomeratePool builds the dendrogram over the given usage changes from
+// the uncached DistMatrixPool matrix; both the distance matrix and the
+// per-merge scans/updates run row-chunked, with distance computations and
+// merge iterations counted into reg. It returns nil for empty input; a
+// single change yields a lone leaf. The dendrogram is identical at any
+// worker count (see AgglomerateMatrixPool).
 func AgglomeratePool(changes []change.UsageChange, linkage Linkage, reg *obs.Registry, p *parallel.Pool) *Node {
 	return AgglomerateMatrixPool(DistMatrixPool(changes, reg, p), linkage, reg, p)
 }
 
-// AgglomerateMatrix clusters from a precomputed distance matrix.
-// Ties break deterministically on the smallest (i, j) pair.
+// AgglomerateMatrix clusters from a precomputed distance matrix, serially
+// and without telemetry. Ties break deterministically on the smallest
+// (i, j) pair.
 func AgglomerateMatrix(dist [][]float64, linkage Linkage) *Node {
-	return AgglomerateMatrixObs(dist, linkage, nil)
-}
-
-// AgglomerateMatrixObs is AgglomerateMatrix with merge-iteration telemetry.
-func AgglomerateMatrixObs(dist [][]float64, linkage Linkage, reg *obs.Registry) *Node {
-	return AgglomerateMatrixPool(dist, linkage, reg, nil)
+	return AgglomerateMatrixPool(dist, linkage, nil, nil)
 }
 
 // minCand is one chunk's best merge candidate: the smallest distance seen,
@@ -191,7 +169,8 @@ func scanRows(d [][]float64, active []bool, r parallel.Range) minCand {
 	return c
 }
 
-// AgglomerateMatrixPool is AgglomerateMatrixObs over a worker pool. Each
+// AgglomerateMatrixPool is AgglomerateMatrix over a worker pool, with
+// merge iterations counted into reg. Each
 // merge iteration splits the candidate-pair scan and the Lance-Williams
 // row update into row chunks. Determinism: every chunk applies the serial
 // scan's strict-< tie-break, chunk results are reduced in row order (an

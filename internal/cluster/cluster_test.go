@@ -39,7 +39,7 @@ func figure8Changes() []change.UsageChange {
 }
 
 func TestDistMatrixSymmetry(t *testing.T) {
-	d := DistMatrix(figure8Changes())
+	d := DistMatrixPool(figure8Changes(), nil, nil)
 	for i := range d {
 		if d[i][i] != 0 {
 			t.Errorf("d[%d][%d] = %v, want 0", i, i, d[i][i])
@@ -57,7 +57,7 @@ func TestDistMatrixSymmetry(t *testing.T) {
 
 func TestFigure8ECBClusterForms(t *testing.T) {
 	changes := figure8Changes()
-	root := Agglomerate(changes, Complete)
+	root := AgglomeratePool(changes, Complete, nil, nil)
 	if root == nil || root.Size() != len(changes) {
 		t.Fatalf("dendrogram size = %v", root)
 	}
@@ -92,7 +92,7 @@ func TestFigure8ECBClusterForms(t *testing.T) {
 
 func TestCutExtremes(t *testing.T) {
 	changes := figure8Changes()
-	root := Agglomerate(changes, Complete)
+	root := AgglomeratePool(changes, Complete, nil, nil)
 	// Threshold below every merge: all singletons.
 	singles := root.Cut(-1)
 	if len(singles) != len(changes) {
@@ -143,11 +143,11 @@ func TestAverageLinkage(t *testing.T) {
 }
 
 func TestEmptyAndSingleton(t *testing.T) {
-	if Agglomerate(nil, Complete) != nil {
+	if AgglomeratePool(nil, Complete, nil, nil) != nil {
 		t.Error("empty input should give nil dendrogram")
 	}
 	one := []change.UsageChange{mkChange("AES", "AES/GCM")}
-	root := Agglomerate(one, Complete)
+	root := AgglomeratePool(one, Complete, nil, nil)
 	if root == nil || !root.IsLeaf() || root.Item != 0 {
 		t.Errorf("singleton root = %+v", root)
 	}
@@ -158,7 +158,7 @@ func TestEmptyAndSingleton(t *testing.T) {
 
 func TestItemsCoverAllLeaves(t *testing.T) {
 	changes := figure8Changes()
-	root := Agglomerate(changes, Complete)
+	root := AgglomeratePool(changes, Complete, nil, nil)
 	items := root.Items()
 	if len(items) != len(changes) {
 		t.Fatalf("items = %v", items)
@@ -174,9 +174,9 @@ func TestItemsCoverAllLeaves(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	changes := figure8Changes()
-	r1 := Render(Agglomerate(changes, Complete), func(i int) string { return changes[i].Key() })
+	r1 := Render(AgglomeratePool(changes, Complete, nil, nil), func(i int) string { return changes[i].Key() })
 	for k := 0; k < 5; k++ {
-		r2 := Render(Agglomerate(changes, Complete), func(i int) string { return changes[i].Key() })
+		r2 := Render(AgglomeratePool(changes, Complete, nil, nil), func(i int) string { return changes[i].Key() })
 		if r1 != r2 {
 			t.Fatal("clustering not deterministic")
 		}
@@ -185,7 +185,7 @@ func TestDeterminism(t *testing.T) {
 
 func TestRenderShape(t *testing.T) {
 	changes := figure8Changes()
-	out := Render(Agglomerate(changes, Complete), func(i int) string {
+	out := Render(AgglomeratePool(changes, Complete, nil, nil), func(i int) string {
 		return changes[i].String()
 	})
 	if !strings.Contains(out, "└─") || !strings.Contains(out, "[h=") {
@@ -246,7 +246,7 @@ func BenchmarkAgglomerate100(b *testing.B) {
 	for i := 0; i < 100; i++ {
 		changes = append(changes, mkChange(modes[i%len(modes)], modes[(i+1)%len(modes)]))
 	}
-	d := DistMatrix(changes)
+	d := DistMatrixPool(changes, nil, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -116,9 +116,10 @@ func TestDeterminismDistMatrixEngine(t *testing.T) {
 	}
 }
 
-// TestDeterminismAgglomerateEngine asserts the dendrogram is identical with
-// the distance cache on and off, for every linkage and several worker
-// counts — the acceptance contract behind the -dist-cache toggle.
+// TestDeterminismAgglomerateEngine asserts the memoized engine's dendrogram
+// is identical to the uncached reference, for every linkage and several
+// worker counts: the cache changes how often the kernels run, never what
+// they return.
 func TestDeterminismAgglomerateEngine(t *testing.T) {
 	changes := genChanges(80)
 	for _, linkage := range []Linkage{Complete, Single, Average} {
@@ -156,7 +157,7 @@ func TestDeterminismEngineReuse(t *testing.T) {
 func TestDeterminismRenderAcrossWorkers(t *testing.T) {
 	changes := genChanges(70)
 	label := func(i int) string { return fmt.Sprintf("c%d", i) }
-	want := Render(Agglomerate(changes, Complete), label)
+	want := Render(AgglomeratePool(changes, Complete, nil, nil), label)
 	for _, w := range []int{2, 8} {
 		got := Render(AgglomeratePool(changes, Complete, nil, parallel.New(w, nil)), label)
 		if got != want {

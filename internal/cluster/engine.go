@@ -22,11 +22,8 @@ type internedChange struct {
 // slots. Duplicates are byte-identical inputs, so the fan-out copies exactly
 // the values the full loop would have produced (identical-pair distances are
 // exactly 0.0: every summand of the assignment objective is a non-negative
-// float and the zero matching is optimal). A nil engine is the uncached path.
+// float and the zero matching is optimal). eng must be non-nil.
 func DistMatrixEngine(changes []change.UsageChange, reg *obs.Registry, p *parallel.Pool, eng *distcache.Engine) [][]float64 {
-	if eng == nil {
-		return DistMatrixPool(changes, reg, p)
-	}
 	n := len(changes)
 	ic := make([]internedChange, n)
 	repOf := make([]int, n) // slot → representative index
@@ -85,8 +82,8 @@ func DistMatrixEngine(changes []change.UsageChange, reg *obs.Registry, p *parall
 
 // AgglomerateEngine is AgglomeratePool with the distance matrix routed
 // through a memoized engine. The merge phase is untouched — it consumes a
-// matrix that is byte-identical to the uncached one — so the dendrogram is
-// identical with the cache on or off, at any worker count.
+// matrix that is byte-identical to DistMatrixPool's — so the dendrogram is
+// identical to AgglomeratePool's at any worker count.
 func AgglomerateEngine(changes []change.UsageChange, linkage Linkage, reg *obs.Registry, p *parallel.Pool, eng *distcache.Engine) *Node {
 	return AgglomerateMatrixPool(DistMatrixEngine(changes, reg, p, eng), linkage, reg, p)
 }

@@ -45,10 +45,8 @@ import (
 // artifacts are shared across them.
 func optFingerprint(o Options) string {
 	a := o.Analysis.Normalized()
-	// Summaries participate because they lift the MaxInline cliff: results
-	// can differ past depth 4, so on/off address distinct artifacts.
-	return fmt.Sprintf("depth=%d;maxstates=%d;maxinline=%d;budgetsteps=%d;budgetwall=%d;prov=%t;summaries=%t",
-		o.Depth, a.MaxStates, a.MaxInline, o.BudgetSteps, int64(o.BudgetWall), a.Provenance, !o.DisableSummaries)
+	return fmt.Sprintf("depth=%d;maxstates=%d;budgetsteps=%d;budgetwall=%d;prov=%t",
+		o.Depth, a.MaxStates, o.BudgetSteps, int64(o.BudgetWall), a.Provenance)
 }
 
 // rulesFingerprint renders a rule set's identity: ID, formula, and

@@ -63,11 +63,6 @@ type Options struct {
 	// the whole pipeline; nil disables all instrumentation at the cost of
 	// one nil check per probe.
 	Metrics *obs.Registry
-	// DisableDistCache turns off the memoized distance engine behind
-	// clustering and elicitation (the -dist-cache CLI toggle). The zero
-	// value keeps the cache on; results are bit-identical either way — the
-	// cache only changes how often the distance kernels run.
-	DisableDistCache bool
 	// Artifacts, when non-nil, is the content-addressed artifact store
 	// behind the incremental pipeline (the -cache-dir CLI toggle): parse
 	// results, per-change analysis extractions, and check outcomes are
@@ -76,20 +71,11 @@ type Options struct {
 	// Output is byte-identical with the store on or off; only how often
 	// the parser, interpreter, and checker run changes.
 	Artifacts *artifact.Store
-	// DisableSummaries turns off memoized per-method summaries (the
-	// -summaries=false CLI toggle) and restores the exact legacy
-	// interpreter: every callee re-inlined at every call site, reach
-	// bounded by Analysis.MaxInline. With summaries on (the default) hot
-	// helpers are interpreted once per distinct abstract input and the
-	// depth bound is lifted (cycle detection replaces it), so results can
-	// legitimately differ on programs with helper chains deeper than
-	// MaxInline — the two modes therefore address distinct analysis
-	// artifacts.
-	DisableSummaries bool
 	// Summaries, when non-nil, is the shared summary table of this run;
 	// nil (the default) makes New/NewChecker build one over
-	// Artifacts/Metrics unless DisableSummaries is set. A server passes
-	// one process-lifetime table so requests share summaries in memory.
+	// Artifacts/Metrics. A server passes one process-lifetime table so
+	// requests share summaries in memory. Summaries replay exactly, so the
+	// table changes how often helpers are interpreted, never the results.
 	Summaries *summary.Table
 }
 
@@ -108,9 +94,7 @@ func (o Options) withDefaults() Options {
 	if o.Analysis.Metrics == nil {
 		o.Analysis.Metrics = o.Metrics
 	}
-	if o.DisableSummaries {
-		o.Summaries = nil
-	} else if o.Summaries == nil {
+	if o.Summaries == nil {
 		o.Summaries = summary.NewTable(o.Artifacts, o.Metrics)
 	}
 	o.Analysis.Summaries = o.Summaries
@@ -121,6 +105,8 @@ func (o Options) withDefaults() Options {
 type DiffCode struct {
 	opts   Options
 	ledger *resilience.Ledger
+	// engine is the memoized distance engine behind clustering and
+	// elicitation.
 	engine *distcache.Engine
 	// optFP fingerprints the result-shaping options once; it prefixes
 	// every analysis-artifact key this instance derives.
@@ -134,11 +120,7 @@ func New(opts Options) *DiffCode {
 	if l == nil {
 		l = resilience.NewLedger()
 	}
-	d := &DiffCode{opts: opts, ledger: l, optFP: optFingerprint(opts)}
-	if !opts.DisableDistCache {
-		d.engine = distcache.New(opts.Metrics)
-	}
-	return d
+	return &DiffCode{opts: opts, ledger: l, engine: distcache.New(opts.Metrics), optFP: optFingerprint(opts)}
 }
 
 // Options returns the effective configuration.
@@ -150,11 +132,6 @@ func (d *DiffCode) Ledger() *resilience.Ledger { return d.ledger }
 
 // Metrics returns the pipeline's registry (nil when uninstrumented).
 func (d *DiffCode) Metrics() *obs.Registry { return d.opts.Metrics }
-
-// Engine returns the memoized distance engine behind clustering and
-// elicitation (nil when Options.DisableDistCache is set — the nil engine is
-// the uncached path).
-func (d *DiffCode) Engine() *distcache.Engine { return d.engine }
 
 // AnalyzedChange is a mined code change with both versions analyzed. The
 // raw sources are retained so the concrete patch behind a usage change can
@@ -451,9 +428,8 @@ func (d *DiffCode) RunClassCtx(ctx context.Context, analyzed []*AnalyzedChange, 
 // ClusterChanges builds the dendrogram over semantic usage changes
 // (complete linkage, per the paper). The distance matrix and the per-merge
 // scans run row-chunked on the pipeline's worker pool, and the distance
-// kernels run through the memoized engine unless Options.DisableDistCache
-// is set; the dendrogram is identical at any worker count and with the
-// cache on or off.
+// kernels run through the memoized engine; the dendrogram is identical at
+// any worker count.
 func (d *DiffCode) ClusterChanges(changes []change.UsageChange) *cluster.Node {
 	return d.ClusterChangesCtx(context.Background(), changes)
 }

@@ -8,9 +8,11 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/artifact"
+	"repro/internal/change"
 	"repro/internal/cluster"
 	"repro/internal/corpus"
 	"repro/internal/cryptoapi"
+	"repro/internal/rules"
 	"repro/internal/witness"
 )
 
@@ -26,6 +28,13 @@ func determinismCorpus() *corpus.Corpus {
 // pipelineFingerprint runs the full mining pipeline under the given options
 // and serializes everything observable about the result.
 func pipelineFingerprint(t *testing.T, c *corpus.Corpus, opts Options) string {
+	t.Helper()
+	return pipelineFingerprintWith(t, c, opts, nil)
+}
+
+// pipelineFingerprintWith is pipelineFingerprint with the dendrogram built by
+// clusterFn instead of DiffCode.ClusterChanges (nil keeps the pipeline's own).
+func pipelineFingerprintWith(t *testing.T, c *corpus.Corpus, opts Options, clusterFn func([]change.UsageChange) *cluster.Node) string {
 	t.Helper()
 	var sb strings.Builder
 	d := New(opts)
@@ -47,8 +56,11 @@ func pipelineFingerprint(t *testing.T, c *corpus.Corpus, opts Options) string {
 			fmt.Fprintf(&sb, "  survivor [%s %s] %s\n", uc.Meta.Project, uc.Meta.Commit, uc.String())
 		}
 		if len(r.Survivors) > 1 {
-			root := d.ClusterChanges(r.Survivors)
-			sb.WriteString(cluster.Render(root, func(i int) string {
+			cl := clusterFn
+			if cl == nil {
+				cl = d.ClusterChanges
+			}
+			sb.WriteString(cluster.Render(cl(r.Survivors), func(i int) string {
 				return r.Survivors[i].Meta.Commit
 			}))
 		}
@@ -82,10 +94,10 @@ func TestDeterminismMiningPipeline(t *testing.T) {
 }
 
 // TestDeterminismDistCacheOnOff asserts the whole observable pipeline —
-// survivors, dendrogram renderings, ledger — is byte-identical with the
-// distance cache enabled and disabled, at every worker count. This is the
-// acceptance contract of the -dist-cache flag: the cache changes how often
-// kernels run, never what they return.
+// survivors, dendrogram renderings, ledger — is byte-identical whether the
+// dendrograms come from the pipeline's memoized distance engine or from the
+// uncached reference kernels (cluster.AgglomeratePool), at every worker
+// count: the cache changes how often kernels run, never what they return.
 func TestDeterminismDistCacheOnOff(t *testing.T) {
 	// Not determinismCorpus: that one leaves every class with at most one
 	// survivor, so ClusterChanges would never run. This configuration gives
@@ -93,19 +105,19 @@ func TestDeterminismDistCacheOnOff(t *testing.T) {
 	// dendrograms (rendered into the fingerprint) on both sides of the
 	// comparison.
 	c := corpus.Generate(corpus.Config{Seed: 3, Scale: 0.5, Projects: 60, ExtraProjects: 3})
-	want := pipelineFingerprint(t, c, Options{Workers: 1, DisableDistCache: true})
+	uncached := func(ucs []change.UsageChange) *cluster.Node {
+		return cluster.AgglomeratePool(ucs, cluster.Complete, nil, nil)
+	}
+	want := pipelineFingerprintWith(t, c, Options{Workers: 1}, uncached)
 	if !strings.Contains(want, "survivor") {
 		t.Fatalf("corpus produced no survivors; fingerprint exercises too little")
 	}
 	if !strings.Contains(want, "h=") {
-		t.Fatalf("corpus produced no dendrogram; the cache on/off comparison exercises too little")
+		t.Fatalf("corpus produced no dendrogram; the cached/uncached comparison exercises too little")
 	}
 	for _, w := range []int{1, 2, 8} {
 		if got := pipelineFingerprint(t, c, Options{Workers: w}); got != want {
 			t.Errorf("workers=%d: cached pipeline fingerprint differs from uncached\ngot:\n%.800s\nwant:\n%.800s", w, got, want)
-		}
-		if got := pipelineFingerprint(t, c, Options{Workers: w, DisableDistCache: true}); got != want {
-			t.Errorf("workers=%d: uncached pipeline fingerprint differs from workers=1", w)
 		}
 	}
 }
@@ -218,15 +230,20 @@ func checkerFingerprint(c *corpus.Corpus, opts Options) string {
 	checker := NewChecker(nil, opts)
 	for _, p := range c.Projects {
 		fmt.Fprintf(&sb, "%s:\n", p.Name)
-		for _, v := range checker.CheckProject(p) {
-			fmt.Fprintf(&sb, "  %s", v.Rule.ID)
-			for _, o := range v.Objs {
-				fmt.Fprintf(&sb, " %s@%d", o.SiteLabel(), o.Site.Line)
-			}
-			sb.WriteString("\n")
-		}
+		writeViolations(&sb, checker.CheckProject(p))
 	}
 	return sb.String()
+}
+
+// writeViolations serializes violations in the order given, one per line.
+func writeViolations(sb *strings.Builder, vs []rules.Violation) {
+	for _, v := range vs {
+		fmt.Fprintf(sb, "  %s", v.Rule.ID)
+		for _, o := range v.Objs {
+			fmt.Fprintf(sb, " %s@%d", o.SiteLabel(), o.Site.Line)
+		}
+		sb.WriteString("\n")
+	}
 }
 
 // TestDeterminismCheckSources asserts the checker's violation list — rule
@@ -285,7 +302,7 @@ func whyFingerprint(c *corpus.Corpus, opts Options) string {
 
 // TestDeterminismWitnessTraces asserts the full -why surface — the
 // location-sorted violation list and every rendered witness trace — is
-// byte-identical at workers 1, 2, and 8, with the distance cache on and off.
+// byte-identical at workers 1, 2, and 8.
 func TestDeterminismWitnessTraces(t *testing.T) {
 	c := determinismCorpus()
 	want := whyFingerprint(c, Options{Workers: 1})
@@ -295,9 +312,6 @@ func TestDeterminismWitnessTraces(t *testing.T) {
 	for _, w := range []int{1, 2, 8} {
 		if got := whyFingerprint(c, Options{Workers: w}); got != want {
 			t.Errorf("workers=%d: -why fingerprint differs from workers=1", w)
-		}
-		if got := whyFingerprint(c, Options{Workers: w, DisableDistCache: true}); got != want {
-			t.Errorf("workers=%d (cache off): -why fingerprint differs from workers=1", w)
 		}
 	}
 }

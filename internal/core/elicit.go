@@ -128,7 +128,7 @@ func dropReversedClusters(clusters []ElicitedRule, eng *distcache.Engine) []Elic
 }
 
 // minSwapDist is the smallest usage distance between any member of a with
-// its (F−, F+) swapped and any member of b. A nil engine computes uncached.
+// its (F−, F+) swapped and any member of b.
 func minSwapDist(eng *distcache.Engine, a, b ElicitedRule) float64 {
 	best := 2.0
 	for _, ma := range a.Members {

@@ -459,6 +459,13 @@ func (e *Evaluation) SortedSurvivors(class string) []change.UsageChange {
 	return out
 }
 
+// AnalyzeSource analyzes a single-file program under the pipeline's
+// effective analysis options: the defaults, the Metrics registry, and the
+// summary table that New and NewChecker would use for the same Options.
+func AnalyzeSource(src string, opts Options) *analysis.Result {
+	return analysis.AnalyzeSource(src, opts.withDefaults().Analysis)
+}
+
 // BuildDAGs exposes usage-DAG construction at the facade level (used by
 // the quickstart example).
 func BuildDAGs(src string, class string, opts Options) []*usage.Graph {

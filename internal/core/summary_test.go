@@ -1,41 +1,47 @@
 package core
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/artifact"
 	"repro/internal/obs"
 	"repro/internal/rules"
 	"repro/internal/witness"
 )
 
-// TestDeterminismSummariesOnOff pins the acceptance contract of the summary
-// layer: the whole observable mining pipeline — mined changes, filter stats,
-// survivors, dendrograms, ledger — is byte-identical with summaries enabled
-// (the default) and disabled, at workers 1, 2, and 8. Summaries change how
-// often the interpreter executes a callee, never what an execution observes.
+// TestDeterminismSummariesOnOff pins the summary layer's contract on a
+// generated corpus: every project's violations are identical whether the
+// checker analyzes with its summary table (at workers 1, 2, and 8) or with
+// summaries off, i.e. live analysis with no table. Summaries change how
+// often the interpreter executes a callee, never what an execution
+// observes.
 func TestDeterminismSummariesOnOff(t *testing.T) {
 	c := determinismCorpus()
-	want := pipelineFingerprint(t, c, Options{Workers: 1, DisableSummaries: true})
-	if !strings.Contains(want, "survivor") {
-		t.Fatalf("corpus produced no survivors; fingerprint exercises too little")
+	var sb strings.Builder
+	for _, p := range c.Projects {
+		fmt.Fprintf(&sb, "%s:\n", p.Name)
+		res := analysis.Analyze(analysis.ParseProgram(p.Files), analysis.Options{})
+		writeViolations(&sb, rules.Check(res, ContextOf(p), rules.All()))
+	}
+	want := sb.String()
+	if !strings.Contains(want, "R") {
+		t.Fatalf("no violations found; fingerprint exercises too little")
 	}
 	for _, w := range []int{1, 2, 8} {
-		if got := pipelineFingerprint(t, c, Options{Workers: w}); got != want {
-			t.Errorf("workers=%d: summaries-on pipeline fingerprint differs from summaries-off\ngot:\n%.800s\nwant:\n%.800s", w, got, want)
-		}
-		if got := pipelineFingerprint(t, c, Options{Workers: w, DisableSummaries: true}); got != want {
-			t.Errorf("workers=%d: summaries-off pipeline fingerprint differs from workers=1", w)
+		if got := checkerFingerprint(c, Options{Workers: w}); got != want {
+			t.Errorf("workers=%d: checker with summaries differs from live analysis\ngot:\n%.800s\nwant:\n%.800s", w, got, want)
 		}
 	}
 }
 
-// TestDeterminismSummariesWithArtifactCache runs the summaries-on pipeline
-// cold and warm over one disk-backed store and requires identical
-// fingerprints both times. The warm run varies the step budget so the
+// TestDeterminismSummariesWithArtifactCache runs the pipeline cold and warm
+// over one disk-backed store and requires both fingerprints to equal the
+// storeless default pipeline's. The warm run varies the step budget so the
 // per-change analysis artifacts miss (their option fingerprint includes the
 // budget) while the budget-independent summary keys hit — proving persisted
 // summaries replay across processes without changing a single byte of
@@ -43,14 +49,14 @@ func TestDeterminismSummariesOnOff(t *testing.T) {
 func TestDeterminismSummariesWithArtifactCache(t *testing.T) {
 	c := determinismCorpus()
 	dir := t.TempDir()
-	want := pipelineFingerprint(t, c, Options{Workers: 1, DisableSummaries: true})
+	want := pipelineFingerprint(t, c, Options{Workers: 1})
 
 	cold := pipelineFingerprint(t, c, Options{
 		Workers:   1,
 		Artifacts: artifact.New(artifact.Config{Dir: dir}),
 	})
 	if cold != want {
-		t.Fatalf("cold summaries-on run differs from summaries-off baseline")
+		t.Fatalf("cold-store run differs from the storeless pipeline")
 	}
 
 	reg := obs.NewRegistry()
@@ -61,7 +67,7 @@ func TestDeterminismSummariesWithArtifactCache(t *testing.T) {
 		Artifacts:   artifact.New(artifact.Config{Dir: dir, Metrics: reg}),
 	})
 	if warm != want {
-		t.Fatalf("warm summaries-on run differs from summaries-off baseline")
+		t.Fatalf("warm-store run differs from the storeless pipeline")
 	}
 	if hits := reg.Counter("summary.hits").Value(); hits < 1 {
 		t.Errorf("summary.hits on warm run = %d, want >= 1 (persisted summaries must replay)", hits)
@@ -69,8 +75,8 @@ func TestDeterminismSummariesWithArtifactCache(t *testing.T) {
 }
 
 // deepChainDES threads the weak algorithm constant through a six-deep helper
-// chain — past the default MaxInline=4 cliff — before it reaches the
-// Cipher.getInstance sink on the last line.
+// chain — past the depth-4 cliff of the paper's bounded inliner — before it
+// reaches the Cipher.getInstance sink on the last line.
 const deepChainDES = `class Deep {
     void entry() {
         h1("DES");
@@ -86,24 +92,21 @@ const deepChainDES = `class Deep {
 }
 `
 
-// TestSummaryDeepChainDetection pins the depth-cliff lift end to end at the
-// checker boundary: the depth-6 DES misuse is invisible with summaries
-// disabled (the sweep runs h6 with Top parameters) and detected with the
-// default options, with a witness trace that runs from the string literal
-// in entry to the getInstance sink in h6. The rendered trace is a golden;
+// TestSummaryDeepChainDetection pins the depth-independent reach end to end
+// at the checker boundary: the depth-6 DES misuse is detected with and
+// without -why, with a witness trace that runs from the string literal in
+// entry to the getInstance sink in h6. The rendered trace is a golden;
 // refresh with -update-golden.
 func TestSummaryDeepChainDetection(t *testing.T) {
 	sources := map[string]string{"Deep.java": deepChainDES}
 
-	off := NewChecker([]*rules.Rule{rules.R8}, Options{DisableSummaries: true})
-	if vs := off.CheckSources(sources, rules.Context{}); len(vs) != 0 {
-		t.Fatalf("summaries-off detects the depth-6 misuse (violations=%d); the cliff moved", len(vs))
+	checker := NewChecker([]*rules.Rule{rules.R8}, Options{})
+	if vs := checker.CheckSources(sources, rules.Context{}); len(vs) != 1 {
+		t.Fatalf("violations = %d, want 1 (R8)", len(vs))
 	}
-
-	on := NewChecker([]*rules.Rule{rules.R8}, Options{})
-	vs, traces := on.CheckSourcesWhy(sources, rules.Context{})
+	vs, traces := checker.CheckSourcesWhy(sources, rules.Context{})
 	if len(vs) != 1 {
-		t.Fatalf("summaries-on violations = %d, want 1 (R8)", len(vs))
+		t.Fatalf("-why violations = %d, want 1 (R8)", len(vs))
 	}
 	if vs[0].Rule.ID != "R8" {
 		t.Fatalf("violated rule = %s, want R8", vs[0].Rule.ID)

@@ -14,13 +14,9 @@
 //     ID pairs memoize the label-payload edit distance and the full path
 //     distance. The kernels mirror the textdist formulas expression by
 //     expression, so cached values are bit-identical to the uncached path.
-//   - The banded early-exit Levenshtein itself lives in textdist (both the
-//     cached and uncached pipelines share it); the engine only adds the
+//   - The banded early-exit Levenshtein itself lives in textdist (the
+//     uncached reference kernels share it); the engine only adds the
 //     memoization layers on top.
-//
-// A nil *Engine is valid everywhere and falls back to the uncached textdist
-// functions — the same nil-is-off convention as obs.Registry and
-// resilience.Budget, which is what the -dist-cache CLI toggle switches.
 //
 // Exactness: the engine never approximates. Caches store exact kernel
 // results; eviction (a full shard reset once a shard exceeds its cap) only
@@ -144,8 +140,7 @@ func (c *pairCache[V]) put(k uint64, v V) int {
 }
 
 // Engine is the memoized distance engine. All methods are safe for
-// concurrent use; all methods are valid on a nil receiver, where they fall
-// back to the uncached textdist implementations.
+// concurrent use.
 type Engine struct {
 	reg *obs.Registry
 
@@ -250,9 +245,6 @@ func (e *Engine) internPath(p usage.Path, keyBuf []byte) (*pathRec, []byte) {
 // kernels. Callers batching many distance queries (the distance matrix)
 // intern each change's paths once up front.
 func (e *Engine) InternPaths(ps []usage.Path) []PathRef {
-	if e == nil {
-		return nil
-	}
 	out := make([]PathRef, len(ps))
 	var buf []byte
 	for i, p := range ps {
@@ -362,14 +354,11 @@ func (e *Engine) UsageDistRefs(rem1, add1, rem2, add2 []PathRef) float64 {
 }
 
 // ---------------------------------------------------------------------------
-// Uninterned convenience API (nil-safe: a nil engine is the uncached path).
+// Uninterned convenience API.
 // ---------------------------------------------------------------------------
 
 // LabelDist is the memoized textdist.LabelDist.
 func (e *Engine) LabelDist(a, b string) int {
-	if e == nil {
-		return textdist.LabelDist(a, b)
-	}
 	la, lb := e.Intern(a), e.Intern(b)
 	if la == lb {
 		return 0
@@ -382,17 +371,11 @@ func (e *Engine) LabelDist(a, b string) int {
 
 // LSR is the memoized textdist.LSR.
 func (e *Engine) LSR(a, b string) float64 {
-	if e == nil {
-		return textdist.LSR(a, b)
-	}
 	return e.lsrLabels(e.Intern(a), e.Intern(b))
 }
 
 // PathDist is the memoized textdist.PathDist.
 func (e *Engine) PathDist(p1, p2 usage.Path) float64 {
-	if e == nil {
-		return textdist.PathDist(p1, p2)
-	}
 	var buf []byte
 	a, buf := e.internPath(p1, buf)
 	b, _ := e.internPath(p2, buf)
@@ -401,17 +384,11 @@ func (e *Engine) PathDist(p1, p2 usage.Path) float64 {
 
 // PathsDist is the memoized textdist.PathsDist.
 func (e *Engine) PathsDist(f1, f2 []usage.Path) float64 {
-	if e == nil {
-		return textdist.PathsDist(f1, f2)
-	}
 	return e.pathsDistRefs(e.InternPaths(f1), e.InternPaths(f2))
 }
 
 // UsageDist is the memoized textdist.UsageDist.
 func (e *Engine) UsageDist(rem1, add1, rem2, add2 []usage.Path) float64 {
-	if e == nil {
-		return textdist.UsageDist(rem1, add1, rem2, add2)
-	}
 	return e.UsageDistRefs(e.InternPaths(rem1), e.InternPaths(add1),
 		e.InternPaths(rem2), e.InternPaths(add2))
 }

@@ -118,26 +118,6 @@ func TestDifferentialKernels(t *testing.T) {
 	}
 }
 
-// TestNilEngineFallsBack pins the nil-is-off contract.
-func TestNilEngineFallsBack(t *testing.T) {
-	var e *Engine
-	p1 := usage.Path{"Cipher", "getInstance", `arg1:"AES"`}
-	p2 := usage.Path{"Cipher", "getInstance", `arg1:"DES"`}
-	if got, want := e.PathDist(p1, p2), textdist.PathDist(p1, p2); got != want {
-		t.Fatalf("nil engine PathDist = %v, want %v", got, want)
-	}
-	if got, want := e.LabelDist("a", "b"), textdist.LabelDist("a", "b"); got != want {
-		t.Fatalf("nil engine LabelDist = %v, want %v", got, want)
-	}
-	if e.InternPaths([]usage.Path{p1}) != nil {
-		t.Fatal("nil engine interned")
-	}
-	if got, want := e.UsageDist([]usage.Path{p1}, nil, []usage.Path{p2}, nil),
-		textdist.UsageDist([]usage.Path{p1}, nil, []usage.Path{p2}, nil); got != want {
-		t.Fatalf("nil engine UsageDist = %v, want %v", got, want)
-	}
-}
-
 // TestCacheTelemetry checks the hit/miss/intern counters land in the
 // registry — and only once real traffic happens (lazy registration keeps
 // cache.* out of snapshots of runs that never cluster).

@@ -42,11 +42,6 @@ type CheckRequest struct {
 	BudgetSteps int64 `json:"budget_steps,omitempty"`
 	// TimeoutMs tightens the server's per-request deadline.
 	TimeoutMs int64 `json:"timeout_ms,omitempty"`
-	// MaxInline overrides the call-inlining depth bound for this request
-	// (0 or absent keeps the server's configured bound; negative is a
-	// request error). With summaries on the bound only matters to the
-	// legacy interpreter paths — cycle detection replaces the depth cliff.
-	MaxInline int `json:"max_inline,omitempty"`
 }
 
 // RuleContext mirrors rules.Context on the wire.
@@ -327,11 +322,6 @@ func (s *Server) handleCheck(ctx context.Context, w http.ResponseWriter, r *http
 		s.writeError(ctx, w, http.StatusUnprocessableEntity, "io", "no sources in request")
 		return
 	}
-	if req.MaxInline < 0 {
-		s.writeError(ctx, w, http.StatusUnprocessableEntity, "io",
-			fmt.Sprintf("max_inline must be at least 0 (got %d)", req.MaxInline))
-		return
-	}
 	// One atomic load pins the rule-set generation for the whole request:
 	// a concurrent hot reload affects the next request, never this one.
 	rstate := s.rstate.Load()
@@ -356,9 +346,6 @@ func (s *Server) handleCheck(ctx context.Context, w http.ResponseWriter, r *http
 	copts := s.opts.Checker
 	if req.BudgetSteps > 0 && (copts.BudgetSteps == 0 || req.BudgetSteps < copts.BudgetSteps) {
 		copts.BudgetSteps = req.BudgetSteps
-	}
-	if req.MaxInline > 0 {
-		copts.Analysis.MaxInline = req.MaxInline
 	}
 	resp := CheckResponse{Violations: []Violation{}}
 	why := req.Why

@@ -186,7 +186,7 @@ func New(opts Options) *Server {
 	// handlers build all share it, so method summaries recorded for one
 	// request serve every later request over the same sources (and persist
 	// through the artifact store when one is disk-backed).
-	if !opts.Checker.DisableSummaries && opts.Checker.Summaries == nil {
+	if opts.Checker.Summaries == nil {
 		opts.Checker.Summaries = summary.NewTable(opts.Artifacts, reg)
 	}
 	s := &Server{

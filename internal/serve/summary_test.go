@@ -2,14 +2,11 @@ package serve
 
 import (
 	"net/http"
-	"strings"
 	"testing"
-
-	"repro/internal/core"
 )
 
-// deepChainDES hides a DES misuse six helper calls deep — past the default
-// MaxInline=4 cliff of the summaries-off interpreter.
+// deepChainDES hides a DES misuse six helper calls deep — past the depth-4
+// cliff of the paper's bounded inliner.
 const deepChainDES = `class Deep {
     void entry() {
         h1("DES");
@@ -33,54 +30,9 @@ func checkViolationIDs(resp CheckResponse) []string {
 	return ids
 }
 
-// TestCheckMaxInlineNegative pins the request-validation contract: a
-// negative max_inline is a 422 before any analysis runs.
-func TestCheckMaxInlineNegative(t *testing.T) {
-	s := newTestServer(t, Options{})
-	w := post(t, s, "/v1/check", checkBody(t, CheckRequest{
-		Sources:   map[string]string{"App.java": ecbSource},
-		MaxInline: -1,
-	}))
-	if w.Code != http.StatusUnprocessableEntity {
-		t.Fatalf("status = %d, want 422; body %s", w.Code, w.Body.String())
-	}
-	if !strings.Contains(w.Body.String(), "max_inline") {
-		t.Errorf("error body does not name the field: %s", w.Body.String())
-	}
-}
-
-// TestCheckMaxInlineThreaded proves the field reaches the interpreter: on a
-// summaries-disabled server the depth-6 misuse is invisible at the default
-// bound and detected once the request raises max_inline past the chain.
-func TestCheckMaxInlineThreaded(t *testing.T) {
-	s := newTestServer(t, Options{Checker: core.Options{DisableSummaries: true}})
-	sources := map[string]string{"Deep.java": deepChainDES}
-
-	var shallow CheckResponse
-	w := post(t, s, "/v1/check", checkBody(t, CheckRequest{Sources: sources, Rules: []string{"R8"}}))
-	if w.Code != http.StatusOK {
-		t.Fatalf("status = %d, body %s", w.Code, w.Body.String())
-	}
-	decodeResp(t, w, &shallow)
-	if ids := checkViolationIDs(shallow); len(ids) != 0 {
-		t.Fatalf("default max_inline detects the depth-6 misuse (%v); the cliff moved", ids)
-	}
-
-	var deep CheckResponse
-	w = post(t, s, "/v1/check", checkBody(t, CheckRequest{Sources: sources, Rules: []string{"R8"}, MaxInline: 8}))
-	if w.Code != http.StatusOK {
-		t.Fatalf("status = %d, body %s", w.Code, w.Body.String())
-	}
-	decodeResp(t, w, &deep)
-	if ids := checkViolationIDs(deep); len(ids) != 1 || ids[0] != "R8" {
-		t.Fatalf("max_inline=8 violations = %v, want [R8]", ids)
-	}
-}
-
-// TestCheckSummariesDefaultLiftsDepth pins the server default: with
-// summaries on (no option set), the same depth-6 misuse is detected without
-// any per-request override, and repeated requests hit the process-lifetime
-// summary table.
+// TestCheckSummariesDefaultLiftsDepth pins the server default: the depth-6
+// misuse is detected with no option set, and the first request records
+// into the process-lifetime summary table.
 func TestCheckSummariesDefaultLiftsDepth(t *testing.T) {
 	s := newTestServer(t, Options{})
 	sources := map[string]string{"Deep.java": deepChainDES}
@@ -93,7 +45,7 @@ func TestCheckSummariesDefaultLiftsDepth(t *testing.T) {
 	}
 	decodeResp(t, w, &resp)
 	if ids := checkViolationIDs(resp); len(ids) != 1 || ids[0] != "R8" {
-		t.Fatalf("summaries-on violations = %v, want [R8]", ids)
+		t.Fatalf("violations = %v, want [R8]", ids)
 	}
 	if hits := s.Metrics().Counter("summary.misses").Value(); hits < 1 {
 		t.Errorf("summary.misses = %d after first request, want >= 1", hits)

@@ -3,7 +3,7 @@
 // analysis" item.
 //
 // The paper's §5.1 interpreter inlines every callee body at every call site,
-// in every branch fork, for every change, and gives up past MaxInline. A
+// in every branch fork, for every change, and gives up past depth 4. A
 // summary captures one such execution as a reusable, *portable* effect
 // triple — the return abstraction, the field/heap post-state, and the
 // ordered crypto-API events the callee attempted — keyed by everything the
@@ -19,7 +19,7 @@
 // input, so replay is exact without any class-level dependency tracking.
 // Keys exclude the caller's locals (forks that differ only in locals share
 // one summary — the hot-loop win) and exclude the inlining depth (a summary
-// is depth-independent, which is what lifts the MaxInline cliff).
+// is depth-independent: reach is bounded by cycle detection, not depth).
 //
 // Entries are portable: abstract objects are referenced by allocation site
 // (file index + byte offset), methods by (class name, declaration index),

@@ -121,7 +121,7 @@ func (t *Table) Len() int {
 }
 
 // Hit/Miss/Instantiation/Cycle bump the summary.* telemetry; all are valid
-// on a nil table (the summaries-off path never reports).
+// on a nil table (live execution without a table never reports).
 
 func (t *Table) Hit() {
 	if t != nil {

@@ -11,8 +11,8 @@
 // are trimmed, the band is seeded with the length-difference lower bound,
 // and the band doubles until the computed distance fits inside it — at
 // which point it is provably exact, so every caller sees the same values
-// the naive full DP produces (levenshteinNaive, kept as the reference
-// implementation for the differential property tests).
+// the naive full DP produces (levenshteinNaive in the tests is the
+// reference implementation for the differential property tests).
 package textdist
 
 import (
@@ -122,36 +122,6 @@ func levenshteinBounded(a, b []rune, k int) int {
 	return prev[m]
 }
 
-// levenshteinNaive is the reference full-DP implementation the banded
-// kernel is differentially tested against. Unexported: production code
-// always goes through Levenshtein.
-func levenshteinNaive(a, b []rune) int {
-	n, m := len(a), len(b)
-	if n == 0 {
-		return m
-	}
-	if m == 0 {
-		return n
-	}
-	prev := make([]int, m+1)
-	cur := make([]int, m+1)
-	for j := 0; j <= m; j++ {
-		prev[j] = j
-	}
-	for i := 1; i <= n; i++ {
-		cur[0] = i
-		for j := 1; j <= m; j++ {
-			cost := 1
-			if a[i-1] == b[j-1] {
-				cost = 0
-			}
-			cur[j] = min(cur[j-1]+1, prev[j]+1, prev[j-1]+cost)
-		}
-		prev, cur = cur, prev
-	}
-	return prev[m]
-}
-
 // labelPayload extracts the string payload of an argument label like
 // `arg1:"AES/CBC"`, returning the argument prefix, the payload, and whether
 // the label carries a quoted string.
@@ -189,20 +159,6 @@ func LabelDist(a, b string) int {
 	}
 	// Substituting one whole label for another: the cost is bounded by the
 	// larger unit length (delete extra units + substitute).
-	return max(LabelLen(a), LabelLen(b))
-}
-
-// labelDistNaive is LabelDist over the naive Levenshtein kernel — the
-// reference for the differential property tests.
-func labelDistNaive(a, b string) int {
-	if a == b {
-		return 0
-	}
-	pa, sa, aok := labelPayload(a)
-	pb, sb, bok := labelPayload(b)
-	if aok && bok && pa == pb {
-		return levenshteinNaive([]rune(sa), []rune(sb))
-	}
 	return max(LabelLen(a), LabelLen(b))
 }
 

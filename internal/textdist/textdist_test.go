@@ -351,3 +351,46 @@ func BenchmarkLevenshteinKernels(b *testing.B) {
 		}
 	})
 }
+
+// levenshteinNaive is the reference full-DP implementation the banded
+// kernel is differentially tested against.
+func levenshteinNaive(a, b []rune) int {
+	n, m := len(a), len(b)
+	if n == 0 {
+		return m
+	}
+	if m == 0 {
+		return n
+	}
+	prev := make([]int, m+1)
+	cur := make([]int, m+1)
+	for j := 0; j <= m; j++ {
+		prev[j] = j
+	}
+	for i := 1; i <= n; i++ {
+		cur[0] = i
+		for j := 1; j <= m; j++ {
+			cost := 1
+			if a[i-1] == b[j-1] {
+				cost = 0
+			}
+			cur[j] = min(cur[j-1]+1, prev[j]+1, prev[j-1]+cost)
+		}
+		prev, cur = cur, prev
+	}
+	return prev[m]
+}
+
+// labelDistNaive is LabelDist over the naive Levenshtein kernel — the
+// reference for the differential property tests.
+func labelDistNaive(a, b string) int {
+	if a == b {
+		return 0
+	}
+	pa, sa, aok := labelPayload(a)
+	pb, sb, bok := labelPayload(b)
+	if aok && bok && pa == pb {
+		return levenshteinNaive([]rune(sa), []rune(sb))
+	}
+	return max(LabelLen(a), LabelLen(b))
+}

@@ -23,10 +23,14 @@ race:
 serve:
 	$(GO) run ./cmd/diffcoded
 
-# Full benchmark suite (figures + ablations + named perf benchmarks).
+# Packages whose Go benchmarks the bench targets run: the root package
+# (figures, ablations, named perf benchmarks) and the Java front end.
+BENCH_PKGS = . ./internal/javatok ./internal/javaparser
+
+# Full benchmark suite.
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem .
+	$(GO) test -run '^$$' -bench . -benchmem $(BENCH_PKGS)
 
 # One iteration per benchmark: a smoke pass cheap enough for CI.
 bench-short:
-	$(GO) test -run '^$$' -bench . -benchtime 1x .
+	$(GO) test -run '^$$' -bench . -benchtime 1x $(BENCH_PKGS)

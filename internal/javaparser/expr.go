@@ -66,7 +66,6 @@ func (p *parser) tryParseLambda() javaast.Expr {
 		if p.cur().Kind == javatok.Ident && p.peek().Kind != javatok.Comma &&
 			p.peek().Kind != javatok.RParen {
 			m := p.mark()
-			snap := p.snapshot(32)
 			okType := func() (ok bool) {
 				defer func() {
 					if r := recover(); r != nil {
@@ -81,7 +80,7 @@ func (p *parser) tryParseLambda() javaast.Expr {
 				return p.cur().Kind == javatok.Ident
 			}()
 			if !okType {
-				p.restore(m, snap)
+				p.restore(m)
 			}
 		} else if p.cur().Kind == javatok.Keyword && primitiveTypes[p.cur().Text] {
 			p.parseTypeRef()
@@ -180,7 +179,6 @@ func (p *parser) parseUnary() javaast.Expr {
 // the parenthesized run is an ordinary expression.
 func (p *parser) tryParseCast() javaast.Expr {
 	m := p.mark()
-	snap := p.snapshot(64)
 	pos := p.cur().Pos
 	c := func() (c javaast.Expr) {
 		defer func() {
@@ -222,7 +220,7 @@ func (p *parser) tryParseCast() javaast.Expr {
 		return &javaast.Cast{Type: typ, X: p.parseUnary(), P: pos}
 	}()
 	if c == nil {
-		p.restore(m, snap)
+		p.restore(m)
 	}
 	return c
 }

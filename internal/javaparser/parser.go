@@ -9,6 +9,7 @@ package javaparser
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"repro/internal/javaast"
 	"repro/internal/javatok"
@@ -31,10 +32,25 @@ type Result struct {
 // Parse parses Java source text. It always returns a non-nil unit; syntax
 // errors are recovered and reported in Result.Errors.
 func Parse(src string) Result {
-	p := &parser{toks: javatok.Tokenize(src)}
+	buf := tokenBufs.Get().(*[]javatok.Token)
+	p := &parser{toks: javatok.AppendTokens((*buf)[:0], src)}
 	unit := p.parseCompilationUnit()
+	// The AST holds token texts (strings), never the buffer itself, so the
+	// buffer can be reused once it no longer references src.
+	clear(p.toks)
+	if cap(p.toks) <= maxPooledTokens {
+		*buf = p.toks[:0]
+		tokenBufs.Put(buf)
+	}
 	return Result{Unit: unit, Errors: p.errors}
 }
+
+// tokenBufs recycles token buffers across Parse calls.
+var tokenBufs = sync.Pool{New: func() any { return new([]javatok.Token) }}
+
+// maxPooledTokens caps the buffers kept for reuse, so one huge input does
+// not pin its token buffer (48 bytes per token) in the pool.
+const maxPooledTokens = 1 << 16
 
 // parseError is the panic payload used for error recovery.
 type parseError struct {
@@ -46,6 +62,7 @@ type parser struct {
 	toks   []javatok.Token
 	i      int
 	errors []Error
+	undo   []savedTok // tokens expectGt overwrote, oldest first
 }
 
 func (p *parser) cur() javatok.Token  { return p.toks[p.i] }
@@ -108,30 +125,33 @@ func (p *parser) record(pe parseError) {
 // tokens (>>, >>>) that the lexer produced for adjacent angle brackets.
 func (p *parser) expectGt() {
 	t := p.cur()
+	var rest javatok.Token // what remains of t after its first '>'
 	switch t.Kind {
 	case javatok.Gt:
 		p.advance()
+		return
 	case javatok.Shr:
-		p.toks[p.i] = javatok.Token{Kind: javatok.Gt, Text: ">",
-			Pos: javatok.Pos{Offset: t.Pos.Offset + 1, Line: t.Pos.Line, Col: t.Pos.Col + 1}}
+		rest = javatok.Token{Kind: javatok.Gt, Text: ">"}
 	case javatok.Ushr:
-		p.toks[p.i] = javatok.Token{Kind: javatok.Shr, Text: ">>",
-			Pos: javatok.Pos{Offset: t.Pos.Offset + 1, Line: t.Pos.Line, Col: t.Pos.Col + 1}}
+		rest = javatok.Token{Kind: javatok.Shr, Text: ">>"}
 	case javatok.Ge:
-		p.toks[p.i] = javatok.Token{Kind: javatok.Assign, Text: "=",
-			Pos: javatok.Pos{Offset: t.Pos.Offset + 1, Line: t.Pos.Line, Col: t.Pos.Col + 1}}
+		rest = javatok.Token{Kind: javatok.Assign, Text: "="}
 	default:
 		p.fail(fmt.Sprintf("expected '>', found %v", t))
 	}
+	rest.Pos = javatok.Pos{Offset: t.Pos.Offset + 1, Line: t.Pos.Line, Col: t.Pos.Col + 1}
+	p.undo = append(p.undo, savedTok{idx: p.i, tok: t})
+	p.toks[p.i] = rest
 }
 
-// mark/restore implement speculative parsing. Token-slice mutations performed
-// by expectGt are idempotent re-interpretations and remain valid only along
-// the committed path, so speculative attempts snapshot mutated tokens too.
+// mark/restore implement speculative parsing. The token splits expectGt
+// performs are valid only along the committed path, so each one is logged
+// in p.undo and restore replays the log backwards to the mark, however far
+// the failed attempt read.
 type mark struct {
 	i    int
-	undo []savedTok
 	errs int
+	undo int // length of p.undo at the mark
 }
 
 type savedTok struct {
@@ -140,29 +160,16 @@ type savedTok struct {
 }
 
 func (p *parser) mark() mark {
-	return mark{i: p.i, errs: len(p.errors)}
+	return mark{i: p.i, errs: len(p.errors), undo: len(p.undo)}
 }
 
-func (p *parser) restore(m mark, snapshot []javatok.Token) {
-	// Restore any tokens between m.i and the current position from snapshot.
-	for idx := m.i; idx <= p.i && idx < len(p.toks); idx++ {
-		if idx-m.i < len(snapshot) {
-			p.toks[idx] = snapshot[idx-m.i]
-		}
+func (p *parser) restore(m mark) {
+	for j := len(p.undo) - 1; j >= m.undo; j-- {
+		p.toks[p.undo[j].idx] = p.undo[j].tok
 	}
+	p.undo = p.undo[:m.undo]
 	p.i = m.i
 	p.errors = p.errors[:m.errs]
-}
-
-// snapshot copies the next n tokens so a speculative parse can be undone.
-func (p *parser) snapshot(n int) []javatok.Token {
-	end := p.i + n
-	if end > len(p.toks) {
-		end = len(p.toks)
-	}
-	out := make([]javatok.Token, end-p.i)
-	copy(out, p.toks[p.i:end])
-	return out
 }
 
 // ---------------------------------------------------------------------------
@@ -668,9 +675,12 @@ func (p *parser) parseTypeRef() *javaast.TypeRef {
 // parseQualifiedNameGeneric parses a dotted name where each segment may carry
 // type arguments (which are skipped): a.b.C<D>.E .
 func (p *parser) parseQualifiedNameGeneric() string {
-	var parts []string
-	parts = append(parts, p.expect(javatok.Ident).Text)
+	first := p.expect(javatok.Ident).Text
 	p.skipTypeParams()
+	if p.cur().Kind != javatok.Dot || p.peek().Kind != javatok.Ident {
+		return first // the common one-segment name: nothing to join
+	}
+	parts := []string{first}
 	for p.cur().Kind == javatok.Dot && p.peek().Kind == javatok.Ident {
 		p.advance()
 		parts = append(parts, p.advance().Text)

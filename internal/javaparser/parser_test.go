@@ -1,9 +1,11 @@
 package javaparser
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"repro/internal/corpus"
 	"repro/internal/javaast"
 )
 
@@ -514,9 +516,84 @@ func TestParseNeverPanics(t *testing.T) {
 }
 
 func BenchmarkParse(b *testing.B) {
-	b.ReportAllocs()
-	b.SetBytes(int64(len(paperExample)))
-	for i := 0; i < b.N; i++ {
-		Parse(paperExample)
+	b.Run("paper-example", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(paperExample)))
+		for i := 0; i < b.N; i++ {
+			Parse(paperExample)
+		}
+	})
+	// One op parses every source of a small generated corpus: the project
+	// snapshots and both sides of every commit, as mining reads them.
+	b.Run("corpus", func(b *testing.B) {
+		srcs := corpusSample()
+		var n int64
+		for _, s := range srcs {
+			n += int64(len(s))
+		}
+		b.ReportAllocs()
+		b.SetBytes(n)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, s := range srcs {
+				Parse(s)
+			}
+		}
+	})
+}
+
+// corpusSample returns the Java sources of a small generated corpus.
+func corpusSample() []string {
+	c := corpus.Generate(corpus.Config{Seed: 1, Scale: 0.05, Projects: 8, ExtraProjects: 1})
+	var srcs []string
+	for _, p := range c.Projects {
+		for path, src := range p.Files {
+			if strings.HasSuffix(path, ".java") {
+				srcs = append(srcs, src)
+			}
+		}
+		for _, cm := range p.Commits {
+			srcs = append(srcs, cm.Old, cm.New)
+		}
+	}
+	return srcs
+}
+
+// TestRestoreUndoesDistantSplits pins that a failed speculation undoes every
+// '>>' split it made, however far past its start. Here tryParseCast reads
+// "(a < t0 + … + t39 >>" as the type a<…> and splits the ">>" to close it;
+// the shift sits ~80 tokens in, past any fixed-size token window, and must
+// come back as ">>" when the cast attempt is abandoned.
+func TestRestoreUndoesDistantSplits(t *testing.T) {
+	terms := make([]string, 40)
+	for i := range terms {
+		terms[i] = fmt.Sprintf("t%d", i)
+	}
+	src := "class A { void m() { int z = (a < " + strings.Join(terms, " + ") + " >> 2); } }"
+	cu := mustParse(t, src)
+	var init javaast.Expr
+	javaast.Walk(cu, func(n javaast.Node) bool {
+		if d, ok := n.(*javaast.LocalVarDecl); ok && d.Name == "z" {
+			init = d.Init
+		}
+		return true
+	})
+	lt, ok := init.(*javaast.Binary)
+	if !ok || lt.Op != "<" {
+		t.Fatalf("z = %s, want a < (… >> 2)", javaast.ExprString(init))
+	}
+	if name, ok := lt.L.(*javaast.Name); !ok || name.Ident != "a" {
+		t.Errorf("left of < = %s, want a", javaast.ExprString(lt.L))
+	}
+	shr, ok := lt.R.(*javaast.Binary)
+	if !ok || shr.Op != ">>" {
+		t.Fatalf("right of < = %s, want (… >> 2)", javaast.ExprString(lt.R))
+	}
+	if lit, ok := shr.R.(*javaast.Literal); !ok || lit.Value != "2" {
+		t.Errorf("shift amount = %s, want 2", javaast.ExprString(shr.R))
+	}
+	sum, ok := shr.L.(*javaast.Binary)
+	if !ok || sum.Op != "+" {
+		t.Errorf("shifted operand = %s, want the sum of the 40 terms", javaast.ExprString(shr.L))
 	}
 }

@@ -181,7 +181,6 @@ func (p *parser) looksLikeLocalDecl() bool {
 		return false
 	}
 	m := p.mark()
-	snap := p.snapshot(64)
 	ok := func() (ok bool) {
 		defer func() {
 			if r := recover(); r != nil {
@@ -195,7 +194,7 @@ func (p *parser) looksLikeLocalDecl() bool {
 		p.parseTypeRef()
 		return p.cur().Kind == javatok.Ident
 	}()
-	p.restore(m, snap)
+	p.restore(m)
 	return ok
 }
 
@@ -287,11 +286,10 @@ func (p *parser) parseFor() javaast.Stmt {
 
 	// Enhanced for: [final] Type Ident : expr
 	m := p.mark()
-	snap := p.snapshot(64)
 	if fe := p.tryParseForEach(pos); fe != nil {
 		return fe
 	}
-	p.restore(m, snap)
+	p.restore(m)
 
 	f := &javaast.ForStmt{P: pos}
 	if p.cur().Kind != javatok.Semi {

@@ -9,6 +9,12 @@ import (
 // Lexer scans Java source text into tokens. It never fails: unexpected
 // characters yield Illegal tokens and scanning continues, which lets the
 // parser recover on partial programs.
+//
+// Identifier, keyword and number texts, and string literals without escapes,
+// are substrings of the source rather than copies, so scanning allocates
+// nothing per token in the common case. A token's Text therefore keeps the
+// source string alive for as long as the token (or an AST built from it)
+// is reachable.
 type Lexer struct {
 	src  string
 	off  int // current byte offset
@@ -24,13 +30,19 @@ func NewLexer(src string) *Lexer {
 // Tokenize scans all of src and returns the token stream, terminated by an
 // EOF token.
 func Tokenize(src string) []Token {
+	return AppendTokens(make([]Token, 0, len(src)/5+1), src)
+}
+
+// AppendTokens scans all of src and appends its token stream, terminated by
+// an EOF token, to dst. It lets a caller reuse one token buffer across
+// inputs.
+func AppendTokens(dst []Token, src string) []Token {
 	lx := NewLexer(src)
-	var toks []Token
 	for {
 		t := lx.Next()
-		toks = append(toks, t)
+		dst = append(dst, t)
 		if t.Kind == EOF {
-			return toks
+			return dst
 		}
 	}
 }
@@ -70,28 +82,47 @@ func (lx *Lexer) advance() rune {
 	return r
 }
 
+// advanceTo consumes every rune up to byte offset end, with the line/col
+// bookkeeping of that many advance calls. Invalid UTF-8 counts one column
+// per byte, as advance does.
+func (lx *Lexer) advanceTo(end int) {
+	seg := lx.src[lx.off:end]
+	if nl := strings.LastIndexByte(seg, '\n'); nl >= 0 {
+		lx.line += strings.Count(seg, "\n")
+		lx.col = 1
+		seg = seg[nl+1:]
+	}
+	lx.col += utf8.RuneCountInString(seg)
+	lx.off = end
+}
+
 func (lx *Lexer) skipSpaceAndComments() {
-	for {
-		r := lx.peek()
-		switch {
-		case r == ' ' || r == '\t' || r == '\r' || r == '\n' || r == '\f':
-			lx.advance()
-		case r == '/' && lx.peekAt(1) == '/':
-			for lx.peek() != '\n' && lx.peek() != -1 {
-				lx.advance()
-			}
-		case r == '/' && lx.peekAt(1) == '*':
-			lx.advance()
-			lx.advance()
-			for {
-				c := lx.advance()
-				if c == -1 {
-					return
+	src := lx.src
+	for lx.off < len(src) {
+		switch src[lx.off] {
+		case ' ', '\t', '\r', '\f':
+			lx.off++
+			lx.col++
+		case '\n':
+			lx.off++
+			lx.line++
+			lx.col = 1
+		case '/':
+			switch lx.peekAt(1) {
+			case '/':
+				end := len(src)
+				if nl := strings.IndexByte(src[lx.off:], '\n'); nl >= 0 {
+					end = lx.off + nl
 				}
-				if c == '*' && lx.peek() == '/' {
-					lx.advance()
-					break
+				lx.advanceTo(end)
+			case '*':
+				end := len(src)
+				if cl := strings.Index(src[lx.off+2:], "*/"); cl >= 0 {
+					end = lx.off + 2 + cl + 2
 				}
+				lx.advanceTo(end)
+			default:
+				return
 			}
 		default:
 			return
@@ -106,6 +137,14 @@ func isIdentStart(r rune) bool {
 func isIdentPart(r rune) bool {
 	return isIdentStart(r) || unicode.IsDigit(r)
 }
+
+// asciiIdentPart marks the ASCII bytes isIdentPart accepts.
+var asciiIdentPart = func() (t [utf8.RuneSelf]bool) {
+	for c := range t {
+		t[c] = isIdentPart(rune(c))
+	}
+	return t
+}()
 
 // Next scans and returns the next token.
 func (lx *Lexer) Next() Token {
@@ -130,60 +169,77 @@ func (lx *Lexer) Next() Token {
 }
 
 func (lx *Lexer) scanIdent(start Pos) Token {
-	var sb strings.Builder
-	for isIdentPart(lx.peek()) {
-		sb.WriteRune(lx.advance())
+	src := lx.src
+	i := lx.off
+	for i < len(src) {
+		if c := src[i]; c < utf8.RuneSelf {
+			if !asciiIdentPart[c] {
+				break
+			}
+			i++
+			lx.col++
+			continue
+		}
+		r, w := utf8.DecodeRuneInString(src[i:])
+		if !isIdentPart(r) {
+			break
+		}
+		i += w
+		lx.col++
 	}
-	text := sb.String()
+	text := src[lx.off:i]
+	lx.off = i
 	kind := Ident
-	if keywords[text] {
+	if IsKeyword(text) {
 		kind = Keyword
 	}
 	return Token{Kind: kind, Text: text, Pos: start}
 }
 
 func (lx *Lexer) scanNumber(start Pos) Token {
-	var sb strings.Builder
 	kind := IntLit
 	isHex := false
 	if lx.peek() == '0' && (lx.peekAt(1) == 'x' || lx.peekAt(1) == 'X') {
 		isHex = true
-		sb.WriteRune(lx.advance())
-		sb.WriteRune(lx.advance())
+		lx.advance()
+		lx.advance()
 		for isHexDigit(lx.peek()) || lx.peek() == '_' {
-			sb.WriteRune(lx.advance())
+			lx.advance()
 		}
 	} else if lx.peek() == '0' && (lx.peekAt(1) == 'b' || lx.peekAt(1) == 'B') {
-		sb.WriteRune(lx.advance())
-		sb.WriteRune(lx.advance())
+		lx.advance()
+		lx.advance()
 		for lx.peek() == '0' || lx.peek() == '1' || lx.peek() == '_' {
-			sb.WriteRune(lx.advance())
+			lx.advance()
 		}
 	} else {
 		for unicode.IsDigit(lx.peek()) || lx.peek() == '_' {
-			sb.WriteRune(lx.advance())
+			lx.advance()
 		}
 		if lx.peek() == '.' && unicode.IsDigit(lx.peekAt(1)) {
 			kind = DoubleLit
-			sb.WriteRune(lx.advance())
+			lx.advance()
 			for unicode.IsDigit(lx.peek()) || lx.peek() == '_' {
-				sb.WriteRune(lx.advance())
+				lx.advance()
 			}
 		}
 		if lx.peek() == 'e' || lx.peek() == 'E' {
 			if unicode.IsDigit(lx.peekAt(1)) ||
 				((lx.peekAt(1) == '+' || lx.peekAt(1) == '-') && unicode.IsDigit(lx.peekAt(2))) {
 				kind = DoubleLit
-				sb.WriteRune(lx.advance())
+				lx.advance()
 				if lx.peek() == '+' || lx.peek() == '-' {
-					sb.WriteRune(lx.advance())
+					lx.advance()
 				}
 				for unicode.IsDigit(lx.peek()) {
-					sb.WriteRune(lx.advance())
+					lx.advance()
 				}
 			}
 		}
 	}
+	// The text is everything consumed so far; suffixes are not part of it.
+	// ReplaceAll returns text itself when it has no '_'.
+	text := strings.ReplaceAll(lx.src[start.Offset:lx.off], "_", "")
 	// Suffixes.
 	switch lx.peek() {
 	case 'l', 'L':
@@ -202,7 +258,6 @@ func (lx *Lexer) scanNumber(start Pos) Token {
 			kind = DoubleLit
 		}
 	}
-	text := strings.ReplaceAll(sb.String(), "_", "")
 	return Token{Kind: kind, Text: text, Pos: start}
 }
 
@@ -254,6 +309,14 @@ func (lx *Lexer) scanEscape() rune {
 }
 
 func (lx *Lexer) scanString(start Pos) Token {
+	// Fast path: a closed literal with no escapes and valid UTF-8 decodes
+	// to exactly its source bytes.
+	body := lx.src[lx.off+1:]
+	if end := strings.IndexAny(body, "\"\\\n"); end >= 0 && body[end] == '"' &&
+		utf8.ValidString(body[:end]) {
+		lx.advanceTo(lx.off + 1 + end + 1)
+		return Token{Kind: StringLit, Text: body[:end], Pos: start}
+	}
 	lx.advance() // opening quote
 	var sb strings.Builder
 	for {
@@ -297,11 +360,13 @@ func (lx *Lexer) scanChar(start Pos) Token {
 	return Token{Kind: Illegal, Text: string(c), Pos: start}
 }
 
-// opTable maps operator spellings to kinds, tried longest-first.
-var opTable = []struct {
+type opEntry struct {
 	text string
 	kind Kind
-}{
+}
+
+// opTable maps operator spellings to kinds, tried longest-first.
+var opTable = []opEntry{
 	{">>>=", UshrEq},
 	{">>>", Ushr}, {"<<=", ShlEq}, {">>=", ShrEq}, {"...", Ellipsis},
 	{"==", Eq}, {"<=", Le}, {">=", Ge}, {"!=", Ne},
@@ -317,14 +382,25 @@ var opTable = []struct {
 	{"&", And}, {"|", Or}, {"^", Caret}, {"%", Percent},
 }
 
+// opsByFirst buckets opTable by first byte, keeping the table's
+// longest-first order inside each bucket.
+var opsByFirst = func() (t [utf8.RuneSelf][]opEntry) {
+	for _, op := range opTable {
+		t[op.text[0]] = append(t[op.text[0]], op)
+	}
+	return t
+}()
+
 func (lx *Lexer) scanOperator(start Pos) Token {
 	rest := lx.src[lx.off:]
-	for _, op := range opTable {
-		if strings.HasPrefix(rest, op.text) {
-			for range op.text {
-				lx.advance()
+	if c := rest[0]; c < utf8.RuneSelf {
+		for _, op := range opsByFirst[c] {
+			if strings.HasPrefix(rest, op.text) {
+				// Operators are ASCII: one column per byte.
+				lx.off += len(op.text)
+				lx.col += len(op.text)
+				return Token{Kind: op.kind, Text: op.text, Pos: start}
 			}
-			return Token{Kind: op.kind, Text: op.text, Pos: start}
 		}
 	}
 	r := lx.advance()

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unicode"
+	"unicode/utf8"
 )
 
 func kinds(toks []Token) []Kind {
@@ -360,4 +362,347 @@ func TestIsKeywordTable(t *testing.T) {
 			t.Errorf("IsKeyword(%q) = true", id)
 		}
 	}
+}
+
+// refLexer is the original rune-at-a-time lexer: every rune goes through
+// peek/advance and every text through a strings.Builder. It is kept as the
+// reference the substring-based Lexer is differentially tested against.
+type refLexer struct {
+	src  string
+	off  int
+	line int
+	col  int
+}
+
+func refTokenize(src string) []Token {
+	lx := &refLexer{src: src, line: 1, col: 1}
+	var toks []Token
+	for {
+		t := lx.next()
+		toks = append(toks, t)
+		if t.Kind == EOF {
+			return toks
+		}
+	}
+}
+
+func (lx *refLexer) pos() Pos { return Pos{Offset: lx.off, Line: lx.line, Col: lx.col} }
+
+func (lx *refLexer) peek() rune {
+	if lx.off >= len(lx.src) {
+		return -1
+	}
+	r, _ := utf8.DecodeRuneInString(lx.src[lx.off:])
+	return r
+}
+
+func (lx *refLexer) peekAt(n int) rune {
+	if lx.off+n >= len(lx.src) {
+		return -1
+	}
+	return rune(lx.src[lx.off+n])
+}
+
+func (lx *refLexer) advance() rune {
+	if lx.off >= len(lx.src) {
+		return -1
+	}
+	r, w := utf8.DecodeRuneInString(lx.src[lx.off:])
+	lx.off += w
+	if r == '\n' {
+		lx.line++
+		lx.col = 1
+	} else {
+		lx.col++
+	}
+	return r
+}
+
+func (lx *refLexer) skipSpaceAndComments() {
+	for {
+		r := lx.peek()
+		switch {
+		case r == ' ' || r == '\t' || r == '\r' || r == '\n' || r == '\f':
+			lx.advance()
+		case r == '/' && lx.peekAt(1) == '/':
+			for lx.peek() != '\n' && lx.peek() != -1 {
+				lx.advance()
+			}
+		case r == '/' && lx.peekAt(1) == '*':
+			lx.advance()
+			lx.advance()
+			for {
+				c := lx.advance()
+				if c == -1 {
+					return
+				}
+				if c == '*' && lx.peek() == '/' {
+					lx.advance()
+					break
+				}
+			}
+		default:
+			return
+		}
+	}
+}
+
+func refIsIdentStart(r rune) bool {
+	return r == '_' || r == '$' || unicode.IsLetter(r)
+}
+
+func refIsIdentPart(r rune) bool {
+	return refIsIdentStart(r) || unicode.IsDigit(r)
+}
+
+func refIsHexDigit(r rune) bool {
+	return unicode.IsDigit(r) || (r >= 'a' && r <= 'f') || (r >= 'A' && r <= 'F')
+}
+
+func (lx *refLexer) next() Token {
+	lx.skipSpaceAndComments()
+	start := lx.pos()
+	r := lx.peek()
+	switch {
+	case r == -1:
+		return Token{Kind: EOF, Pos: start}
+	case refIsIdentStart(r):
+		return lx.scanIdent(start)
+	case unicode.IsDigit(r):
+		return lx.scanNumber(start)
+	case r == '"':
+		return lx.scanString(start)
+	case r == '\'':
+		return lx.scanChar(start)
+	case r == '.' && unicode.IsDigit(lx.peekAt(1)):
+		return lx.scanNumber(start)
+	}
+	return lx.scanOperator(start)
+}
+
+func (lx *refLexer) scanIdent(start Pos) Token {
+	var sb strings.Builder
+	for refIsIdentPart(lx.peek()) {
+		sb.WriteRune(lx.advance())
+	}
+	text := sb.String()
+	kind := Ident
+	if keywords[text] {
+		kind = Keyword
+	}
+	return Token{Kind: kind, Text: text, Pos: start}
+}
+
+func (lx *refLexer) scanNumber(start Pos) Token {
+	var sb strings.Builder
+	kind := IntLit
+	isHex := false
+	if lx.peek() == '0' && (lx.peekAt(1) == 'x' || lx.peekAt(1) == 'X') {
+		isHex = true
+		sb.WriteRune(lx.advance())
+		sb.WriteRune(lx.advance())
+		for refIsHexDigit(lx.peek()) || lx.peek() == '_' {
+			sb.WriteRune(lx.advance())
+		}
+	} else if lx.peek() == '0' && (lx.peekAt(1) == 'b' || lx.peekAt(1) == 'B') {
+		sb.WriteRune(lx.advance())
+		sb.WriteRune(lx.advance())
+		for lx.peek() == '0' || lx.peek() == '1' || lx.peek() == '_' {
+			sb.WriteRune(lx.advance())
+		}
+	} else {
+		for unicode.IsDigit(lx.peek()) || lx.peek() == '_' {
+			sb.WriteRune(lx.advance())
+		}
+		if lx.peek() == '.' && unicode.IsDigit(lx.peekAt(1)) {
+			kind = DoubleLit
+			sb.WriteRune(lx.advance())
+			for unicode.IsDigit(lx.peek()) || lx.peek() == '_' {
+				sb.WriteRune(lx.advance())
+			}
+		}
+		if lx.peek() == 'e' || lx.peek() == 'E' {
+			if unicode.IsDigit(lx.peekAt(1)) ||
+				((lx.peekAt(1) == '+' || lx.peekAt(1) == '-') && unicode.IsDigit(lx.peekAt(2))) {
+				kind = DoubleLit
+				sb.WriteRune(lx.advance())
+				if lx.peek() == '+' || lx.peek() == '-' {
+					sb.WriteRune(lx.advance())
+				}
+				for unicode.IsDigit(lx.peek()) {
+					sb.WriteRune(lx.advance())
+				}
+			}
+		}
+	}
+	switch lx.peek() {
+	case 'l', 'L':
+		if !isHex || kind == IntLit {
+			lx.advance()
+			kind = LongLit
+		}
+	case 'f', 'F':
+		if !isHex {
+			lx.advance()
+			kind = FloatLit
+		}
+	case 'd', 'D':
+		if !isHex {
+			lx.advance()
+			kind = DoubleLit
+		}
+	}
+	text := strings.ReplaceAll(sb.String(), "_", "")
+	return Token{Kind: kind, Text: text, Pos: start}
+}
+
+func (lx *refLexer) scanEscape() rune {
+	c := lx.advance()
+	switch c {
+	case 'n':
+		return '\n'
+	case 't':
+		return '\t'
+	case 'r':
+		return '\r'
+	case 'b':
+		return '\b'
+	case 'f':
+		return '\f'
+	case '0', '1', '2', '3', '4', '5', '6', '7':
+		v := c - '0'
+		for i := 0; i < 2 && lx.peek() >= '0' && lx.peek() <= '7'; i++ {
+			v = v*8 + (lx.advance() - '0')
+		}
+		return v
+	case 'u':
+		for lx.peek() == 'u' {
+			lx.advance()
+		}
+		var v rune
+		for i := 0; i < 4 && refIsHexDigit(lx.peek()); i++ {
+			d := lx.advance()
+			switch {
+			case d >= '0' && d <= '9':
+				v = v*16 + (d - '0')
+			case d >= 'a' && d <= 'f':
+				v = v*16 + (d - 'a' + 10)
+			default:
+				v = v*16 + (d - 'A' + 10)
+			}
+		}
+		return v
+	default:
+		return c
+	}
+}
+
+func (lx *refLexer) scanString(start Pos) Token {
+	lx.advance()
+	var sb strings.Builder
+	for {
+		c := lx.peek()
+		if c == -1 || c == '\n' {
+			return Token{Kind: Illegal, Text: sb.String(), Pos: start}
+		}
+		lx.advance()
+		if c == '"' {
+			return Token{Kind: StringLit, Text: sb.String(), Pos: start}
+		}
+		if c == '\\' {
+			sb.WriteRune(lx.scanEscape())
+			continue
+		}
+		sb.WriteRune(c)
+	}
+}
+
+func (lx *refLexer) scanChar(start Pos) Token {
+	lx.advance()
+	c := lx.peek()
+	if c == -1 || c == '\n' {
+		return Token{Kind: Illegal, Pos: start}
+	}
+	lx.advance()
+	if c == '\\' {
+		c = lx.scanEscape()
+	}
+	if lx.peek() == '\'' {
+		lx.advance()
+		return Token{Kind: CharLit, Text: string(c), Pos: start}
+	}
+	for lx.peek() != '\'' && lx.peek() != '\n' && lx.peek() != -1 {
+		lx.advance()
+	}
+	if lx.peek() == '\'' {
+		lx.advance()
+	}
+	return Token{Kind: Illegal, Text: string(c), Pos: start}
+}
+
+// scanOperator tries every opTable entry in order, longest first.
+func (lx *refLexer) scanOperator(start Pos) Token {
+	rest := lx.src[lx.off:]
+	for _, op := range opTable {
+		if strings.HasPrefix(rest, op.text) {
+			for range op.text {
+				lx.advance()
+			}
+			return Token{Kind: op.kind, Text: op.text, Pos: start}
+		}
+	}
+	r := lx.advance()
+	return Token{Kind: Illegal, Text: string(r), Pos: start}
+}
+
+// tokenizeSeeds cover what the substring and byte-level fast paths must get
+// exactly right. The committed corpus under testdata/fuzz/FuzzTokenize adds
+// the FuzzParse seeds of the javaparser package.
+var tokenizeSeeds = []string{
+	// Non-ASCII identifiers, digits and whitespace, mixed with ASCII.
+	"class Ünïcödé { int café = 1; String 名前 = \"値\"; }",
+	"int x = 1; int ٣ = ١٢٣; double d = 1.٣;",
+	"$a_b9 _ __ a$ ǅx ⅠⅡ a b c",
+	// Unicode escapes are decoded in literals only, never in identifiers.
+	`String s = "A\uu0042é"; char c = 'A'; int ab = 0;`,
+	`"\u12" "\uXYZ" '\u' "\777\08\1a"`,
+	// Unterminated literals and comments.
+	"\"abc\nint x;",
+	"\"abc",
+	"'a",
+	"'ab' 'abc\n'",
+	"''",
+	"int x; /* never closed",
+	"/*/ x */ y // tail",
+	"a /** doc */ b /* ü\n ö */ c // ß",
+	// Invalid UTF-8 in code, comments and literals.
+	"class \x00\xff { }",
+	"\"\xff\xfe\" '\xff' // \xc3\n/* \xe2\x82 */ x\xc3(",
+	"a\xe2\x82b \xef\xbf\xbd",
+	// Numbers.
+	"1_000 1__0_ 0x1F_FF 0XABL 0b1010 0B1_0L 017 .5 5. 1e9 1E+9 2e-3f 1.5d 3.14D 0x1.8p1",
+	"0x 0b 0b2 1e 1e+ 1.e3 12_L 0xFFf 0x1d 1..2 1.2.3",
+	// Operators and separators, including every longest-match split.
+	">>>= >>> >>= >> >= > <<= << <= < ... .. . :: : -> -- -= - ++ += + == = != ! && & || | ^= ^ %= % *= * /= / ~ ? @ # \\ `",
+	"a>>>=b<<=c>>d->e::f",
+}
+
+// FuzzTokenize asserts that Tokenize yields exactly the reference lexer's
+// (Kind, Text, Pos) stream for any input.
+func FuzzTokenize(f *testing.F) {
+	for _, s := range tokenizeSeeds {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		got, want := Tokenize(src), refTokenize(src)
+		for i := 0; i < len(got) && i < len(want); i++ {
+			if got[i] != want[i] {
+				t.Fatalf("token %d: got %v %q @%+v, want %v %q @%+v", i,
+					got[i].Kind, got[i].Text, got[i].Pos, want[i].Kind, want[i].Text, want[i].Pos)
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("got %d tokens, want %d", len(got), len(want))
+		}
+	})
 }

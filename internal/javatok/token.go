@@ -1,8 +1,9 @@
 // Package javatok implements a tokenizer for the subset of Java that the
 // DiffCode analyzer consumes. It is position-aware, skips comments and
-// whitespace, decodes unicode escapes in identifiers and literals, and is
-// tolerant of partial programs: malformed input produces an Illegal token
-// rather than aborting the scan.
+// whitespace, decodes escape sequences (including \uXXXX) in string and
+// char literals only — a \u escape outside a literal is not decoded — and
+// is tolerant of partial programs: malformed input produces an Illegal
+// token rather than aborting the scan.
 package javatok
 
 import "fmt"
@@ -163,5 +164,24 @@ var keywords = map[string]bool{
 	"true": true, "false": true, "null": true,
 }
 
+// keywordsByShape buckets the keywords by length and first letter, so a
+// lookup compares against at most a few candidates instead of hashing s.
+var keywordsByShape = func() (t [len("synchronized") + 1][26][]string) {
+	for kw := range keywords {
+		t[len(kw)][kw[0]-'a'] = append(t[len(kw)][kw[0]-'a'], kw)
+	}
+	return t
+}()
+
 // IsKeyword reports whether s is a Java keyword (or boolean/null literal).
-func IsKeyword(s string) bool { return keywords[s] }
+func IsKeyword(s string) bool {
+	if len(s) == 0 || len(s) >= len(keywordsByShape) || s[0]-'a' >= 26 {
+		return false
+	}
+	for _, kw := range keywordsByShape[len(s)][s[0]-'a'] {
+		if kw == s {
+			return true
+		}
+	}
+	return false
+}

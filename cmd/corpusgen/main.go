@@ -21,7 +21,6 @@ import (
 
 	"repro/internal/cliutil"
 	"repro/internal/corpus"
-	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/resilience"
 	"repro/internal/trace"
@@ -38,12 +37,9 @@ func main() {
 		// -budget exists for flag parity with the other three CLIs (scripts
 		// pass a uniform flag set); generation performs no abstract
 		// interpretation, so it has nothing to bound here.
-		_         = flag.Int64("budget", 0, "accepted for CLI parity; corpusgen runs no analysis")
-		maxErr    = flag.Int("max-errors", 0, "abort after this many unwritable projects (0 = unlimited)")
-		failFast  = flag.Bool("fail-fast", false, "abort at the first unwritable project")
-		metrics   = flag.String("metrics", "", "write a JSON metrics snapshot to this file at exit")
-		verbose   = flag.Bool("v", false, "print a stage-by-stage telemetry summary to stderr at exit")
-		debugAddr = flag.String("debug-addr", "", "serve live metrics and pprof on this address (e.g. localhost:6060)")
+		_        = flag.Int64("budget", 0, "accepted for CLI parity; corpusgen runs no analysis")
+		maxErr   = flag.Int("max-errors", 0, "abort after this many unwritable projects (0 = unlimited)")
+		failFast = flag.Bool("fail-fast", false, "abort at the first unwritable project")
 		// -why and -cache-dir are accepted for CLI parity; generation runs
 		// no analysis, clustering, or checking, so there is nothing to
 		// explain or cache — scripts can still pass one uniform flag set.
@@ -53,27 +49,20 @@ func main() {
 	if *out == "" {
 		cliutil.UsageError("corpusgen", "-out is required")
 	}
-	run, err := obs.NewCLI("corpusgen", *metrics, *debugAddr, *verbose)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "corpusgen: %v\n", err)
-		os.Exit(1)
-	}
+	// run.Ctx spans both stages of the run: generate, then the per-project
+	// save fan-out.
+	run := std.Start()
 
 	// The rule-pack gate: corpusgen evaluates no rules, but -rules still
 	// validates (and exits 2 on error findings) so one uniform flag set
 	// fails in the same place from every tool.
 	_ = std.ActiveRules(run.Reg)
 
-	// -trace spans both stages of the run (generate, then the per-project
-	// save fan-out); the tree dumps to stderr before the final exit paths.
-	tctx, troot := std.Trace().Begin("corpusgen")
-	gsp := troot.Child("generate")
-	sp := run.Reg.StartSpan("generate")
+	_, sp := trace.Start(run.Ctx, "generate")
 	c := corpus.Generate(corpus.Config{
 		Seed: *seed, Scale: *scale, Projects: *projects, ExtraProjects: *extra,
 	})
 	sp.End()
-	gsp.End()
 	run.Reg.Counter("corpusgen.projects_generated").Add(int64(len(c.Projects)))
 	run.Reg.Counter("corpusgen.commits_generated").Add(int64(c.CommitCount()))
 
@@ -84,11 +73,10 @@ func main() {
 	// reported once the in-flight saves drain.
 	ledger := resilience.NewLedger()
 	var files, written atomic.Int64
-	ctx, cancel := context.WithCancel(tctx)
+	ctx, cancel := context.WithCancel(run.Ctx)
 	defer cancel()
-	ssp := troot.Child("save")
-	sp = run.Reg.StartSpan("save")
-	parallel.New(std.Workers(), run.Reg).ForEachCtx(trace.NewContext(ctx, ssp), "project", len(c.Projects), func(fctx context.Context, i int) {
+	ctx, sp = trace.Start(ctx, "save")
+	parallel.New(std.Workers(), run.Reg).ForEachCtx(ctx, "project", len(c.Projects), func(fctx context.Context, i int) {
 		p := c.Projects[i]
 		task := "project " + p.Name
 		trace.FromContext(fctx).SetAttr("name", p.Name)
@@ -107,13 +95,10 @@ func main() {
 		files.Add(int64(len(p.Files)))
 	})
 	sp.End()
-	ssp.End()
 	if ledger.Len() > 0 && (*failFast || (*maxErr > 0 && ledger.Len() >= *maxErr)) {
 		fmt.Fprint(os.Stderr, ledger.Report())
 		fmt.Fprintln(os.Stderr, "corpusgen: aborted early (fail-fast/max-errors); corpus is partial")
-		std.Trace().Dump(os.Stderr, troot)
-		run.Flush(ledger, true)
-		os.Exit(1)
+		run.Exit(1, ledger, true)
 	}
 	run.Reg.Counter("corpusgen.projects_written").Add(written.Load())
 	run.Reg.Counter("corpusgen.files_written").Add(files.Load())
@@ -135,7 +120,6 @@ func main() {
 	if ledger.Len() > 0 {
 		fmt.Fprint(os.Stderr, ledger.Report())
 	}
-	std.Trace().Dump(os.Stderr, troot)
 	run.Flush(ledger, false)
 	if ledger.Len() > 0 {
 		os.Exit(1)

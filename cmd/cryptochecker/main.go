@@ -32,7 +32,6 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/androidctx"
 	"repro/internal/cliutil"
-	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/report"
 	"repro/internal/resilience"
@@ -40,6 +39,7 @@ import (
 	"repro/internal/rulelint"
 	"repro/internal/rules"
 	"repro/internal/summary"
+	"repro/internal/trace"
 	"repro/internal/witness"
 )
 
@@ -53,15 +53,14 @@ func main() {
 		lprng     = flag.Bool("lprng", false, "the Linux-PRNG SecureRandom fix is installed")
 		list      = flag.Bool("list", false, "list available rules and exit")
 		quiet     = flag.Bool("q", false, "print only rule IDs")
-		verbose   = flag.Bool("v", false, "explain each violation with the matched abstract usages")
 		budget    = flag.Int64("budget", 0, "max abstract-interpretation steps (0 = unlimited)")
 		maxErr    = flag.Int("max-errors", 0, "abort after this many unreadable inputs (0 = unlimited)")
 		failFast  = flag.Bool("fail-fast", false, "abort at the first unreadable input")
-		metrics   = flag.String("metrics", "", "write a JSON metrics snapshot to this file at exit")
-		debugAddr = flag.String("debug-addr", "", "serve live metrics and pprof on this address (e.g. localhost:6060)")
 		std       = cliutil.StandardFlags("cryptochecker")
 	)
+	flag.Lookup("v").Usage = "explain each violation with the matched abstract usages, and print a stage-by-stage telemetry summary to stderr at exit"
 	std.Parse()
+	verbose := std.Verbose()
 	why := std.Why()
 	workers := std.Workers()
 
@@ -82,16 +81,9 @@ func main() {
 	}
 
 	// -v doubles as the telemetry-summary switch (it goes to stderr, so
-	// the violation report on stdout is unchanged).
-	run, err := obs.NewCLI("cryptochecker", *metrics, *debugAddr, *verbose)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "cryptochecker: %v\n", err)
-		os.Exit(1)
-	}
-	// -trace threads a span tree through parse → interpret → rules; the
-	// dump goes to stderr right after the pipeline so it survives the
-	// violation-dependent exit codes below.
-	tctx, troot := std.Trace().Begin("cryptochecker")
+	// the violation report on stdout is unchanged). run.Ctx carries the
+	// run's root span through check → parse → interpret → rules.
+	run := std.Start()
 	// The artifact store caches per-file parses and -rulefile compilations;
 	// with -cache-dir the parses persist across runs.
 	store := std.Artifacts(run.Reg)
@@ -125,13 +117,11 @@ func main() {
 	if *ruleFile != "" {
 		content, err := os.ReadFile(*ruleFile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "cryptochecker: %v\n", err)
-			os.Exit(1)
+			run.Fatal(nil, err)
 		}
 		extra, err := ruledsl.ParseFileCached(string(content), store)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "cryptochecker: %s: %v\n", *ruleFile, err)
-			os.Exit(1)
+			run.Fatal(nil, fmt.Errorf("%s: %v", *ruleFile, err))
 		}
 		ruleSet = append(ruleSet, extra...)
 	}
@@ -143,24 +133,20 @@ func main() {
 	for _, arg := range flag.Args() {
 		if err := collect(arg, sources); err != nil {
 			if *failFast {
-				fmt.Fprintf(os.Stderr, "cryptochecker: %v\n", err)
-				run.Flush(ledger, true)
-				os.Exit(1)
+				run.Fatal(ledger, err)
 			}
 			ledger.Record(resilience.NewEntry(arg, resilience.PhaseLoad, err))
 			if *maxErr > 0 && ledger.Len() >= *maxErr {
 				fmt.Fprint(os.Stderr, ledger.Report())
 				fmt.Fprintln(os.Stderr, "cryptochecker: too many unreadable inputs (-max-errors)")
-				run.Flush(ledger, true)
-				os.Exit(1)
+				run.Exit(1, ledger, true)
 			}
 		}
 	}
 	if len(sources) == 0 {
 		fmt.Fprint(os.Stderr, ledger.Report())
 		fmt.Fprintln(os.Stderr, "cryptochecker: no .java files found")
-		run.Flush(ledger, true)
-		os.Exit(2)
+		run.Exit(2, ledger, true)
 	}
 
 	ctx := rules.Context{Android: *android, MinSDKVersion: *minSDK, HasLPRNG: *lprng}
@@ -176,14 +162,14 @@ func main() {
 	// of a crash.
 	var res *analysis.Result
 	pool := parallel.New(workers, run.Reg)
-	sp := run.Reg.StartSpan("check")
-	err = resilience.Guard("analyze", func() error {
+	cctx, sp := trace.Start(run.Ctx, "check")
+	err := resilience.Guard("analyze", func() error {
 		var aerr error
 		// Method summaries share the tool's artifact store, so a warm
 		// -cache-dir re-check replays helpers instead of re-interpreting.
 		aopts := analysis.Options{Budget: resilience.NewBudget(*budget, 0), Metrics: run.Reg,
 			Provenance: why.On(), Summaries: summary.NewTable(store, run.Reg)}
-		res, aerr = analysis.AnalyzeBudgetedCtx(tctx, analysis.ParseProgramStoreCtx(tctx, sources, run.Reg, pool, store),
+		res, aerr = analysis.AnalyzeBudgetedCtx(cctx, analysis.ParseProgramStoreCtx(cctx, sources, run.Reg, pool, store),
 			aopts)
 		return aerr
 	})
@@ -193,14 +179,12 @@ func main() {
 		} else {
 			ledger.Record(resilience.NewEntry("analyze", resilience.PhaseAnalyze, err))
 			fmt.Fprint(os.Stderr, ledger.Report())
-			fmt.Fprintf(os.Stderr, "cryptochecker: %v\n", err)
-			run.Flush(ledger, true)
-			os.Exit(1)
+			sp.End()
+			run.Fatal(ledger, err)
 		}
 	}
-	violations := rules.CheckPoolCtx(tctx, res, ctx, ruleSet, pool)
+	violations := rules.CheckPoolCtx(cctx, res, ctx, ruleSet, pool)
 	sp.End()
-	std.Trace().Dump(os.Stderr, troot)
 	run.Reg.Counter("checker.rules_evaluated").Add(int64(len(ruleSet)))
 	run.Reg.Counter("checker.violations").Add(int64(len(violations)))
 
@@ -221,7 +205,7 @@ func main() {
 				fmt.Println(v.Rule.ID)
 				continue
 			}
-			if *verbose {
+			if verbose {
 				fmt.Print(rules.Explain(v, res))
 				continue
 			}

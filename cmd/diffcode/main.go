@@ -11,7 +11,6 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -24,7 +23,6 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/cryptoapi"
 	"repro/internal/mining"
-	"repro/internal/obs"
 	"repro/internal/resilience"
 	"repro/internal/rules"
 	"repro/internal/textdiff"
@@ -43,9 +41,6 @@ func main() {
 		budget    = flag.Int64("budget", 0, "max abstract-interpretation steps per change (0 = unlimited)")
 		maxErrors = flag.Int("max-errors", 0, "abort mining after this many skipped changes (0 = unlimited)")
 		failFast  = flag.Bool("fail-fast", false, "abort mining at the first skipped change")
-		metrics   = flag.String("metrics", "", "write a JSON metrics snapshot to this file at exit")
-		verbose   = flag.Bool("v", false, "print a stage-by-stage telemetry summary to stderr at exit")
-		debugAddr = flag.String("debug-addr", "", "serve live metrics and pprof on this address (e.g. localhost:6060)")
 		shards    = flag.Int("shards", 1, "analyze and filter the mined corpus in N contiguous shards (map-reduce over a shared -cache-dir; output is identical at any N)")
 		std       = cliutil.StandardFlags("diffcode")
 	)
@@ -55,15 +50,9 @@ func main() {
 		cliutil.UsageError("diffcode", "-shards must be at least 1 (got %d)", *shards)
 	}
 
-	run, err := obs.NewCLI("diffcode", *metrics, *debugAddr, *verbose)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "diffcode: %v\n", err)
-		os.Exit(1)
-	}
-	// -trace threads a span tree through the whole run and dumps it to
-	// stderr at exit (stdout output is byte-identical either way).
-	tctx, troot := std.Trace().Begin("diffcode")
-	defer std.Trace().Dump(os.Stderr, troot)
+	// run.Ctx carries the run's root span through every stage; each exit
+	// path reports it (-trace tree, -v table, -metrics snapshot) once.
+	run := std.Start()
 	opts := core.Options{
 		Depth:       *depth,
 		BudgetSteps: *budget,
@@ -88,20 +77,20 @@ func main() {
 
 	switch {
 	case *oldFile != "" && *newFile != "":
-		runSingle(tctx, run, *oldFile, *newFile, classes, opts, *showDiff, *dot, why, activeRules)
+		runSingle(run, *oldFile, *newFile, classes, opts, *showDiff, *dot, why, activeRules)
 	case *corpusDir != "":
 		if why.On() {
 			cliutil.UsageError("diffcode", "-why applies to single-change mode (-old/-new) only")
 		}
-		runCorpus(tctx, run, *corpusDir, classes, opts, *shards)
+		runCorpus(run, *corpusDir, classes, opts, *shards)
 	default:
 		cliutil.UsageError("diffcode", "need either -old/-new or -corpus")
 	}
 }
 
-func runSingle(tctx context.Context, run *obs.CLI, oldPath, newPath string, classes []string, opts core.Options, showDiff, dot bool, why cliutil.WhyMode, activeRules []*rules.Rule) {
-	oldSrc := mustRead(oldPath)
-	newSrc := mustRead(newPath)
+func runSingle(run *cliutil.Run, oldPath, newPath string, classes []string, opts core.Options, showDiff, dot bool, why cliutil.WhyMode, activeRules []*rules.Rule) {
+	oldSrc := mustRead(run, oldPath)
+	newSrc := mustRead(run, newPath)
 	if showDiff {
 		fmt.Println("--- patch ---")
 		fmt.Print(textdiff.Unified(oldSrc, newSrc, 2))
@@ -118,14 +107,12 @@ func runSingle(tctx context.Context, run *obs.CLI, oldPath, newPath string, clas
 		}
 	}
 	d := core.New(opts)
-	a, err := d.AnalyzeChangeCtx(tctx, mining.CodeChange{
+	a, err := d.AnalyzeChangeCtx(run.Ctx, mining.CodeChange{
 		Old: oldSrc, New: newSrc,
 		Meta: change.Meta{File: newPath},
 	})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "diffcode: %v\n", err)
-		run.Flush(d.Ledger(), true)
-		os.Exit(1)
+		run.Fatal(d.Ledger(), err)
 	}
 	any := false
 	for _, cls := range classes {
@@ -148,7 +135,7 @@ func runSingle(tctx context.Context, run *obs.CLI, oldPath, newPath string, clas
 		fmt.Println("no semantic usage changes (refactoring or unrelated change)")
 	}
 	if why.On() {
-		printWhy(tctx, run, oldPath, oldSrc, newPath, newSrc, opts, why, activeRules)
+		printWhy(run, oldPath, oldSrc, newPath, newSrc, opts, why, activeRules)
 	}
 	run.Flush(d.Ledger(), false)
 }
@@ -157,11 +144,11 @@ func runSingle(tctx context.Context, run *obs.CLI, oldPath, newPath string, clas
 // (the built-ins, plus any -rules packs) and prints witness traces for the
 // violations the change fixed (old version only) and introduced (new
 // version only).
-func printWhy(tctx context.Context, run *obs.CLI, oldPath, oldSrc, newPath, newSrc string, opts core.Options, why cliutil.WhyMode, activeRules []*rules.Rule) {
+func printWhy(run *cliutil.Run, oldPath, oldSrc, newPath, newSrc string, opts core.Options, why cliutil.WhyMode, activeRules []*rules.Rule) {
 	checker := core.NewChecker(activeRules, opts)
 	ctx := rules.Context{}
-	oldVs, oldTraces := checker.CheckSourcesWhyCtx(tctx, map[string]string{oldPath: oldSrc}, ctx)
-	newVs, newTraces := checker.CheckSourcesWhyCtx(tctx, map[string]string{newPath: newSrc}, ctx)
+	oldVs, oldTraces := checker.CheckSourcesWhyCtx(run.Ctx, map[string]string{oldPath: oldSrc}, ctx)
+	newVs, newTraces := checker.CheckSourcesWhyCtx(run.Ctx, map[string]string{newPath: newSrc}, ctx)
 	oldIDs := ruleIDSet(oldVs)
 	newIDs := ruleIDSet(newVs)
 	fixed := filterTraces(oldTraces, func(id string) bool { return !newIDs[id] })
@@ -173,8 +160,7 @@ func printWhy(tctx context.Context, run *obs.CLI, oldPath, oldSrc, newPath, newS
 		}{fixed, introduced}
 		b, err := json.MarshalIndent(out, "", "  ")
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "diffcode: %v\n", err)
-			os.Exit(1)
+			run.Fatal(nil, err)
 		}
 		fmt.Println(string(b))
 		return
@@ -211,7 +197,7 @@ func countRules(ts []witness.Trace) int {
 	return len(seen)
 }
 
-func runCorpus(tctx context.Context, run *obs.CLI, dir string, classes []string, opts core.Options, shards int) {
+func runCorpus(run *cliutil.Run, dir string, classes []string, opts core.Options, shards int) {
 	// One ledger spans the whole run: corpus loading and mining both record
 	// the work they skipped into it.
 	ledger := resilience.NewLedger()
@@ -223,9 +209,7 @@ func runCorpus(tctx context.Context, run *obs.CLI, dir string, classes []string,
 	}
 	c, err := corpus.Load(dir, loadOpts...)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "diffcode: %v\n", err)
-		run.Flush(ledger, true)
-		os.Exit(1)
+		run.Fatal(ledger, err)
 	}
 	d := core.New(opts)
 	// -shards N analyzes and class-filters the mined corpus in N contiguous
@@ -234,12 +218,12 @@ func runCorpus(tctx context.Context, run *obs.CLI, dir string, classes []string,
 	var analyzed []*core.AnalyzedChange
 	var shardAnalyzed [][]*core.AnalyzedChange
 	if shards > 1 {
-		shardAnalyzed = d.MineCorpusShardsCtx(tctx, c, shards)
+		shardAnalyzed = d.MineCorpusShardsCtx(run.Ctx, c, shards)
 		for _, sh := range shardAnalyzed {
 			analyzed = append(analyzed, sh...)
 		}
 	} else {
-		analyzed = d.MineCorpusCtx(tctx, c)
+		analyzed = d.MineCorpusCtx(run.Ctx, c)
 	}
 	fmt.Printf("mined %d code changes from %d training projects\n\n",
 		len(analyzed), len(c.TrainingProjects()))
@@ -248,11 +232,11 @@ func runCorpus(tctx context.Context, run *obs.CLI, dir string, classes []string,
 		if shards > 1 {
 			parts := make([]core.ClassPipelineResult, len(shardAnalyzed))
 			for i, sh := range shardAnalyzed {
-				parts[i] = d.RunClassCtx(tctx, sh, cls)
+				parts[i] = d.RunClassCtx(run.Ctx, sh, cls)
 			}
 			r = core.MergeClassResults(cls, parts...)
 		} else {
-			r = d.RunClassCtx(tctx, analyzed, cls)
+			r = d.RunClassCtx(run.Ctx, analyzed, cls)
 		}
 		s := r.Stats
 		fmt.Printf("%s: %d usage changes → fsame %d → fadd %d → frem %d → fdup %d\n",
@@ -265,7 +249,7 @@ func runCorpus(tctx context.Context, run *obs.CLI, dir string, classes []string,
 			fmt.Printf("  [%s %s] %s\n", uc.Meta.Project, uc.Meta.Commit, uc.Meta.Message)
 		}
 		if len(r.Survivors) > 1 {
-			root := d.ClusterChangesCtx(tctx, r.Survivors)
+			root := d.ClusterChangesCtx(run.Ctx, r.Survivors)
 			fmt.Println("dendrogram:")
 			fmt.Print(indent(cluster.Render(root, func(i int) string {
 				uc := r.Survivors[i]
@@ -278,20 +262,18 @@ func runCorpus(tctx context.Context, run *obs.CLI, dir string, classes []string,
 		fmt.Fprint(os.Stderr, ledger.Report())
 		if opts.FailFast || (opts.MaxErrors > 0 && ledger.Len() >= opts.MaxErrors) {
 			fmt.Fprintln(os.Stderr, "diffcode: mining aborted early (fail-fast/max-errors); results are partial")
-			// The snapshot still lands on disk, flagged partial, so a
+			// The trace and the snapshot (flagged partial) still land, so a
 			// degraded run stays diagnosable.
-			run.Flush(ledger, true)
-			os.Exit(1)
+			run.Exit(1, ledger, true)
 		}
 	}
 	run.Flush(ledger, false)
 }
 
-func mustRead(path string) string {
+func mustRead(run *cliutil.Run, path string) string {
 	b, err := os.ReadFile(path)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "diffcode: %v\n", err)
-		os.Exit(1)
+		run.Fatal(nil, err)
 	}
 	return string(b)
 }

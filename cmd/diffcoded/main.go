@@ -40,7 +40,6 @@ import (
 
 	"repro/internal/cliutil"
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/trace"
 )
@@ -53,23 +52,19 @@ func main() {
 		concurrency = flag.Int("concurrency", 0, "max concurrent analyses (0 = GOMAXPROCS)")
 		queue       = flag.Int("queue", 64, "max requests waiting for an analysis slot before shedding")
 		drain       = flag.Duration("drain", 15*time.Second, "graceful-drain budget for in-flight requests on SIGTERM")
-		metrics     = flag.String("metrics", "", "write a final JSON metrics snapshot to this file on shutdown")
-		verbose     = flag.Bool("v", false, "print a telemetry summary to stderr on shutdown")
 		// -why is accepted for CLI parity; witness traces are a
 		// per-request option (the "why" request field).
-		std = cliutil.StandardFlags("diffcoded")
+		std = cliutil.ServerFlags("diffcoded")
 	)
 	std.Parse()
 
 	// A server is always instrumented: serve.* telemetry is how an operator
 	// sees shedding, degradation, and tail latency at all. Tracing stays
 	// opt-in (-trace): with it off every response is byte-identical to an
-	// untraced build.
-	reg := obs.NewRegistry()
-	var tracer *trace.Tracer
-	if std.Trace().On() {
-		tracer = trace.New()
-	}
+	// untraced build. Every exit path below flushes the run once: the -v
+	// summary and the final -metrics snapshot.
+	run := std.Start()
+	reg := run.Reg
 	copts := core.Options{
 		BudgetSteps: *budget,
 		Workers:     std.Workers(),
@@ -90,7 +85,7 @@ func main() {
 		MaxQueue:       *queue,
 		RequestTimeout: *timeout,
 		DrainTimeout:   *drain,
-		Tracer:         tracer,
+		Tracer:         run.Tracer(),
 		// The process-lifetime artifact store: repeated identical requests
 		// are served from cache; -cache-dir persists artifacts across
 		// restarts (empty = in-memory only, the serve default either way).
@@ -127,8 +122,7 @@ func main() {
 	for srv.Addr() == "" {
 		select {
 		case err := <-errc:
-			fmt.Fprintf(os.Stderr, "diffcoded: %v\n", err)
-			os.Exit(1)
+			run.Fatal(nil, err)
 		default:
 			time.Sleep(time.Millisecond)
 		}
@@ -138,20 +132,18 @@ func main() {
 	select {
 	case err := <-errc:
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "diffcoded: %v\n", err)
-			os.Exit(1)
+			run.Fatal(nil, err)
 		}
 	case sig := <-sigc:
 		fmt.Fprintf(os.Stderr, "diffcoded: %v: draining (budget %s)\n", sig, *drain)
 		rep := srv.Drain()
 		fmt.Fprintf(os.Stderr, "diffcoded: drain complete: %d finished, %d dropped\n", rep.Finished, rep.Dropped)
 		dumpTraces(srv.Traces(), std.Trace())
-		flush(reg, *metrics, *verbose)
 		if rep.Dropped > 0 {
-			os.Exit(1)
+			run.Exit(1, nil, false)
 		}
 	}
-	flush(reg, *metrics, *verbose)
+	run.Flush(nil, false)
 }
 
 // dumpTraces writes the retained-trace buffer to stderr at shutdown: one
@@ -178,19 +170,5 @@ func dumpTraces(st *trace.Store, mode cliutil.TraceMode) {
 			line += " [" + r.Category + "]"
 		}
 		fmt.Fprintln(os.Stderr, line)
-	}
-}
-
-// flush writes the final metrics snapshot and summary; it is idempotent
-// enough for the two exit paths (a second write of the same snapshot file
-// is harmless).
-func flush(reg *obs.Registry, path string, verbose bool) {
-	if verbose {
-		fmt.Fprint(os.Stderr, reg.Summary())
-	}
-	if path != "" {
-		if err := obs.WriteSnapshotFile(path, reg, false); err != nil {
-			fmt.Fprintf(os.Stderr, "diffcoded: writing metrics snapshot: %v\n", err)
-		}
 	}
 }

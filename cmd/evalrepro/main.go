@@ -27,7 +27,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/cryptoapi"
-	"repro/internal/obs"
+	"repro/internal/trace"
 )
 
 var outDir string
@@ -54,27 +54,26 @@ func section(name string, f func(w io.Writer)) {
 
 func main() {
 	var (
-		fig       = flag.String("fig", "all", "figure to regenerate: 6, 7, 8, 9, 10, or all")
-		elicit    = flag.Bool("elicit", false, "also run the automated rule elicitation over the mined clusters")
-		trend     = flag.Bool("trend", false, "also compare rule violations at the first vs last commit of each history")
-		headline  = flag.Bool("headline", false, "print only the headline claims")
-		seed      = flag.Int64("seed", 1, "corpus generation seed")
-		scale     = flag.Float64("scale", 0.5, "corpus scale (1.0 = paper scale)")
-		projects  = flag.Int("projects", 230, "training projects (paper: 461)")
-		extra     = flag.Int("extra", 29, "held-out projects (paper: 58)")
-		depth     = flag.Int("depth", 5, "usage-DAG expansion depth")
-		verbose   = flag.Bool("v", false, "print timing information")
-		budget    = flag.Int64("budget", 0, "max abstract-interpretation steps per mined change (0 = unlimited)")
-		maxErr    = flag.Int("max-errors", 0, "abort analysis after this many skipped changes (0 = unlimited)")
-		failFast  = flag.Bool("fail-fast", false, "abort analysis at the first skipped change")
-		metrics   = flag.String("metrics", "", "write a JSON metrics snapshot to this file at exit")
-		debugAddr = flag.String("debug-addr", "", "serve live metrics and pprof on this address (e.g. localhost:6060)")
+		fig      = flag.String("fig", "all", "figure to regenerate: 6, 7, 8, 9, 10, or all")
+		elicit   = flag.Bool("elicit", false, "also run the automated rule elicitation over the mined clusters")
+		trend    = flag.Bool("trend", false, "also compare rule violations at the first vs last commit of each history")
+		headline = flag.Bool("headline", false, "print only the headline claims")
+		seed     = flag.Int64("seed", 1, "corpus generation seed")
+		scale    = flag.Float64("scale", 0.5, "corpus scale (1.0 = paper scale)")
+		projects = flag.Int("projects", 230, "training projects (paper: 461)")
+		extra    = flag.Int("extra", 29, "held-out projects (paper: 58)")
+		depth    = flag.Int("depth", 5, "usage-DAG expansion depth")
+		budget   = flag.Int64("budget", 0, "max abstract-interpretation steps per mined change (0 = unlimited)")
+		maxErr   = flag.Int("max-errors", 0, "abort analysis after this many skipped changes (0 = unlimited)")
+		failFast = flag.Bool("fail-fast", false, "abort analysis at the first skipped change")
 		// -why is accepted for CLI parity; the evaluation harness prints
 		// figures, not per-violation traces.
 		std = cliutil.StandardFlags("evalrepro")
 	)
 	flag.StringVar(&outDir, "out", "", "also write each figure to <out>/figureN.txt")
+	flag.Lookup("v").Usage = "print timing information, and a stage-by-stage telemetry summary to stderr at exit"
 	std.Parse()
+	verbose := std.Verbose()
 	if outDir != "" {
 		if err := os.MkdirAll(outDir, 0o755); err != nil {
 			fmt.Fprintf(os.Stderr, "evalrepro: %v\n", err)
@@ -82,18 +81,10 @@ func main() {
 		}
 	}
 
-	// -v doubles as the telemetry-summary switch: timing lines during the
-	// run, the stage table at exit.
-	run, err := obs.NewCLI("evalrepro", *metrics, *debugAddr, *verbose)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "evalrepro: %v\n", err)
-		os.Exit(1)
-	}
-	// -trace threads a span tree through corpus generation and the mining
-	// run; the deferred dump runs after the figure sections (defers are
-	// LIFO, so it lands after the telemetry flush on stderr).
-	tctx, troot := std.Trace().Begin("evalrepro")
-	defer std.Trace().Dump(os.Stderr, troot)
+	// -v doubles as the timing switch: timing lines during the run, the
+	// stage table at exit. run.Ctx carries the run's root span through
+	// corpus generation and the mining run.
+	run := std.Start()
 	// The rule-pack gate: -rules packs must compile and lint cleanly before
 	// the run (exit 2 on error findings unless -rules-lax). The evaluation
 	// harness reproduces the paper's figures over the built-in rules, so
@@ -114,10 +105,10 @@ func main() {
 	}
 
 	start := time.Now()
-	gsp := troot.Child("generate")
+	_, gsp := trace.Start(run.Ctx, "generate")
 	c := corpus.Generate(cfg)
 	gsp.End()
-	if *verbose {
+	if verbose {
 		fmt.Fprintf(os.Stderr, "corpus: %d projects, %d commits (%.2fs)\n",
 			len(c.Projects), c.CommitCount(), time.Since(start).Seconds())
 	}
@@ -129,14 +120,14 @@ func main() {
 	}
 
 	start = time.Now()
-	e := core.NewEvaluationCtx(tctx, c, opts)
-	if *verbose {
+	e := core.NewEvaluationCtx(run.Ctx, c, opts)
+	if verbose {
 		fmt.Fprintf(os.Stderr, "analysis: %d code changes (%.2fs)\n",
 			len(e.Analyzed), time.Since(start).Seconds())
 	}
 	// Degraded-mode bookkeeping: whatever figures were requested, finish by
 	// reporting any changes the resilience layer skipped (empty on an
-	// intact corpus, so default output is unchanged). The telemetry flush
+	// intact corpus, so default output is unchanged). The run's flush
 	// runs last (defers are LIFO) so the summary includes ledger counts.
 	defer func() {
 		l := e.DiffCode.Ledger()
@@ -144,7 +135,7 @@ func main() {
 			(opts.FailFast || (opts.MaxErrors > 0 && l.Len() >= opts.MaxErrors))
 		run.Flush(l, partial)
 	}()
-	defer printFailures(e, *verbose)
+	defer printFailures(e, verbose)
 
 	want := func(f string) bool { return *fig == "all" || *fig == f }
 

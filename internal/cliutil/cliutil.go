@@ -6,34 +6,14 @@
 package cliutil
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"runtime"
 
 	"repro/internal/artifact"
 	"repro/internal/obs"
-	"repro/internal/trace"
 )
-
-// WorkersFlag registers the uniform -workers flag on the default flag set:
-// same name, default (GOMAXPROCS), and help text in every CLI. Parse the
-// flags, then pass the value through MustWorkers.
-func WorkersFlag() *int {
-	return flag.Int("workers", runtime.GOMAXPROCS(0),
-		"parallel workers for analysis, clustering, and checking (1 = serial; default GOMAXPROCS)")
-}
-
-// CacheDirFlag registers the uniform -cache-dir flag on the default flag
-// set: the root directory of the persistent artifact store behind
-// incremental runs. Empty (the default) keeps artifacts in memory only —
-// within-run reuse without leaving anything on disk.
-func CacheDirFlag() *string {
-	return flag.String("cache-dir", "",
-		"persist content-addressed artifacts (parsed ASTs, analysis results, check outcomes) under this directory; warm re-runs recompute only what changed (empty = in-memory only)")
-}
 
 // ValidateWorkers checks a -workers value: every worker pool needs at least
 // one worker, so N < 1 is a usage error (0 does not mean "auto" at the CLI
@@ -59,10 +39,10 @@ var osExit = os.Exit
 
 // Standard is the shared cross-tool flag set, registered and validated in
 // one place so the tools cannot drift: -workers, -why, -trace, -cache-dir,
-// -rules, and -rules-lax with identical names, defaults, and help text
-// everywhere. Tools that have no use for one of the flags still accept it
-// (the established parity convention — scripts pass a uniform flag set to
-// every tool). There is no engine selection: every tool analyzes with
+// -rules, -rules-lax, -metrics, -v, and (batch tools) -debug-addr with
+// identical names, defaults, and help text everywhere. Tools that have no
+// use for one of the flags still accept it (the established parity
+// convention — scripts pass a uniform flag set to every tool). There is no engine selection: every tool analyzes with
 // memoized method summaries and clusters through the memoized distance
 // engine, both exact.
 type Standard struct {
@@ -73,20 +53,55 @@ type Standard struct {
 	cacheDir  *string
 	rulePacks *[]string
 	rulesLax  *bool
+	metrics   *string
+	verbose   *bool
+	// debugAddr is nil exactly for the server (ServerFlags), which serves
+	// /debug/ on its own address.
+	debugAddr *string
 }
 
-// StandardFlags registers the shared flag set for the named tool on the
-// default flag set. Call Parse after registering any tool-specific flags.
+// StandardFlags registers the shared flag set of a batch tool on the
+// default flag set. Call Parse after registering any tool-specific flags,
+// then Start.
 func StandardFlags(tool string) *Standard {
-	return &Standard{
+	s := newStandard(tool)
+	s.debugAddr = flag.String("debug-addr", "", "serve live metrics and pprof on this address (e.g. localhost:6060)")
+	return s
+}
+
+// ServerFlags is StandardFlags for the long-running server: no -debug-addr
+// (the server mounts /debug/ on its own address), and its Run always has a
+// registry and opens no root span (each request is its own trace).
+func ServerFlags(tool string) *Standard { return newStandard(tool) }
+
+func newStandard(tool string) *Standard {
+	s := &Standard{
 		tool:      tool,
-		workers:   WorkersFlag(),
-		why:       WhyFlag(),
-		trace:     TraceFlag(),
-		cacheDir:  CacheDirFlag(),
-		rulePacks: RulePacksFlag(),
-		rulesLax:  RulesLaxFlag(),
+		why:       new(WhyMode),
+		trace:     new(TraceMode),
+		rulePacks: new([]string),
+		// -workers 0 is a usage error, not "auto": GOMAXPROCS is already
+		// the default.
+		workers: flag.Int("workers", runtime.GOMAXPROCS(0),
+			"parallel workers for analysis, clustering, and checking (1 = serial; default GOMAXPROCS)"),
+		// An empty -cache-dir keeps artifacts in memory only: within-run
+		// reuse without leaving anything on disk.
+		cacheDir: flag.String("cache-dir", "",
+			"persist content-addressed artifacts (parsed ASTs, analysis results, check outcomes) under this directory; warm re-runs recompute only what changed (empty = in-memory only)"),
+		rulesLax: flag.Bool("rules-lax", false,
+			"load rule packs despite error-level lint findings (broken rules are skipped; built-ins win ID collisions)"),
+		metrics: flag.String("metrics", "", "write a JSON metrics snapshot to this file at exit"),
+		verbose: flag.Bool("v", false, "print a stage-by-stage telemetry summary to stderr at exit"),
 	}
+	// -why and -trace are off by default, and off they leave tool output
+	// byte-identical to a build without witness or trace support. Bare,
+	// -trace dumps the run's span tree to stderr at exit (diffcoded: the
+	// retained traces at shutdown).
+	flag.Var(modeValue[WhyMode]{s.why}, "why", "explain each violation with its witness trace (origin → defs → sink); -why=json for JSON")
+	flag.Var(modeValue[TraceMode]{s.trace}, "trace", "trace the run with hierarchical spans and dump the trace tree at exit; -trace=json for JSON")
+	flag.Var(ruleListValue{s.rulePacks}, "rules",
+		"load a rule pack file ('id | description | formula' lines; repeatable); packs are linted and error findings abort with exit 2")
+	return s
 }
 
 // Parse parses the command line and validates the shared flags, reporting
@@ -110,8 +125,8 @@ func (s *Standard) Why() WhyMode { return *s.why }
 // Trace returns the parsed -trace mode.
 func (s *Standard) Trace() TraceMode { return *s.trace }
 
-// CacheDir returns the -cache-dir value ("" = in-memory artifacts only).
-func (s *Standard) CacheDir() string { return *s.cacheDir }
+// Verbose returns the -v value.
+func (s *Standard) Verbose() bool { return *s.verbose }
 
 // Artifacts builds the tool's artifact store from -cache-dir: disk-backed
 // when a directory was given, in-memory otherwise. Every CLI run gets a
@@ -135,43 +150,6 @@ const (
 // On reports whether witness traces were requested in any form.
 func (m WhyMode) On() bool { return m != WhyOff }
 
-// whyValue adapts WhyMode to the flag package. IsBoolFlag lets the flag
-// appear bare (-why, meaning text) or valued (-why=json).
-type whyValue struct{ m *WhyMode }
-
-func (w whyValue) String() string {
-	if w.m == nil {
-		return ""
-	}
-	return string(*w.m)
-}
-
-func (w whyValue) Set(s string) error {
-	switch s {
-	case "true", "text":
-		*w.m = WhyText
-	case "false", "":
-		*w.m = WhyOff
-	case "json":
-		*w.m = WhyJSON
-	default:
-		return fmt.Errorf("must be 'text' or 'json' (got %q)", s)
-	}
-	return nil
-}
-
-func (w whyValue) IsBoolFlag() bool { return true }
-
-// WhyFlag registers the uniform -why flag on the default flag set: bare
-// -why prints a witness trace for every violation, -why=json emits the
-// traces as JSON. Off by default; with the flag off, tool output is
-// byte-identical to a build without witness support.
-func WhyFlag() *WhyMode {
-	m := WhyOff
-	flag.Var(whyValue{&m}, "why", "explain each violation with its witness trace (origin → defs → sink); -why=json for JSON")
-	return &m
-}
-
 // TraceMode is the parsed value of the uniform -trace flag.
 type TraceMode string
 
@@ -185,69 +163,29 @@ const (
 // On reports whether request tracing was requested in any form.
 func (m TraceMode) On() bool { return m != TraceOff }
 
-// traceValue adapts TraceMode to the flag package, mirroring whyValue:
-// IsBoolFlag lets the flag appear bare (-trace, meaning text) or valued
-// (-trace=json).
-type traceValue struct{ m *TraceMode }
+// modeValue adapts WhyMode and TraceMode to the flag package. IsBoolFlag
+// lets the flag appear bare (-why, meaning text) or valued (-why=json).
+type modeValue[M ~string] struct{ m *M }
 
-func (t traceValue) String() string {
-	if t.m == nil {
+func (v modeValue[M]) String() string {
+	if v.m == nil {
 		return ""
 	}
-	return string(*t.m)
+	return string(*v.m)
 }
 
-func (t traceValue) Set(s string) error {
+func (v modeValue[M]) Set(s string) error {
 	switch s {
 	case "true", "text":
-		*t.m = TraceText
+		*v.m = "text"
 	case "false", "":
-		*t.m = TraceOff
+		*v.m = ""
 	case "json":
-		*t.m = TraceJSON
+		*v.m = "json"
 	default:
 		return fmt.Errorf("must be 'text' or 'json' (got %q)", s)
 	}
 	return nil
 }
 
-func (t traceValue) IsBoolFlag() bool { return true }
-
-// TraceFlag registers the uniform -trace flag on the default flag set: bare
-// -trace traces the run with hierarchical spans and dumps the trace tree at
-// exit (batch tools: text to stderr; diffcoded: retained traces at
-// shutdown), -trace=json emits JSON. Off by default; with the flag off,
-// tool output is byte-identical to an untraced build.
-func TraceFlag() *TraceMode {
-	m := TraceOff
-	flag.Var(traceValue{&m}, "trace", "trace the run with hierarchical spans and dump the trace tree at exit; -trace=json for JSON")
-	return &m
-}
-
-// Begin opens the run's root span when tracing is on, returning a context
-// to thread through the pipeline's Ctx entry points and the root span to
-// Dump at exit. Off → the background context and a nil (inert) span, so
-// call sites need no mode check.
-func (m TraceMode) Begin(tool string) (context.Context, *trace.Span) {
-	if !m.On() {
-		return context.Background(), nil
-	}
-	root := trace.New().Root(tool)
-	return trace.NewContext(context.Background(), root), root
-}
-
-// Dump ends the root span and writes the run's trace tree to w. The CLIs
-// pass stderr, keeping stdout byte-identical to an untraced run. No-op on a
-// nil span (tracing off).
-func (m TraceMode) Dump(w io.Writer, root *trace.Span) {
-	if root == nil {
-		return
-	}
-	root.End()
-	d := trace.Snapshot(root)
-	if m == TraceJSON {
-		fmt.Fprint(w, d.JSON())
-		return
-	}
-	fmt.Fprint(w, d.Render())
-}
+func (modeValue[M]) IsBoolFlag() bool { return true }

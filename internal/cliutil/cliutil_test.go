@@ -4,10 +4,13 @@ import (
 	"encoding/json"
 	"flag"
 	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
 
+	"repro/internal/obs"
+	"repro/internal/resilience"
 	"repro/internal/trace"
 )
 
@@ -118,49 +121,92 @@ func TestTraceFlagModes(t *testing.T) {
 
 func TestTraceFlagRejectsUnknownMode(t *testing.T) {
 	var m TraceMode
-	if err := (traceValue{&m}).Set("waterfall"); err == nil {
+	if err := (modeValue[TraceMode]{&m}).Set("waterfall"); err == nil {
 		t.Error("Set(\"waterfall\") = nil, want error")
 	}
 }
 
+// startRun parses args with a fresh standard flag set and opens the run.
+func startRun(t *testing.T, args ...string) *Run {
+	t.Helper()
+	oldCmd, oldArgs := flag.CommandLine, os.Args
+	t.Cleanup(func() { flag.CommandLine, os.Args = oldCmd, oldArgs })
+	flag.CommandLine = flag.NewFlagSet("tool", flag.ContinueOnError)
+	std := StandardFlags("tool")
+	os.Args = append([]string{"tool"}, args...)
+	std.Parse()
+	return std.Start()
+}
+
+// TestTraceBeginAndDump: the run's root span is traced only under -trace,
+// and flushing the run dumps the tree (text or JSON) exactly once.
 func TestTraceBeginAndDump(t *testing.T) {
-	// Off: an inert span and a clean context, and Dump writes nothing.
-	ctx, root := TraceOff.Begin("tool")
-	if root != nil {
-		t.Fatalf("TraceOff.Begin root = %v, want nil", root)
+	// Off: no span, no registry, and the flush writes nothing.
+	run := startRun(t)
+	if trace.FromContext(run.Ctx) != nil || run.Reg != nil {
+		t.Fatal("an unflagged run carries a span or a registry")
 	}
-	if trace.FromContext(ctx) != nil {
-		t.Error("TraceOff.Begin context carries a span")
-	}
-	var sb strings.Builder
-	TraceOff.Dump(&sb, root)
-	if sb.Len() != 0 {
-		t.Errorf("TraceOff.Dump wrote %q, want nothing", sb.String())
+	if _, msg := captureUsageError(t, func() { run.Flush(nil, false) }); msg != "" {
+		t.Errorf("unflagged flush wrote %q, want nothing", msg)
 	}
 
-	// Text: the dump is the indented trace tree.
-	ctx, root = TraceText.Begin("tool")
-	if trace.FromContext(ctx) != root || root == nil {
-		t.Fatal("TraceText.Begin context does not carry the root span")
-	}
-	root.Child("stage").End()
-	TraceText.Dump(&sb, root)
-	out := sb.String()
-	if !strings.Contains(out, "tool ") || !strings.Contains(out, "\n  stage ") {
-		t.Errorf("text dump missing tree:\n%s", out)
+	// Text: the dump is the indented trace tree, written once.
+	run = startRun(t, "-trace")
+	_, sp := trace.Start(run.Ctx, "stage")
+	sp.End()
+	_, out := captureUsageError(t, func() {
+		run.Flush(nil, false)
+		run.Flush(nil, false)
+	})
+	if !strings.HasPrefix(out, "tool ") || strings.Count(out, "\n  stage ") != 1 {
+		t.Errorf("text dump is not one tree:\n%s", out)
 	}
 
 	// JSON: the dump parses and round-trips the span names.
-	_, root = TraceJSON.Begin("tool")
-	root.Child("stage").End()
-	sb.Reset()
-	TraceJSON.Dump(&sb, root)
+	run = startRun(t, "-trace=json")
+	_, sp = trace.Start(run.Ctx, "stage")
+	sp.End()
+	_, out = captureUsageError(t, func() { run.Flush(nil, false) })
 	var d trace.SpanData
-	if err := json.Unmarshal([]byte(sb.String()), &d); err != nil {
-		t.Fatalf("JSON dump does not parse: %v\n%s", err, sb.String())
+	if err := json.Unmarshal([]byte(out), &d); err != nil {
+		t.Fatalf("JSON dump does not parse: %v\n%s", err, out)
 	}
 	if d.Name != "tool" || len(d.Children) != 1 || d.Children[0].Name != "stage" {
 		t.Errorf("JSON dump tree = %+v", d)
+	}
+}
+
+// TestRunAbortWritesTraceAndPartialSnapshot: a run that aborts through the
+// exit path still dumps its trace tree, prints the -v table, and writes a
+// snapshot flagged partial carrying the stage spans and ledger failures.
+func TestRunAbortWritesTraceAndPartialSnapshot(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "m.json")
+	run := startRun(t, "-trace", "-v", "-metrics", path)
+	_, sp := trace.Start(run.Ctx, "mine")
+	sp.End()
+	l := resilience.NewLedger()
+	l.Record(resilience.NewEntry("change p@c1:A.java", resilience.PhaseAnalyze, resilience.ErrBudgetExhausted))
+	code, out := captureUsageError(t, func() { run.Exit(1, l, true) })
+	if code != 1 {
+		t.Errorf("exit status = %d, want 1", code)
+	}
+	if !strings.HasPrefix(out, "tool ") || !strings.Contains(out, "\n  mine ") {
+		t.Errorf("aborted run lost its trace tree:\n%s", out)
+	}
+	if strings.Count(out, "stage ") != 1 || !strings.Contains(out, "\nmine ") {
+		t.Errorf("aborted run lost its -v table:\n%s", out)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var s obs.Snapshot
+	if err := json.Unmarshal(b, &s); err != nil {
+		t.Fatal(err)
+	}
+	if !s.Partial || s.Counters["span.mine.count"] != 1 || s.Counters["span.tool.count"] != 1 ||
+		s.Counters["failures.total"] != 1 {
+		t.Errorf("snapshot = partial %t, counters %v", s.Partial, s.Counters)
 	}
 }
 

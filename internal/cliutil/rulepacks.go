@@ -1,7 +1,6 @@
 package cliutil
 
 import (
-	"flag"
 	"fmt"
 	"os"
 	"strings"
@@ -37,22 +36,6 @@ func (r ruleListValue) Set(s string) error {
 	}
 	*r.paths = append(*r.paths, s)
 	return nil
-}
-
-// RulePacksFlag registers the uniform repeatable -rules flag on the
-// default flag set.
-func RulePacksFlag() *[]string {
-	var paths []string
-	flag.Var(ruleListValue{&paths}, "rules",
-		"load a rule pack file ('id | description | formula' lines; repeatable); packs are linted and error findings abort with exit 2")
-	return &paths
-}
-
-// RulesLaxFlag registers the uniform -rules-lax flag on the default flag
-// set.
-func RulesLaxFlag() *bool {
-	return flag.Bool("rules-lax", false,
-		"load rule packs despite error-level lint findings (broken rules are skipped; built-ins win ID collisions)")
 }
 
 // RulePacks returns the -rules pack paths in flag order.

@@ -175,27 +175,35 @@ func taskName(cc mining.CodeChange) string {
 // parsing or analysis, or an exhausted per-change budget, is returned as an
 // error instead of propagating.
 func (d *DiffCode) AnalyzeChange(cc mining.CodeChange) (*AnalyzedChange, error) {
-	a, _, err := d.analyzeChange(context.Background(), cc)
-	return a, err
+	return d.AnalyzeChangeCtx(context.Background(), cc)
 }
 
 // AnalyzeChangeCtx is AnalyzeChange bound to a request context: the
 // per-change budget is tightened by ctx's deadline and the analysis aborts
 // early (resilience.ErrCanceled) once ctx is canceled. This is the
 // request-scoped entry point behind the analysis server's /v1/analyze.
+// The change runs under its own "change" stage span (a child of ctx's
+// span, or a metrics-only root when the pipeline has a registry).
 func (d *DiffCode) AnalyzeChangeCtx(ctx context.Context, cc mining.CodeChange) (*AnalyzedChange, error) {
+	ctx, sp := trace.Stage(ctx, d.opts.Metrics, "change")
+	defer sp.End()
 	a, _, err := d.analyzeChange(ctx, cc)
 	return a, err
 }
 
 // analyzeChange is AnalyzeChange plus the pipeline phase a failure belongs
-// to (parse vs analyze) for ledger bookkeeping. When ctx carries a trace
-// span, the parse and the two interpreter runs appear as child spans and a
-// failure annotates ctx's span with its ledger category. With an artifact
+// to (parse vs analyze) for ledger bookkeeping. ctx's span, when there is
+// one, is the change's own span (AnalyzeChangeCtx's "change", a batch's
+// "change[i]"): it is labeled with the change as its task, the parse and
+// the two interpreter runs appear as its children, and a failure annotates
+// it with its ledger category. With an artifact
 // store configured the change resolves through analyzedOutcome — a warm
 // hit skips parse and interpretation entirely (and so creates none of
 // their spans) while producing an identical AnalyzedChange downstream.
 func (d *DiffCode) analyzeChange(ctx context.Context, cc mining.CodeChange) (*AnalyzedChange, resilience.Phase, error) {
+	if sp := trace.FromContext(ctx); sp != nil {
+		sp.SetTask(taskName(cc))
+	}
 	var a *AnalyzedChange
 	if d.opts.Artifacts == nil {
 		var phase resilience.Phase
@@ -237,13 +245,11 @@ func (d *DiffCode) analyzeChangeLive(ctx context.Context, cc mining.CodeChange) 
 	task := taskName(cc)
 	reg := d.opts.Metrics
 	var progOld, progNew *analysis.Program
-	sp := reg.StartSpanTask("parse", task)
 	err := resilience.Guard(task+" [parse]", func() error {
 		progOld = analysis.ParseProgramPoolCtx(ctx, map[string]string{"Main.java": cc.Old}, reg, nil)
 		progNew = analysis.ParseProgramPoolCtx(ctx, map[string]string{"Main.java": cc.New}, reg, nil)
 		return nil
 	})
-	sp.End()
 	if err != nil {
 		return nil, resilience.PhaseParse, err
 	}
@@ -253,7 +259,6 @@ func (d *DiffCode) analyzeChangeLive(ctx context.Context, cc mining.CodeChange) 
 		OldSrc: cc.Old,
 		NewSrc: cc.New,
 	}
-	sp = reg.StartSpanTask("analyze", task)
 	err = resilience.Guard(task, func() error {
 		// Both versions share one budget: the unit of skipping is the change.
 		aopts := d.opts.Analysis
@@ -269,7 +274,6 @@ func (d *DiffCode) analyzeChangeLive(ctx context.Context, cc mining.CodeChange) 
 		a.Old, a.New = old, nw
 		return nil
 	})
-	sp.End()
 	if err != nil {
 		return nil, resilience.PhaseAnalyze, err
 	}
@@ -298,28 +302,30 @@ func (d *DiffCode) AnalyzeAll(ccs []mining.CodeChange) []*AnalyzedChange {
 	return d.AnalyzeAllCtx(context.Background(), ccs)
 }
 
-// AnalyzeAllCtx is AnalyzeAll with trace propagation: when tctx carries a
-// span, the batch runs under an "analyze" child with one "change[i]" span
-// per change (ordered by input index at any worker count), each annotated
-// with its ledger failure category when the change is skipped. Only the
-// span propagates from tctx — the batch keeps its own cancellation
-// lifecycle, exactly as before.
+// AnalyzeAllCtx is AnalyzeAll with span propagation: the batch runs under
+// an "analyze" stage span (a metrics-only root when tctx carries no span
+// and the pipeline has a registry) with one "change[i]" span per change
+// (ordered by input index at any worker count), each labeled with its
+// change and annotated with its ledger failure category when the change is
+// skipped. Only the span propagates from tctx — the batch keeps its own
+// cancellation lifecycle, exactly as before.
 func (d *DiffCode) AnalyzeAllCtx(tctx context.Context, ccs []mining.CodeChange) []*AnalyzedChange {
 	d.opts.Metrics.Gauge("pipeline.workers").Set(int64(d.opts.Workers))
 	out := make([]*AnalyzedChange, len(ccs))
-	bctx, bsp := trace.Start(tctx, "analyze")
+	_, bsp := trace.Stage(tctx, d.opts.Metrics, "analyze")
 	defer bsp.End()
-	ctx, cancel := context.WithCancel(trace.Detach(bctx))
+	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var failures atomic.Int64
 	// Budgets inside the batch deliberately stay unbound from the cancel
 	// context: fail-fast/max-errors stop dispatching new changes, but
 	// in-flight changes finish and keep their slots (the documented abort
-	// semantics, and what keeps aborted-run output deterministic). Detach
-	// strips the fail-fast cancellation before it reaches a change's budget
-	// while keeping the task span as the parent of the change's spans.
-	d.opts.pool().ForEachCtx(ctx, "change", len(ccs), func(cctx context.Context, i int) {
-		a, phase, err := d.analyzeChange(trace.Detach(cctx), ccs[i])
+	// semantics, and what keeps aborted-run output deterministic). A change
+	// therefore runs under a fresh context carrying only its span.
+	d.opts.pool().ForEach(ctx, len(ccs), func(i int) {
+		sp := bsp.Task("change", i)
+		defer sp.End()
+		a, phase, err := d.analyzeChange(trace.NewContext(context.Background(), sp), ccs[i])
 		if err != nil {
 			d.record(ccs[i], phase, err)
 			n := failures.Add(1)
@@ -352,17 +358,11 @@ func (d *DiffCode) MineCorpus(c *corpus.Corpus) []*AnalyzedChange {
 	return d.MineCorpusCtx(context.Background(), c)
 }
 
-// MineCorpusCtx is MineCorpus with trace propagation: the collection runs
-// under a "mine" child span carrying the mined-change count, and the batch
+// MineCorpusCtx is MineCorpus with span propagation: the collection runs
+// under a "mine" stage span carrying the mined-change count, and the batch
 // analysis under AnalyzeAllCtx's "analyze" span.
 func (d *DiffCode) MineCorpusCtx(ctx context.Context, c *corpus.Corpus) []*AnalyzedChange {
-	sp := d.opts.Metrics.StartSpan("mine")
-	_, msp := trace.Start(ctx, "mine")
-	ccs := mining.Collect(c, mining.Options{MinCommits: d.opts.MinCommits, Metrics: d.opts.Metrics})
-	msp.SetAttr("changes", fmt.Sprint(len(ccs)))
-	msp.End()
-	sp.End()
-	analyzed := d.AnalyzeAllCtx(ctx, ccs)
+	analyzed := d.AnalyzeAllCtx(ctx, d.collect(ctx, c))
 	out := make([]*AnalyzedChange, 0, len(analyzed))
 	for _, a := range analyzed {
 		if a != nil {
@@ -370,6 +370,15 @@ func (d *DiffCode) MineCorpusCtx(ctx context.Context, c *corpus.Corpus) []*Analy
 		}
 	}
 	return out
+}
+
+// collect gathers the corpus's code changes under a "mine" stage span.
+func (d *DiffCode) collect(ctx context.Context, c *corpus.Corpus) []mining.CodeChange {
+	_, sp := trace.Stage(ctx, d.opts.Metrics, "mine")
+	ccs := mining.Collect(c, mining.Options{MinCommits: d.opts.MinCommits, Metrics: d.opts.Metrics})
+	sp.SetAttr("changes", fmt.Sprint(len(ccs)))
+	sp.End()
+	return ccs
 }
 
 // ClassPipelineResult is the per-class outcome of the filtering pipeline.
@@ -387,14 +396,15 @@ func (d *DiffCode) RunClass(analyzed []*AnalyzedChange, class string) ClassPipel
 	return d.RunClassCtx(context.Background(), analyzed, class)
 }
 
-// RunClassCtx is RunClass with trace propagation: the extract and filter
-// stages appear as child spans carrying the class name and survivor counts.
+// RunClassCtx is RunClass with span propagation: the extract and filter
+// stages appear as stage spans labeled with the class name and carrying
+// survivor counts.
 func (d *DiffCode) RunClassCtx(ctx context.Context, analyzed []*AnalyzedChange, class string) ClassPipelineResult {
 	reg := d.opts.Metrics
 	var all []change.UsageChange
-	_, xsp := trace.Start(ctx, "extract")
+	_, xsp := trace.Stage(ctx, reg, "extract")
+	xsp.SetTask(class)
 	xsp.SetAttr("class", class)
-	esp := reg.StartSpanTask("extract", class)
 	for _, a := range analyzed {
 		if a == nil || !a.UsesClass(class) {
 			continue
@@ -409,15 +419,13 @@ func (d *DiffCode) RunClassCtx(ctx context.Context, analyzed []*AnalyzedChange, 
 			d.ledger.Record(resilience.NewEntry(task, resilience.PhaseExtract, err))
 		}
 	}
-	esp.End()
 	xsp.SetAttr("usage_changes", fmt.Sprint(len(all)))
 	xsp.End()
 	reg.Counter("extract.usage_changes").Add(int64(len(all)))
-	_, psp := trace.Start(ctx, "filter")
+	_, psp := trace.Stage(ctx, reg, "filter")
+	psp.SetTask(class)
 	psp.SetAttr("class", class)
-	fsp := reg.StartSpanTask("filter", class)
 	kept, stats := change.Filter(all)
-	fsp.End()
 	psp.SetAttr("survivors", fmt.Sprint(len(kept)))
 	psp.End()
 	reg.Counter("filter.usage_changes").Add(int64(stats.Total))
@@ -434,16 +442,14 @@ func (d *DiffCode) ClusterChanges(changes []change.UsageChange) *cluster.Node {
 	return d.ClusterChangesCtx(context.Background(), changes)
 }
 
-// ClusterChangesCtx is ClusterChanges with trace propagation: the whole
-// agglomeration runs under a "cluster" child span carrying the input size
+// ClusterChangesCtx is ClusterChanges with span propagation: the whole
+// agglomeration runs under a "cluster" stage span carrying the input size
 // (the distance-matrix fan-out below it is deliberately not per-task traced
 // — an O(n²) stage would dominate the span tree without adding attribution).
 func (d *DiffCode) ClusterChangesCtx(ctx context.Context, changes []change.UsageChange) *cluster.Node {
-	sp := d.opts.Metrics.StartSpan("cluster")
-	_, csp := trace.Start(ctx, "cluster")
-	csp.SetAttr("changes", fmt.Sprint(len(changes)))
+	_, sp := trace.Stage(ctx, d.opts.Metrics, "cluster")
+	sp.SetAttr("changes", fmt.Sprint(len(changes)))
 	root := cluster.AgglomerateEngine(changes, cluster.Complete, d.opts.Metrics, d.opts.pool(), d.engine)
-	csp.End()
 	sp.End()
 	return root
 }
@@ -485,19 +491,16 @@ func (c *CryptoChecker) CheckSources(sources map[string]string, ctx rules.Contex
 	return c.CheckSourcesCtx(context.Background(), sources, ctx)
 }
 
-// CheckSourcesCtx is CheckSources with trace propagation: under a traced
-// tctx the program runs as a "check" child span with parse, interpret, and
-// rules stages below it. On an untraced tctx this is exactly CheckSources.
+// CheckSourcesCtx is CheckSources with span propagation: the program runs
+// as a "check" stage span with parse, interpret, and rules stages below it.
 func (c *CryptoChecker) CheckSourcesCtx(tctx context.Context, sources map[string]string, ctx rules.Context) []rules.Violation {
 	reg := c.opts.Metrics
 	pool := c.opts.pool()
-	sp := reg.StartSpan("check")
-	cctx, csp := trace.Start(tctx, "check")
+	cctx, csp := trace.Stage(tctx, reg, "check")
 	prog := analysis.ParseProgramStoreCtx(cctx, sources, reg, pool, c.opts.Artifacts)
 	res, _ := analysis.AnalyzeBudgetedCtx(cctx, prog, c.opts.Analysis)
 	violations := rules.CheckPoolCtx(cctx, res, ctx, c.Rules, pool)
 	csp.End()
-	sp.End()
 	reg.Counter("checker.programs").Inc()
 	reg.Counter("checker.rules_evaluated").Add(int64(len(c.Rules)))
 	reg.Counter("checker.violations").Add(int64(len(violations)))
@@ -514,25 +517,23 @@ func (c *CryptoChecker) CheckSourcesWhy(sources map[string]string, ctx rules.Con
 	return c.CheckSourcesWhyCtx(context.Background(), sources, ctx)
 }
 
-// CheckSourcesWhyCtx is CheckSourcesWhy with the same trace propagation as
+// CheckSourcesWhyCtx is CheckSourcesWhy with the same span propagation as
 // CheckSourcesCtx, plus a "witness" stage span for the reconstruction.
 func (c *CryptoChecker) CheckSourcesWhyCtx(tctx context.Context, sources map[string]string, ctx rules.Context) ([]rules.Violation, []witness.Trace) {
 	reg := c.opts.Metrics
 	pool := c.opts.pool()
-	sp := reg.StartSpan("check")
-	cctx, csp := trace.Start(tctx, "check")
+	cctx, csp := trace.Stage(tctx, reg, "check")
 	aopts := c.opts.Analysis
 	aopts.Provenance = true
 	prog := analysis.ParseProgramStoreCtx(cctx, sources, reg, pool, c.opts.Artifacts)
 	res, _ := analysis.AnalyzeBudgetedCtx(cctx, prog, aopts)
 	violations := rules.CheckPoolCtx(cctx, res, ctx, c.Rules, pool)
 	csp.End()
-	sp.End()
 	reg.Counter("checker.programs").Inc()
 	reg.Counter("checker.rules_evaluated").Add(int64(len(c.Rules)))
 	reg.Counter("checker.violations").Add(int64(len(violations)))
 	sorted := report.SortViolations(violations, res)
-	_, wsp := trace.Start(tctx, "witness")
+	_, wsp := trace.Stage(tctx, reg, "witness")
 	traces := witness.Collect(sorted, res, ctx)
 	wsp.SetAttr("traces", fmt.Sprint(len(traces)))
 	wsp.End()
@@ -586,8 +587,7 @@ func (c *CryptoChecker) checkLive(ctx context.Context, sources map[string]string
 	reg := c.opts.Metrics
 	pool := c.opts.pool()
 	out := &CheckOutcome{}
-	sp := reg.StartSpan("check")
-	cctx, csp := trace.Start(ctx, "check")
+	cctx, csp := trace.Stage(ctx, reg, "check")
 	err := resilience.Guard("check", func() error {
 		aopts := c.opts.Analysis
 		aopts.Budget = resilience.NewBudgetContext(ctx, c.opts.BudgetSteps, c.opts.BudgetWall)
@@ -611,7 +611,6 @@ func (c *CryptoChecker) checkLive(ctx context.Context, sources map[string]string
 		csp.Annotate(string(resilience.Categorize(err)))
 	}
 	csp.End()
-	sp.End()
 	if err != nil {
 		return nil, err
 	}

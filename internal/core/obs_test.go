@@ -13,7 +13,8 @@ import (
 )
 
 // tickClock advances one millisecond per reading, making span durations
-// deterministic: every span costs exactly two readings, i.e. 1ms.
+// deterministic: a leaf span costs exactly two readings, i.e. 1ms, and an
+// enclosing span also counts the readings of everything inside it.
 type tickClock struct{ ticks atomic.Int64 }
 
 func (c *tickClock) now() time.Time {
@@ -48,7 +49,11 @@ func twoChanges() []mining.CodeChange {
 
 // TestPipelineMetricsTwoChanges drives the instrumented pipeline over a
 // fixed two-change run and asserts the stderr summary table verbatim
-// (deterministic thanks to the tick clock and a single worker).
+// (deterministic thanks to the tick clock and a single worker). The stage
+// rows are the span names: the analyze batch, one change span per change
+// (labeled with the change), and the parse and interpret spans of both
+// versions of each change. The pool's per-file spans are tree-only and
+// report no row.
 func TestPipelineMetricsTwoChanges(t *testing.T) {
 	clock := &tickClock{}
 	reg := obs.NewRegistryClock(clock.now)
@@ -66,10 +71,12 @@ func TestPipelineMetricsTwoChanges(t *testing.T) {
 
 	want := strings.Join([]string{
 		"stage            runs      total       mean        p50        p90        max  slowest",
-		"analyze             2        2ms        1ms    1.024ms    1.024ms        1ms  change p@c1:A.java",
+		"analyze             1       21ms       21ms   32.768ms   32.768ms       21ms  ",
+		"change              2       18ms        9ms   16.384ms   16.384ms        9ms  change p@c1:A.java",
 		"extract             1        1ms        1ms    1.024ms    1.024ms        1ms  Cipher",
 		"filter              1        1ms        1ms    1.024ms    1.024ms        1ms  Cipher",
-		"parse               2        2ms        1ms    1.024ms    1.024ms        1ms  change p@c1:A.java",
+		"interpret           4        4ms        1ms    1.024ms    1.024ms        1ms  change p@c1:A.java",
+		"parse               4        4ms        1ms    1.024ms    1.024ms        1ms  change p@c1:A.java",
 		"counters",
 		"  analysis.changes_analyzed                         2",
 		"  analysis.runs                                     4",
@@ -99,8 +106,9 @@ func TestPipelineMetricsTwoChanges(t *testing.T) {
 }
 
 // TestSnapshotCarriesStageAndFailureMetrics checks the acceptance shape of
-// the -metrics artifact: per-stage span histograms, step counters, and
-// ledger-derived failure counts all land in one snapshot.
+// the -metrics artifact: per-stage span histograms (one change span per
+// change, each labeled with its change), step counters, and ledger-derived
+// failure counts all land in one snapshot.
 func TestSnapshotCarriesStageAndFailureMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
 	d := New(Options{Workers: 2, Metrics: reg, BudgetSteps: 10})
@@ -118,14 +126,14 @@ func TestSnapshotCarriesStageAndFailureMetrics(t *testing.T) {
 		s.Counters["failures.category."+string(resilience.CatBudget)] != 2 {
 		t.Fatalf("failure counters missing: %v", s.Counters)
 	}
-	h, ok := s.Histograms["span.analyze.us"]
-	if !ok || h.Count != 2 {
-		t.Fatalf("span.analyze.us histogram missing or wrong: %+v", s.Histograms)
+	h, ok := s.Histograms["span.change.us"]
+	if !ok || h.Count != 2 || s.Counters["span.change.count"] != 2 {
+		t.Fatalf("span.change.us histogram missing or wrong: %+v", s.Histograms)
 	}
 	if s.Counters["analysis.steps"] == 0 {
 		t.Fatal("analysis.steps not recorded")
 	}
-	if _, ok := s.Slowest["analyze"]; !ok {
+	if task := s.Slowest["change"].Task; !strings.HasPrefix(task, "change p@c") {
 		t.Fatalf("slowest-task attribution missing: %v", s.Slowest)
 	}
 }

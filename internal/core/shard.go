@@ -2,11 +2,9 @@ package core
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/corpus"
 	"repro/internal/mining"
-	"repro/internal/trace"
 )
 
 // Sharded corpus map-reduce: the mined change list is split into contiguous
@@ -46,17 +44,11 @@ func (d *DiffCode) MineCorpusShards(c *corpus.Corpus, n int) [][]*AnalyzedChange
 	return d.MineCorpusShardsCtx(context.Background(), c, n)
 }
 
-// MineCorpusShardsCtx is MineCorpusShards with trace propagation: the
+// MineCorpusShardsCtx is MineCorpusShards with span propagation: the
 // collection runs under one "mine" span; each shard's batch analysis gets
 // its own "analyze" span via AnalyzeAllCtx.
 func (d *DiffCode) MineCorpusShardsCtx(ctx context.Context, c *corpus.Corpus, n int) [][]*AnalyzedChange {
-	sp := d.opts.Metrics.StartSpan("mine")
-	_, msp := trace.Start(ctx, "mine")
-	ccs := mining.Collect(c, mining.Options{MinCommits: d.opts.MinCommits, Metrics: d.opts.Metrics})
-	msp.SetAttr("changes", fmt.Sprint(len(ccs)))
-	msp.End()
-	sp.End()
-	shards := ShardChanges(ccs, n)
+	shards := ShardChanges(d.collect(ctx, c), n)
 	out := make([][]*AnalyzedChange, len(shards))
 	for i, sh := range shards {
 		analyzed := d.AnalyzeAllCtx(ctx, sh)

@@ -8,9 +8,10 @@
 //   - Counter / Gauge: atomic int64s registered by name.
 //   - Histogram: fixed power-of-two buckets with atomic per-bucket counts,
 //     used for per-change latencies and step distributions.
-//   - Span: a start/stop pair that aggregates wall time per pipeline stage
-//     into a histogram and tracks the slowest task per stage with its
-//     provenance label.
+//   - Stage: the sink internal/trace reports every ended span into
+//     (ObserveSpan) — a span.<stage>.us histogram, a span.<stage>.count
+//     counter, and the slowest task per stage with its provenance label.
+//     There is no span type here: a stage is one trace.Span.
 //
 // A nil *Registry is valid everywhere and turns every operation into a
 // no-op costing one nil check, so the uninstrumented happy path of the
@@ -32,35 +33,40 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-	slowest  map[string]*slowTask
-	// now is the clock used by spans; replaceable for deterministic tests.
+	stages   map[string]*stage
+	// now is the clock of metrics-only spans and pool task timing;
+	// replaceable for deterministic tests.
 	now func() time.Time
 }
 
-// slowTask tracks the worst-case task of one span stage.
-type slowTask struct {
-	label string
-	dur   time.Duration
+// stage is the aggregate of one span stage: its span.<stage>.us histogram
+// and span.<stage>.count counter (also registered in hists/counters) and
+// its worst-case task.
+type stage struct {
+	hist     *Histogram
+	count    *Counter
+	slowTask string
+	slowDur  time.Duration
 }
 
 // NewRegistry returns an empty registry using the wall clock.
 func NewRegistry() *Registry { return NewRegistryClock(time.Now) }
 
 // NewRegistryClock returns a registry with a custom clock (tests use a
-// deterministic fake so span durations are reproducible).
+// deterministic fake so metrics-only span durations are reproducible).
 func NewRegistryClock(now func() time.Time) *Registry {
 	return &Registry{
 		counters: map[string]*Counter{},
 		gauges:   map[string]*Gauge{},
 		hists:    map[string]*Histogram{},
-		slowest:  map[string]*slowTask{},
+		stages:   map[string]*stage{},
 		now:      now,
 	}
 }
 
 // Now reads the registry's clock (the wall clock on a nil registry). The
-// parallel worker pool times tasks through this accessor so per-task
-// latencies honor the injectable test clock exactly like spans do.
+// parallel worker pool and metrics-only spans time work through this
+// accessor, so their durations honor the injectable test clock.
 func (r *Registry) Now() time.Time {
 	if r == nil {
 		return time.Now()
@@ -115,21 +121,31 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
-// recordSlowest keeps the per-stage maximum span duration with its label.
-func (r *Registry) recordSlowest(stage, label string, d time.Duration) {
-	if r == nil || label == "" {
+// ObserveSpan records one ended span of the named stage: its duration in
+// microseconds into span.<stage>.us, one tick of span.<stage>.count, and,
+// when task is non-empty, the task as the stage's slowest if no earlier
+// task took longer. trace.Span.End is the caller. Nil-safe.
+func (r *Registry) ObserveSpan(name, task string, d time.Duration) {
+	if r == nil {
 		return
+	}
+	if d < 0 {
+		d = 0
 	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	s, ok := r.slowest[stage]
+	st, ok := r.stages[name]
 	if !ok {
-		r.slowest[stage] = &slowTask{label: label, dur: d}
-		return
+		st = &stage{hist: newHistogram(), count: &Counter{}}
+		r.stages[name] = st
+		r.hists["span."+name+".us"] = st.hist
+		r.counters["span."+name+".count"] = st.count
 	}
-	if d > s.dur {
-		s.label, s.dur = label, d
+	if task != "" && (st.slowTask == "" || d > st.slowDur) {
+		st.slowTask, st.slowDur = task, d
 	}
+	r.mu.Unlock()
+	st.hist.Observe(d.Microseconds())
+	st.count.Inc()
 }
 
 // counterNames returns the registered counter names, sorted.

@@ -3,32 +3,23 @@ package obs
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/resilience"
 )
 
-// fakeClock is a deterministic clock advancing one millisecond per read.
-type fakeClock struct{ ticks atomic.Int64 }
-
-func (c *fakeClock) now() time.Time {
-	t := c.ticks.Add(1)
-	return time.Unix(0, t*int64(time.Millisecond))
-}
-
 func TestNilRegistryIsNoOp(t *testing.T) {
 	var r *Registry
 	r.Counter("x").Inc()
 	r.Gauge("x").Set(5)
 	r.Histogram("x").Observe(3)
-	sp := r.StartSpan("stage")
-	sp.End()
+	r.ObserveSpan("stage", "task", time.Millisecond)
 	if got := r.Summary(); got != "" {
 		t.Fatalf("nil registry summary = %q, want empty", got)
 	}
@@ -51,8 +42,7 @@ func TestConcurrentUpdates(t *testing.T) {
 				r.Counter("steps").Inc()
 				r.Gauge("inflight").Set(int64(w))
 				r.Histogram("latency").Observe(int64(i))
-				sp := r.StartSpanTask("analyze", "task")
-				sp.End()
+				r.ObserveSpan("analyze", fmt.Sprint("task", w), time.Duration(i)*time.Microsecond)
 			}
 		}(w)
 	}
@@ -69,6 +59,12 @@ func TestConcurrentUpdates(t *testing.T) {
 	}
 	if got := r.Counter("span.analyze.count").Value(); got != workers*perWorker {
 		t.Fatalf("span count = %d", got)
+	}
+	if got := r.Histogram("span.analyze.us").Count(); got != workers*perWorker {
+		t.Fatalf("span histogram count = %d", got)
+	}
+	if s := TakeSnapshot(r, false).Slowest["analyze"]; s.Us != perWorker-1 || !strings.HasPrefix(s.Task, "task") {
+		t.Fatalf("slowest = %+v, want a task at %dus", s, perWorker-1)
 	}
 }
 
@@ -96,14 +92,12 @@ func TestHistogramQuantiles(t *testing.T) {
 }
 
 func TestSnapshotDeterministic(t *testing.T) {
-	clock := &fakeClock{}
-	r := NewRegistryClock(clock.now)
+	r := NewRegistry()
 	r.Counter("b.count").Add(2)
 	r.Counter("a.count").Add(1)
 	r.Gauge("z.gauge").Set(9)
 	r.Histogram("steps").Observe(100)
-	sp := r.StartSpanTask("parse", "Main.java")
-	sp.End()
+	r.ObserveSpan("parse", "Main.java", time.Millisecond)
 
 	b1, err := TakeSnapshot(r, false).Marshal()
 	if err != nil {
@@ -136,16 +130,13 @@ func TestSnapshotDeterministic(t *testing.T) {
 }
 
 func TestSummaryGolden(t *testing.T) {
-	clock := &fakeClock{}
-	r := NewRegistryClock(clock.now)
-	// A fixed two-change run: each analyze span is opened and closed with
-	// one clock read apiece, so the fake clock gives every span exactly
-	// 1ms of wall time.
+	r := NewRegistry()
+	// A fixed two-change run: each analyze span took exactly 1ms, so the
+	// first task stays the slowest (ties keep the earlier task).
 	for _, task := range []string{"change p@c1:A.java", "change p@c2:B.java"} {
-		sp := r.StartSpanTask("analyze", task)
 		r.Counter("analysis.steps").Add(500)
 		r.Histogram("analysis.steps_per_change").Observe(500)
-		sp.End()
+		r.ObserveSpan("analyze", task, time.Millisecond)
 	}
 	r.Counter("mining.changes_mined").Add(2)
 	r.Gauge("workers").Set(1)

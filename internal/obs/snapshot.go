@@ -82,11 +82,14 @@ func TakeSnapshot(r *Registry, partial bool) *Snapshot {
 			s.Histograms[name] = snapshotHist(h)
 		}
 	}
-	if len(r.slowest) > 0 {
-		s.Slowest = map[string]SlowSnapshot{}
-		for stage, st := range r.slowest {
-			s.Slowest[stage] = SlowSnapshot{Task: st.label, Us: st.dur.Microseconds()}
+	for name, st := range r.stages {
+		if st.slowTask == "" {
+			continue
 		}
+		if s.Slowest == nil {
+			s.Slowest = map[string]SlowSnapshot{}
+		}
+		s.Slowest[name] = SlowSnapshot{Task: st.slowTask, Us: st.slowDur.Microseconds()}
 	}
 	return s
 }

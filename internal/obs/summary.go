@@ -8,7 +8,8 @@ import (
 )
 
 // Summary renders the human-readable stage-by-stage report behind the
-// CLIs' -v flag: one row per span stage with latency statistics, followed
+// CLIs' -v flag: one row per span stage (the names of the trace spans that
+// reported here) with latency statistics, followed
 // by every non-span counter, gauge, and value histogram. An empty or nil
 // registry renders the empty string.
 func (r *Registry) Summary() string {
@@ -19,10 +20,8 @@ func (r *Registry) Summary() string {
 	defer r.mu.Unlock()
 
 	var stages []string
-	for name := range r.hists {
-		if s, ok := spanStage(name); ok {
-			stages = append(stages, s)
-		}
+	for name := range r.stages {
+		stages = append(stages, name)
 	}
 	sort.Strings(stages)
 
@@ -30,26 +29,23 @@ func (r *Registry) Summary() string {
 	if len(stages) > 0 {
 		fmt.Fprintf(&sb, "%-12s %8s %10s %10s %10s %10s %10s  %s\n",
 			"stage", "runs", "total", "mean", "p50", "p90", "max", "slowest")
-		for _, stage := range stages {
-			h := r.hists["span."+stage+".us"]
+		for _, name := range stages {
+			st := r.stages[name]
+			h := st.hist
 			n := h.Count()
 			if n == 0 {
 				continue
 			}
-			slow := ""
-			if st, ok := r.slowest[stage]; ok {
-				slow = st.label
-			}
 			fmt.Fprintf(&sb, "%-12s %8d %10s %10s %10s %10s %10s  %s\n",
-				stage, n, fmtUs(h.Sum()), fmtUs(h.Sum()/n),
+				name, n, fmtUs(h.Sum()), fmtUs(h.Sum()/n),
 				fmtUs(h.Quantile(0.5)), fmtUs(h.Quantile(0.9)),
-				fmtUs(h.max.Load()), slow)
+				fmtUs(h.max.Load()), st.slowTask)
 		}
 	}
 
 	var counterNames []string
 	for name := range r.counters {
-		if _, ok := spanStage(name); ok {
+		if isSpanMetric(name) {
 			continue // rendered as the runs column above
 		}
 		counterNames = append(counterNames, name)
@@ -76,7 +72,7 @@ func (r *Registry) Summary() string {
 
 	var histNames []string
 	for name := range r.hists {
-		if _, ok := spanStage(name); !ok {
+		if !isSpanMetric(name) {
 			histNames = append(histNames, name)
 		}
 	}
@@ -96,19 +92,11 @@ func (r *Registry) Summary() string {
 	return sb.String()
 }
 
-// spanStage extracts the stage name from a span metric name
-// ("span.<stage>.us" or "span.<stage>.count").
-func spanStage(name string) (string, bool) {
-	if !strings.HasPrefix(name, "span.") {
-		return "", false
-	}
-	rest := strings.TrimPrefix(name, "span.")
-	for _, suffix := range []string{".us", ".count"} {
-		if strings.HasSuffix(rest, suffix) {
-			return strings.TrimSuffix(rest, suffix), true
-		}
-	}
-	return "", false
+// isSpanMetric reports whether name is one of the span.<stage>.us /
+// span.<stage>.count series ObserveSpan maintains.
+func isSpanMetric(name string) bool {
+	return strings.HasPrefix(name, "span.") &&
+		(strings.HasSuffix(name, ".us") || strings.HasSuffix(name, ".count"))
 }
 
 // fmtUs renders a microsecond quantity as a compact duration.

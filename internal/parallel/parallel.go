@@ -23,7 +23,6 @@ package parallel
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -167,20 +166,22 @@ func Map[T any](p *Pool, ctx context.Context, n int, fn func(i int) T) []T {
 	return out
 }
 
-// ForEachCtx is ForEach with trace propagation: when ctx carries a span,
-// each task runs under a child span named "<name>[i]" whose sibling ordinal
-// is the task index — so the snapshot of the parent orders task spans by
-// index, not by completion, and the trace fingerprint is identical at every
-// worker count. On an untraced ctx the tasks see ctx unchanged and the only
-// extra cost is one nil check, preserving the byte-identical serial path.
+// ForEachCtx is ForEach with trace propagation: when ctx carries a traced
+// span, each task runs under a trace.Fanout child named "<name>[i]" whose
+// sibling ordinal is the task index — so the snapshot of the parent orders
+// task spans by index, not by completion, and the trace fingerprint is
+// identical at every worker count. Task spans structure the tree only and
+// are not timed into a registry, so under an untraced or metrics-only ctx
+// the tasks see ctx unchanged and the only extra cost is one check,
+// preserving the byte-identical serial path.
 func (p *Pool) ForEachCtx(ctx context.Context, name string, n int, fn func(ctx context.Context, i int)) {
 	parent := trace.FromContext(ctx)
-	if parent == nil {
+	if !parent.Traced() {
 		p.ForEach(ctx, n, func(i int) { fn(ctx, i) })
 		return
 	}
 	p.ForEach(ctx, n, func(i int) {
-		sp := parent.ChildOrd(fmt.Sprintf("%s[%d]", name, i), i)
+		sp := parent.Fanout(name, i)
 		defer sp.End()
 		fn(trace.NewContext(ctx, sp), i)
 	})

@@ -152,6 +152,42 @@ func TestUntracedServerSurfaceUnchanged(t *testing.T) {
 	}
 }
 
+// TestStageMetricsIndependentOfTracing pins that a request's stage spans
+// report into the server registry whether or not the server traces: one
+// /v1/analyze and one /v1/check leave the same span.* series with the
+// same counts (a change row and a check row, each counted once) on a
+// traced and an untraced server.
+func TestStageMetricsIndependentOfTracing(t *testing.T) {
+	spanCounts := func(opts Options) map[string]int64 {
+		t.Helper()
+		s := newTestServer(t, opts)
+		body, _ := json.Marshal(AnalyzeRequest{Changes: []ChangeSpec{{Old: ecbSource, New: gcmSource}}})
+		if w := post(t, s, "/v1/analyze", string(body)); w.Code != http.StatusOK {
+			t.Fatalf("analyze status = %d, body %s", w.Code, w.Body.String())
+		}
+		if w := post(t, s, "/v1/check", checkBody(t, CheckRequest{Sources: map[string]string{"App.java": ecbSource}})); w.Code != http.StatusOK {
+			t.Fatalf("check status = %d, body %s", w.Code, w.Body.String())
+		}
+		out := map[string]int64{}
+		for name, n := range obs.TakeSnapshot(s.Metrics(), false).Counters {
+			if strings.HasPrefix(name, "span.") {
+				out[name] = n
+			}
+		}
+		return out
+	}
+	untraced := spanCounts(Options{DisableArtifacts: true})
+	traced := spanCounts(Options{DisableArtifacts: true, Tracer: fakeTracer(), TraceStore: trace.StoreOptions{SampleEvery: 1}})
+	for _, name := range []string{"span.change.count", "span.check.count"} {
+		if untraced[name] != 1 {
+			t.Errorf("untraced %s = %d, want 1", name, untraced[name])
+		}
+	}
+	if fmt.Sprint(traced) != fmt.Sprint(untraced) {
+		t.Errorf("span series differ with tracing:\n traced   %v\n untraced %v", traced, untraced)
+	}
+}
+
 // hammerFingerprints fires concurrent traced /v1/check requests — one
 // distinct source file per request — and returns file → trace fingerprint
 // for every retained trace, failing on any cross-request span leakage.

@@ -26,7 +26,7 @@ type SpanData struct {
 }
 
 // Snapshot converts a finished span tree into its canonical form. Unended
-// spans snapshot with the trace's end as their end (a crash-truncated trace
+// spans snapshot with zero duration at their start (a crash-truncated trace
 // still renders). Nil-safe: a nil span snapshots to nil.
 func Snapshot(root *Span) *SpanData {
 	if root == nil {

@@ -1,9 +1,11 @@
-// Package trace is the request-tracing layer of the pipeline: hierarchical
-// spans that turn the flat per-stage aggregates of internal/obs into a tree
-// of timed, attributed units of work per request or per pipeline run. Where
-// obs answers "how slow is the parse stage overall", a trace answers "which
-// stage of *this* request was slow" — the per-request attribution the
-// analysis server needs once aggregate counters say something is wrong.
+// Package trace is the span layer of the pipeline: a stage is one span.
+// Spans nest into a tree of timed, attributed units of work per request or
+// per pipeline run (the -trace dump and /debug/traces), and a span that
+// carries an *obs.Registry also reports its duration there when it ends —
+// the data behind the -v stage table and the -metrics snapshot. A span
+// opened without a tracer is metrics-only: it keeps no children and no
+// attributes, so -v without -trace builds no tree. Children inherit their
+// parent's tracer, registry, and task label.
 //
 // The design follows the conventions the rest of the codebase already
 // relies on:
@@ -23,18 +25,22 @@
 //     deterministic child ordering uses explicit ordinals (the worker pool
 //     tags each task span with its task index).
 //
-// A trace is built top-down: Tracer.Root opens the root span, Span.Child /
-// Span.ChildOrd open nested spans, and context propagation (NewContext /
-// FromContext / Start) threads the current span through the pipeline without
-// widening every call signature.
+// A trace is built top-down: Open (or Tracer.Root) opens the root span,
+// Span.Child / Span.ChildOrd open nested spans, and context propagation
+// (NewContext / FromContext / Start / Stage) threads the current span
+// through the pipeline without widening every call signature.
 package trace
 
 import (
 	"context"
 	"fmt"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // Attr is one key/value annotation on a span. Values are strings so the
@@ -74,32 +80,54 @@ func NewTracer(ids func() uint64, now func() time.Time) *Tracer {
 
 // Root opens a new trace: a parentless span whose ID doubles as the trace
 // ID. Nil-safe: a nil tracer returns a nil (inert) span.
-func (t *Tracer) Root(name string) *Span {
-	if t == nil {
-		return nil
+func (t *Tracer) Root(name string) *Span { return Open(t, nil, name) }
+
+// Open opens a root span reporting into reg: a traced root under t, a
+// metrics-only root when t is nil, and nil — the inert span — when both
+// are nil.
+func Open(t *Tracer, reg *obs.Registry, name string) *Span {
+	switch {
+	case t != nil:
+		return &Span{tracer: t, reg: reg, name: name, id: t.ids(), start: t.now(), ord: -1}
+	case reg != nil:
+		return &Span{reg: reg, name: name, start: reg.Now(), ord: -1}
 	}
-	return &Span{tracer: t, name: name, id: t.ids(), start: t.now(), ord: -1}
+	return nil
 }
 
-// Span is one timed unit of work in a trace. All methods are safe on a nil
-// span (no-ops), and safe for concurrent use on a shared span (the worker
-// pool attaches child spans from many goroutines).
+// Span is one timed unit of work. All methods are safe on a nil span
+// (no-ops), and safe for concurrent use on a shared span (the worker pool
+// attaches child spans from many goroutines).
 type Span struct {
-	tracer *Tracer
+	tracer *Tracer // nil on a metrics-only span
+	reg    *obs.Registry
 	name   string
 	id     uint64
 	start  time.Time
 	// ord is the deterministic ordering key among siblings: the task index
-	// for pool fan-out spans, the serial creation ordinal otherwise.
+	// for fan-out task spans, the serial creation ordinal otherwise.
 	ord int
+	// treeOnly marks a pool fan-out span (Fanout): it structures the tree
+	// but reports no duration of its own.
+	treeOnly bool
 
 	mu       sync.Mutex
 	end      time.Time
 	ended    bool
 	category string
+	task     string // the slowest-task label reported with the duration
 	attrs    []Attr
 	children []*Span
 	nextOrd  int
+}
+
+// now reads the span's clock: the tracer's, or on a metrics-only span the
+// registry's (which tests replace for deterministic stage tables).
+func (s *Span) now() time.Time {
+	if s.tracer != nil {
+		return s.tracer.now()
+	}
+	return s.reg.Now()
 }
 
 // Child opens a child span. Sibling order is the serial creation order,
@@ -113,45 +141,108 @@ func (s *Span) Child(name string) *Span {
 	s.mu.Lock()
 	ord := s.nextOrd
 	s.nextOrd++
-	c := &Span{tracer: s.tracer, name: name, id: s.tracer.ids(), start: s.tracer.now(), ord: ord}
-	s.children = append(s.children, c)
 	s.mu.Unlock()
-	return c
+	return s.ChildOrd(name, ord)
 }
 
 // ChildOrd opens a child span with an explicit sibling ordinal — the
 // deterministic ordering key for spans created concurrently (the worker
-// pool passes the task index). Nil-safe.
+// pool passes the task index). A metrics-only parent keeps no reference to
+// its children. Nil-safe.
 func (s *Span) ChildOrd(name string, ord int) *Span {
 	if s == nil {
 		return nil
 	}
+	c := &Span{tracer: s.tracer, reg: s.reg, name: name, ord: ord}
+	if s.tracer != nil {
+		c.id = s.tracer.ids()
+	}
+	c.start = c.now()
 	s.mu.Lock()
-	c := &Span{tracer: s.tracer, name: name, id: s.tracer.ids(), start: s.tracer.now(), ord: ord}
-	s.children = append(s.children, c)
+	c.task = s.task
+	if s.tracer != nil {
+		s.children = append(s.children, c)
+	}
 	s.mu.Unlock()
 	return c
 }
 
+// Task opens the span of task i of a fan-out: a child named "name[i]"
+// whose sibling ordinal is i, so a snapshot orders the tasks by index, not
+// by completion, and the trace fingerprint is the same at every worker
+// count. Under a metrics-only span the index is not formatted: the registry
+// reads only the stage. Nil-safe.
+func (s *Span) Task(name string, i int) *Span {
+	if s == nil {
+		return nil
+	}
+	if s.tracer != nil {
+		name += "[" + strconv.Itoa(i) + "]"
+	}
+	return s.ChildOrd(name, i)
+}
+
+// Fanout opens the span of worker-pool task i under a traced span: a Task
+// that only structures the tree. It reports no duration of its own — the
+// stage around the fan-out reports the total — so the registry reads the
+// same with or without a tracer; spans opened inside it report as usual.
+// Under a nil or metrics-only span it returns nil and costs nothing.
+func (s *Span) Fanout(name string, i int) *Span {
+	if !s.Traced() {
+		return nil
+	}
+	c := s.Task(name, i)
+	c.treeOnly = true
+	return c
+}
+
+// Traced reports whether the span belongs to a trace tree (false on a nil
+// or metrics-only span).
+func (s *Span) Traced() bool { return s != nil && s.tracer != nil }
+
 // End closes the span. Ending twice keeps the first end time; ending a nil
-// span is a no-op.
+// span is a no-op. The first End of a span with a registry reports the
+// duration there, under the span's stage — its name up to any "[i]" task
+// index — and its task label (a Fanout span reports nothing).
 func (s *Span) End() {
 	if s == nil {
 		return
 	}
-	now := s.tracer.now()
+	now := s.now()
 	s.mu.Lock()
-	if !s.ended {
-		s.end, s.ended = now, true
+	if s.ended {
+		s.mu.Unlock()
+		return
 	}
+	s.end, s.ended = now, true
+	task := s.task
+	s.mu.Unlock()
+	if s.reg != nil && !s.treeOnly {
+		stage := s.name
+		if i := strings.IndexByte(stage, '['); i > 0 {
+			stage = stage[:i]
+		}
+		s.reg.ObserveSpan(stage, task, now.Sub(s.start))
+	}
+}
+
+// SetTask labels the unit of work the span measures (a change, a class)
+// for the registry's slowest-task column; children opened afterwards
+// inherit it. Nil-safe.
+func (s *Span) SetTask(label string) {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	s.task = label
 	s.mu.Unlock()
 }
 
 // SetAttr appends one annotation. Attribute order is append order; for a
 // deterministic trace, attach attributes from the goroutine that owns the
-// span. Nil-safe.
+// span. A no-op on a nil or metrics-only span.
 func (s *Span) SetAttr(key, value string) {
-	if s == nil {
+	if s == nil || s.tracer == nil {
 		return
 	}
 	s.mu.Lock()
@@ -185,9 +276,9 @@ func (s *Span) Category() string {
 }
 
 // TraceID renders the span's ID as the 16-hex-digit trace identifier (the
-// root span's ID is the trace ID). Empty on a nil span.
+// root span's ID is the trace ID). Empty on a nil or metrics-only span.
 func (s *Span) TraceID() string {
-	if s == nil {
+	if s == nil || s.tracer == nil {
 		return ""
 	}
 	return fmt.Sprintf("%016x", s.id)
@@ -221,12 +312,24 @@ func FromContext(ctx context.Context) *Span {
 // it. On an untraced ctx both returns are inert (the original ctx and a nil
 // span), so the traced and untraced paths share one call site.
 func Start(ctx context.Context, name string) (context.Context, *Span) {
-	parent := FromContext(ctx)
-	if parent == nil {
+	return Stage(ctx, nil, name)
+}
+
+// Stage is Start for a pipeline entry point that owns a registry: the
+// child reports into reg (nil: its parent's registry), and on a ctx without
+// a span Stage opens a metrics-only root over reg instead. With neither a
+// span nor a registry it costs one context lookup and a nil check.
+func Stage(ctx context.Context, reg *obs.Registry, name string) (context.Context, *Span) {
+	var s *Span
+	if parent := FromContext(ctx); parent != nil {
+		s = parent.Child(name)
+		if reg != nil {
+			s.reg = reg
+		}
+	} else if s = Open(nil, reg, name); s == nil {
 		return ctx, nil
 	}
-	c := parent.Child(name)
-	return NewContext(ctx, c), c
+	return NewContext(ctx, s), s
 }
 
 // Detach returns a fresh background context carrying only ctx's current

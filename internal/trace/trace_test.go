@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // fakeClock returns a deterministic clock advancing stepUs per call.
@@ -252,6 +254,148 @@ func TestStoreSampleEveryOne(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		if !st.Offer(record(fmt.Sprintf("t%d", i), "", 1)) {
 			t.Fatal("SampleEvery=1 must keep everything")
+		}
+	}
+}
+
+// TestEndFeedsRegistry: ending a span that carries a registry observes the
+// stage histogram and count and keeps the slowest task's label — from
+// concurrent workers, on a traced and on a metrics-only root alike.
+func TestEndFeedsRegistry(t *testing.T) {
+	for _, tr := range []*Tracer{New(), nil} {
+		reg := obs.NewRegistry()
+		root := Open(tr, reg, "run")
+		const tasks = 16
+		var wg sync.WaitGroup
+		for i := 0; i < tasks; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				c := root.ChildOrd(fmt.Sprintf("task[%d]", i), i)
+				c.SetTask(fmt.Sprintf("change %d", i))
+				if i == 7 {
+					time.Sleep(20 * time.Millisecond)
+				}
+				c.End()
+				c.End() // a second End reports nothing
+			}(i)
+		}
+		wg.Wait()
+		root.End()
+		s := obs.TakeSnapshot(reg, false)
+		if s.Counters["span.task.count"] != tasks || s.Histograms["span.task.us"].Count != tasks {
+			t.Errorf("tracer %v: task stage = %d count / %+v", tr != nil, s.Counters["span.task.count"], s.Histograms["span.task.us"])
+		}
+		if s.Counters["span.run.count"] != 1 {
+			t.Errorf("tracer %v: root stage count = %d", tr != nil, s.Counters["span.run.count"])
+		}
+		if got := s.Slowest["task"].Task; got != "change 7" {
+			t.Errorf("tracer %v: slowest task = %q, want change 7", tr != nil, got)
+		}
+		if _, ok := s.Slowest["run"]; ok {
+			t.Errorf("tracer %v: an unlabeled span named a slowest task", tr != nil)
+		}
+	}
+}
+
+// TestNoTracerNoRegistryIsNoOp: a span opened with neither a tracer nor a
+// registry is the nil span, and Stage on a bare context opens nothing.
+func TestNoTracerNoRegistryIsNoOp(t *testing.T) {
+	if s := Open(nil, nil, "run"); s != nil {
+		t.Fatalf("Open(nil, nil) = %v, want nil", s)
+	}
+	ctx := context.Background()
+	sctx, sp := Stage(ctx, nil, "stage")
+	if sp != nil || sctx != ctx {
+		t.Error("Stage without a span or a registry opened a span")
+	}
+	sp.SetTask("x")
+	sp.End()
+}
+
+// TestMetricsOnlyKeepsNoChildren: a metrics-only span reports every stage
+// but retains no tree and no attributes, and has no trace identity.
+func TestMetricsOnlyKeepsNoChildren(t *testing.T) {
+	reg := obs.NewRegistry()
+	ctx, root := Stage(context.Background(), reg, "run")
+	root.SetTask("change p@c1:A.java")
+	cctx, c := Start(ctx, "parse")
+	c.SetAttr("files", "1")
+	_, g := Start(cctx, "file[0]")
+	g.End()
+	c.End()
+	root.End()
+	if len(root.children) != 0 || len(c.children) != 0 || len(c.attrs) != 0 {
+		t.Errorf("metrics-only spans retained %d/%d children, %d attrs",
+			len(root.children), len(c.children), len(c.attrs))
+	}
+	if root.TraceID() != "" {
+		t.Errorf("metrics-only TraceID = %q", root.TraceID())
+	}
+	s := obs.TakeSnapshot(reg, false)
+	for _, stage := range []string{"run", "parse", "file"} {
+		if s.Counters["span."+stage+".count"] != 1 {
+			t.Errorf("span.%s.count = %d, want 1", stage, s.Counters["span."+stage+".count"])
+		}
+		if got := s.Slowest[stage].Task; got != "change p@c1:A.java" {
+			t.Errorf("slowest[%s] = %q, want the inherited task label", stage, got)
+		}
+	}
+}
+
+// TestStageUnderUnmeteredParent: Stage with a registry under a traced span
+// that reports nowhere keeps the child in the tree and meters it.
+func TestStageUnderUnmeteredParent(t *testing.T) {
+	reg := obs.NewRegistry()
+	root := New().Root("request")
+	_, c := Stage(NewContext(context.Background(), root), reg, "check")
+	c.End()
+	root.End()
+	if d := Snapshot(root); len(d.Children) != 1 || d.Children[0].Name != "check" {
+		t.Errorf("tree = %s", d.Render())
+	}
+	s := obs.TakeSnapshot(reg, false)
+	if s.Counters["span.check.count"] != 1 || s.Counters["span.request.count"] != 0 {
+		t.Errorf("counters = %v", s.Counters)
+	}
+}
+
+// TestTaskAndFanout: a Task span is a metered child named "name[i]" with
+// ordinal i; a Fanout span is the same in a traced tree but reports no
+// duration of its own (its children do), and under a metrics-only span it
+// is not opened at all — so the registry reads the same either way.
+func TestTaskAndFanout(t *testing.T) {
+	for _, tr := range []*Tracer{New(), nil} {
+		reg := obs.NewRegistry()
+		root := Open(tr, reg, "run")
+		task := root.Task("change", 3)
+		f := root.Fanout("file", 1)
+		_, inner := Start(NewContext(context.Background(), f), "interpret")
+		if tr == nil {
+			if f != nil || inner != nil {
+				t.Error("metrics-only: Fanout opened a span")
+			}
+			_, inner = Start(NewContext(context.Background(), root), "interpret")
+		}
+		inner.End()
+		f.End()
+		task.End()
+		root.End()
+		if tr != nil {
+			d := Snapshot(root)
+			if len(d.Children) != 2 || d.Children[0].Name != "file[1]" || d.Children[1].Name != "change[3]" {
+				t.Errorf("traced tree = %s", d.Render())
+			}
+		}
+		s := obs.TakeSnapshot(reg, false)
+		want := map[string]int64{"span.run.count": 1, "span.change.count": 1, "span.interpret.count": 1}
+		for name, n := range s.Counters {
+			if n != want[name] {
+				t.Errorf("tracer %v: %s = %d, want %d", tr != nil, name, n, want[name])
+			}
+		}
+		if len(s.Counters) != len(want) {
+			t.Errorf("tracer %v: counters = %v, want %v", tr != nil, s.Counters, want)
 		}
 	}
 }

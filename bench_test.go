@@ -11,6 +11,7 @@ package diffcode
 // same code paths at full scale.
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -142,7 +143,9 @@ func BenchmarkDiffSources(b *testing.B) {
 	}
 }
 
-// BenchmarkCheckSource measures single-file checking against all 13 rules.
+// BenchmarkCheckSource measures single-file checking against all 13 rules
+// through the checker's one entry point (a fresh checker per check, as the
+// CheckSource facade builds), with witness traces off and on.
 func BenchmarkCheckSource(b *testing.B) {
 	src := `
 class T {
@@ -155,11 +158,17 @@ class T {
     }
 }
 `
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if len(CheckSource(src, RuleContext{}, Options{})) == 0 {
-			b.Fatal("no violations found")
-		}
+	sources := map[string]string{"Main.java": src}
+	for _, why := range []bool{false, true} {
+		b.Run(fmt.Sprintf("why=%t", why), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				out, err := NewChecker(nil, Options{}).CheckRequest(context.Background(), sources, RuleContext{}, why)
+				if err != nil || len(out.Violations) == 0 {
+					b.Fatalf("no violations found (err %v)", err)
+				}
+			}
+		})
 	}
 }
 
@@ -514,7 +523,7 @@ class T {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if len(rules.Check(res, rules.Context{}, rules.All())) == 0 {
+		if len(rules.CheckPoolCtx(context.Background(), res, rules.Context{}, rules.All(), nil)) == 0 {
 			b.Fatal("no matches")
 		}
 	}

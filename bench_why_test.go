@@ -7,6 +7,7 @@ package diffcode
 // tracking-off hot loop on the same pre-parsed program.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -49,7 +50,7 @@ func BenchmarkInterpreterProvenance(b *testing.B) {
 func BenchmarkWitnessReconstruct(b *testing.B) {
 	res := analysis.Analyze(analysis.ParseProgram(benchSources()), analysis.Options{Provenance: true})
 	ctx := rules.Context{}
-	vs := rules.Check(res, ctx, rules.All())
+	vs := rules.CheckPoolCtx(context.Background(), res, ctx, rules.All(), nil)
 	if len(vs) == 0 {
 		b.Fatal("benchmark program has no violations")
 	}

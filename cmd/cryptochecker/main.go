@@ -29,17 +29,14 @@ import (
 	"path/filepath"
 	"strings"
 
-	"repro/internal/analysis"
 	"repro/internal/androidctx"
 	"repro/internal/cliutil"
-	"repro/internal/parallel"
-	"repro/internal/report"
+	"repro/internal/core"
 	"repro/internal/resilience"
 	"repro/internal/ruledsl"
 	"repro/internal/rulelint"
 	"repro/internal/rules"
 	"repro/internal/summary"
-	"repro/internal/trace"
 	"repro/internal/witness"
 )
 
@@ -84,8 +81,9 @@ func main() {
 	// the violation report on stdout is unchanged). run.Ctx carries the
 	// run's root span through check → parse → interpret → rules.
 	run := std.Start()
-	// The artifact store caches per-file parses and -rulefile compilations;
-	// with -cache-dir the parses persist across runs.
+	// The artifact store caches per-file parses, method summaries, check
+	// outcomes, and -rulefile compilations; with -cache-dir they persist
+	// across runs (compilations stay in memory).
 	store := std.Artifacts(run.Reg)
 
 	// The rule-pack gate: -rules packs compile, lint, and merge with the
@@ -157,56 +155,43 @@ func main() {
 				ctx.MinSDKVersion, ctx.HasLPRNG)
 		}
 	}
-	// The analysis runs under panic isolation and an optional step budget:
-	// a pathological input degrades to a partial (or failed) check instead
-	// of a crash.
-	var res *analysis.Result
-	pool := parallel.New(workers, run.Reg)
-	cctx, sp := trace.Start(run.Ctx, "check")
-	err := resilience.Guard("analyze", func() error {
-		var aerr error
-		// Method summaries share the tool's artifact store, so a warm
-		// -cache-dir re-check replays helpers instead of re-interpreting.
-		aopts := analysis.Options{Budget: resilience.NewBudget(*budget, 0), Metrics: run.Reg,
-			Provenance: why.On(), Summaries: summary.NewTable(store, run.Reg)}
-		res, aerr = analysis.AnalyzeBudgetedCtx(cctx, analysis.ParseProgramStoreCtx(cctx, sources, run.Reg, pool, store),
-			aopts)
-		return aerr
-	})
+	// One check request: panic isolation, the optional step budget (a
+	// pathological input degrades to a partial or failed check instead of a
+	// crash), and — through the artifact store — cached parses, summaries,
+	// and check outcomes. -v renders from the live analysis result, which
+	// an outcome-cache hit does not carry, so under -v the store backs the
+	// summary table only.
+	opts := core.Options{Workers: workers, BudgetSteps: *budget, Metrics: run.Reg, Artifacts: store}
+	if verbose {
+		opts.Artifacts, opts.Summaries = nil, summary.NewTable(store, run.Reg)
+	}
+	out, err := core.NewChecker(ruleSet, opts).CheckRequest(run.Ctx, sources, ctx, why.On())
 	if err != nil {
-		if errors.Is(err, resilience.ErrBudgetExhausted) && res != nil {
+		if errors.Is(err, resilience.ErrBudgetExhausted) && out != nil {
 			fmt.Fprintln(os.Stderr, "cryptochecker: analysis budget exhausted; results may be partial")
 		} else {
 			ledger.Record(resilience.NewEntry("analyze", resilience.PhaseAnalyze, err))
 			fmt.Fprint(os.Stderr, ledger.Report())
-			sp.End()
 			run.Fatal(ledger, err)
 		}
 	}
-	violations := rules.CheckPoolCtx(cctx, res, ctx, ruleSet, pool)
-	sp.End()
-	run.Reg.Counter("checker.rules_evaluated").Add(int64(len(ruleSet)))
-	run.Reg.Counter("checker.violations").Add(int64(len(violations)))
 
 	if why.On() {
 		// Witness mode: violations sort by source location and each carries
 		// its reconstructed trace. Takes precedence over -q/-v rendering.
-		sorted := report.SortViolations(violations, res)
-		traces := witness.Collect(sorted, res, ctx)
-		witness.Observe(run.Reg, traces)
 		if why == cliutil.WhyJSON {
-			fmt.Print(witness.JSON(traces))
+			fmt.Print(witness.JSON(out.Traces))
 		} else {
-			fmt.Print(witness.Render(traces))
+			fmt.Print(witness.Render(out.Traces))
 		}
 	} else {
-		for _, v := range violations {
+		for _, v := range out.Violations {
 			if *quiet {
 				fmt.Println(v.Rule.ID)
 				continue
 			}
 			if verbose {
-				fmt.Print(rules.Explain(v, res))
+				fmt.Print(rules.Explain(v, out.Result))
 				continue
 			}
 			fmt.Printf("%s: %s\n", v.Rule.ID, v.Rule.Description)
@@ -220,9 +205,9 @@ func main() {
 		fmt.Fprint(os.Stderr, ledger.Report())
 	}
 	run.Flush(ledger, false)
-	if len(violations) > 0 {
+	if len(out.Violations) > 0 {
 		if !*quiet && why != cliutil.WhyJSON {
-			fmt.Printf("\n%d rule(s) matched across %d file(s)\n", len(violations), len(sources))
+			fmt.Printf("\n%d rule(s) matched across %d file(s)\n", len(out.Violations), len(sources))
 		}
 		os.Exit(1)
 	}

@@ -146,13 +146,19 @@ func runSingle(run *cliutil.Run, oldPath, newPath string, classes []string, opts
 // version only).
 func printWhy(run *cliutil.Run, oldPath, oldSrc, newPath, newSrc string, opts core.Options, why cliutil.WhyMode, activeRules []*rules.Rule) {
 	checker := core.NewChecker(activeRules, opts)
-	ctx := rules.Context{}
-	oldVs, oldTraces := checker.CheckSourcesWhyCtx(run.Ctx, map[string]string{oldPath: oldSrc}, ctx)
-	newVs, newTraces := checker.CheckSourcesWhyCtx(run.Ctx, map[string]string{newPath: newSrc}, ctx)
-	oldIDs := ruleIDSet(oldVs)
-	newIDs := ruleIDSet(newVs)
-	fixed := filterTraces(oldTraces, func(id string) bool { return !newIDs[id] })
-	introduced := filterTraces(newTraces, func(id string) bool { return !oldIDs[id] })
+	check := func(path, src string) *core.CheckOutcome {
+		// An exhausted budget still yields the partial outcome.
+		out, err := checker.CheckRequest(run.Ctx, map[string]string{path: src}, rules.Context{}, true)
+		if out == nil {
+			run.Fatal(nil, err)
+		}
+		return out
+	}
+	old, nw := check(oldPath, oldSrc), check(newPath, newSrc)
+	oldIDs := ruleIDSet(old.Violations)
+	newIDs := ruleIDSet(nw.Violations)
+	fixed := filterTraces(old.Traces, func(id string) bool { return !newIDs[id] })
+	introduced := filterTraces(nw.Traces, func(id string) bool { return !oldIDs[id] })
 	if why == cliutil.WhyJSON {
 		out := struct {
 			Fixed      []witness.Trace `json:"fixed"`

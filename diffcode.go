@@ -1,6 +1,8 @@
 package diffcode
 
 import (
+	"context"
+
 	"repro/internal/analysis"
 	"repro/internal/change"
 	"repro/internal/cluster"
@@ -179,10 +181,16 @@ func BuildDAGs(src, class string, opts Options) []*Graph {
 	return core.BuildDAGs(src, class, opts)
 }
 
-// CheckSource runs CryptoChecker's 13 rules over a single Java source.
+// CheckSource runs CryptoChecker's 13 rules over a single Java source. An
+// exhausted Options.BudgetSteps reports over the partial analysis; a check
+// that fails outright (a panic in the analysis) reports nothing. Use
+// NewChecker(...).CheckRequest for the error and for witness traces.
 func CheckSource(src string, ctx RuleContext, opts Options) []Violation {
-	checker := core.NewChecker(nil, opts)
-	return checker.CheckSources(map[string]string{"Main.java": src}, ctx)
+	out, _ := core.NewChecker(nil, opts).CheckRequest(context.Background(), map[string]string{"Main.java": src}, ctx, false)
+	if out == nil {
+		return nil
+	}
+	return out.Violations
 }
 
 // AnalyzeUsages exposes the abstract usages AUses of a source (primarily

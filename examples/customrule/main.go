@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -58,8 +59,12 @@ func main() {
 	checker := diffcode.NewChecker(ruleSet, diffcode.Options{})
 
 	fmt.Println("\n=== Findings ===")
-	vs := checker.CheckSources(map[string]string{"LegacyTransport.java": code},
-		diffcode.RuleContext{})
+	out, err := checker.CheckRequest(context.Background(),
+		map[string]string{"LegacyTransport.java": code}, diffcode.RuleContext{}, false)
+	if err != nil {
+		log.Fatal(err)
+	}
+	vs := out.Violations
 	for _, v := range vs {
 		fmt.Printf("%-5s %s\n", v.Rule.ID, v.Rule.Description)
 		for _, o := range v.Objs {

@@ -15,7 +15,9 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 	"strings"
 
 	diffcode "repro"
@@ -63,7 +65,12 @@ func main() {
 	checker := diffcode.NewChecker([]*diffcode.Rule{rule}, diffcode.Options{})
 	applicable, matching := 0, 0
 	for _, p := range corpus.Projects {
-		vs := checker.CheckProject(p)
+		rctx := diffcode.RuleContext{Android: p.Info.Android, MinSDKVersion: p.Info.MinSDKVersion, HasLPRNG: p.Info.HasLPRNG}
+		out, err := checker.CheckRequest(context.Background(), p.Files, rctx, false)
+		if err != nil {
+			log.Fatal(err)
+		}
+		vs := out.Violations
 		uses := false
 		for _, src := range p.Files {
 			if strings.Contains(src, diffcode.MessageDigest) {

@@ -19,14 +19,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
-	"strings"
 
 	"repro/internal/absdom"
 	"repro/internal/cryptoapi"
 	"repro/internal/javaast"
-	"repro/internal/javaparser"
 	"repro/internal/javatok"
 	"repro/internal/obs"
 	"repro/internal/parallel"
@@ -113,67 +110,15 @@ func sourceFingerprint(names []string, sources map[string]string) string {
 // extension (manifests, build scripts) are skipped; names without any
 // extension are treated as Java snippets.
 func ParseProgram(sources map[string]string) *Program {
-	return ParseProgramObs(sources, nil)
+	return ParseProgramPoolCtx(context.Background(), sources, nil, nil)
 }
 
-// ParseProgramObs is ParseProgram with parser telemetry: files, bytes, and
-// recovered syntax errors are counted into reg (nil reg is a no-op, making
-// this identical to ParseProgram).
-func ParseProgramObs(sources map[string]string, reg *obs.Registry) *Program {
-	return ParseProgramPool(sources, reg, nil)
-}
-
-// ParseProgramPool is ParseProgramObs over a worker pool: each file parses
-// on its own worker, with results assembled into the sorted-name slot order
-// the serial parser produces — so the Program (and all telemetry, which is
-// sum-based) is identical at any worker count. A nil or one-worker pool is
-// the exact serial path. The abstract interpretation downstream stays
-// single-goroutine (budgets are single-goroutine by contract); only the
-// per-file parse fans out.
-func ParseProgramPool(sources map[string]string, reg *obs.Registry, pool *parallel.Pool) *Program {
-	return ParseProgramPoolCtx(context.Background(), sources, reg, pool)
-}
-
-// ParseProgramPoolCtx is ParseProgramPool with trace propagation: when ctx
-// carries a span, the parse runs under a "parse" child annotated with the
-// file count, and each file's parse gets its own "file[i]" span carrying
-// the file name. The span tree is deterministic at any worker count because
-// files are sorted by name before fan-out and task spans order by index.
-// On an untraced ctx this is exactly ParseProgramPool.
+// ParseProgramPoolCtx is ParseProgram with parser telemetry (files, bytes,
+// and recovered syntax errors counted into reg; nil is a no-op), a worker
+// pool (nil or one worker is the exact serial path), and trace propagation.
+// It is ParseProgramStoreCtx without an artifact store.
 func ParseProgramPoolCtx(ctx context.Context, sources map[string]string, reg *obs.Registry, pool *parallel.Pool) *Program {
-	names := make([]string, 0, len(sources))
-	for n := range sources {
-		if dot := strings.LastIndexByte(n, '.'); dot >= 0 && !strings.HasSuffix(n, ".java") {
-			continue
-		}
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	pctx, psp := trace.Start(ctx, "parse")
-	psp.SetAttr("files", strconv.Itoa(len(names)))
-	defer psp.End()
-	p := &Program{Files: make([]File, len(names)), SourceFP: sourceFingerprint(names, sources)}
-	errCounts := make([]int64, len(names))
-	var bytes, parseErrs int64
-	// Detach: the fan-out keeps the pre-trace contract that parsing is never
-	// canceled mid-file (it always ran under context.Background()); only the
-	// span propagates.
-	pool.ForEachCtx(trace.Detach(pctx), "file", len(names), func(fctx context.Context, i int) {
-		trace.FromContext(fctx).SetAttr("name", names[i])
-		res := javaparser.Parse(sources[names[i]])
-		p.Files[i] = File{Name: names[i], Unit: res.Unit}
-		errCounts[i] = int64(len(res.Errors))
-	})
-	for i, n := range names {
-		bytes += int64(len(sources[n]))
-		parseErrs += errCounts[i]
-	}
-	if reg != nil {
-		reg.Counter("parse.files").Add(int64(len(names)))
-		reg.Counter("parse.bytes").Add(bytes)
-		reg.Counter("parse.errors").Add(parseErrs)
-	}
-	return p
+	return ParseProgramStoreCtx(ctx, sources, reg, pool, nil)
 }
 
 // Event is one element of AUses(o): a method invocation observed on an
@@ -226,38 +171,31 @@ func (r *Result) ObjsOfType(typ string) []*absdom.AObj {
 
 // Analyze runs the abstract interpretation over prog and returns AUses.
 // When Options.Budget trips mid-run, the partial result is returned; use
-// AnalyzeBudgeted to observe the exhaustion.
+// AnalyzeBudgetedCtx to observe the exhaustion.
 func Analyze(prog *Program, opts Options) *Result {
-	res, _ := AnalyzeBudgeted(prog, opts)
+	res, _, _ := analyzeBudgeted(prog, opts)
 	return res
 }
 
-// AnalyzeBudgeted is Analyze with budget enforcement surfaced: when
-// Options.Budget is exhausted the abstract execution is abandoned and the
-// partial result is returned together with an error wrapping
-// resilience.ErrBudgetExhausted. Without a budget (or within it) the error
-// is nil and the result is identical to Analyze's.
-func AnalyzeBudgeted(prog *Program, opts Options) (*Result, error) {
-	res, err, _ := analyzeBudgeted(prog, opts)
-	return res, err
-}
-
-// AnalyzeBudgetedCtx is AnalyzeBudgeted with trace propagation: when ctx
+// AnalyzeBudgetedCtx is Analyze with budget enforcement surfaced and trace
+// propagation. When Options.Budget is exhausted the abstract execution is
+// abandoned and the partial result is returned together with an error
+// wrapping resilience.ErrBudgetExhausted; without a budget (or within it)
+// the error is nil and the result is identical to Analyze's. When ctx
 // carries a span, the run gets an "interpret" child annotated with the step
 // count and — on exhaustion — the ledger's "budget" category. The step
 // count is a function of the program alone (the interpreter is
 // single-goroutine), so the attribute keeps trace fingerprints
-// deterministic. On an untraced ctx this is exactly AnalyzeBudgeted.
+// deterministic.
 func AnalyzeBudgetedCtx(ctx context.Context, prog *Program, opts Options) (*Result, error) {
 	_, sp := trace.Start(ctx, "interpret")
-	if sp == nil {
-		return AnalyzeBudgeted(prog, opts)
-	}
 	defer sp.End()
 	res, err, steps := analyzeBudgeted(prog, opts)
-	sp.SetAttr("steps", strconv.FormatInt(steps, 10))
-	if err != nil {
-		sp.Annotate(string(resilience.Categorize(err)))
+	if sp != nil {
+		sp.SetAttr("steps", strconv.FormatInt(steps, 10))
+		if err != nil {
+			sp.Annotate(string(resilience.Categorize(err)))
+		}
 	}
 	return res, err
 }
@@ -283,11 +221,6 @@ func analyzeBudgeted(prog *Program, opts Options) (res *Result, err error, steps
 // AnalyzeSource is a convenience wrapper for single-file programs.
 func AnalyzeSource(src string, opts Options) *Result {
 	return Analyze(ParseProgram(map[string]string{"Main.java": src}), opts)
-}
-
-// AnalyzeSourceBudgeted is AnalyzeBudgeted for single-file programs.
-func AnalyzeSourceBudgeted(src string, opts Options) (*Result, error) {
-	return AnalyzeBudgeted(ParseProgram(map[string]string{"Main.java": src}), opts)
 }
 
 // ---------------------------------------------------------------------------
@@ -361,12 +294,12 @@ type analyzer struct {
 }
 
 // budgetStop is the panic payload that unwinds an over-budget execution
-// back to AnalyzeBudgeted (the same recovery idiom the parser uses).
+// back to analyzeBudgeted (the same recovery idiom the parser uses).
 type budgetStop struct{ err error }
 
 // step consumes one budget unit; it is called from the interpreter's hot
 // loop (every statement and expression). Exhaustion aborts the whole
-// analysis by unwinding to AnalyzeBudgeted.
+// analysis by unwinding to analyzeBudgeted.
 func (an *analyzer) step() {
 	an.steps++
 	if an.budget == nil {
@@ -390,7 +323,7 @@ func (an *analyzer) stepN(n int64) {
 }
 
 // flushMetrics records the run's interpreter telemetry once, at the end of
-// AnalyzeBudgeted (normal or budget-exhausted exit).
+// analyzeBudgeted (normal or budget-exhausted exit).
 func (an *analyzer) flushMetrics(err error) {
 	reg := an.opts.Metrics
 	if reg == nil {

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -26,7 +27,7 @@ func forkBombSource(n int) string {
 func TestBudgetExhaustedOnForkHeavySnippet(t *testing.T) {
 	src := forkBombSource(400)
 	b := resilience.NewBudget(5000, 0)
-	res, err := AnalyzeSourceBudgeted(src, Options{Budget: b})
+	res, err := AnalyzeBudgetedCtx(context.Background(), ParseProgram(map[string]string{"Main.java": src}), Options{Budget: b})
 	if !errors.Is(err, resilience.ErrBudgetExhausted) {
 		t.Fatalf("err = %v, want ErrBudgetExhausted", err)
 	}
@@ -41,7 +42,7 @@ func TestBudgetExhaustedOnForkHeavySnippet(t *testing.T) {
 func TestBudgetLargeEnoughIsNoOp(t *testing.T) {
 	src := forkBombSource(40)
 	unbudgeted := AnalyzeSource(src, Options{})
-	res, err := AnalyzeSourceBudgeted(src, Options{Budget: resilience.NewBudget(1<<30, 0)})
+	res, err := AnalyzeBudgetedCtx(context.Background(), ParseProgram(map[string]string{"Main.java": src}), Options{Budget: resilience.NewBudget(1<<30, 0)})
 	if err != nil {
 		t.Fatalf("unexpected error %v", err)
 	}
@@ -53,7 +54,7 @@ func TestBudgetLargeEnoughIsNoOp(t *testing.T) {
 
 func TestNilBudgetMatchesAnalyze(t *testing.T) {
 	src := `class A { void m() { javax.crypto.Cipher c = javax.crypto.Cipher.getInstance("AES"); c.doFinal(); } }`
-	res, err := AnalyzeSourceBudgeted(src, Options{})
+	res, err := AnalyzeBudgetedCtx(context.Background(), ParseProgram(map[string]string{"Main.java": src}), Options{})
 	if err != nil {
 		t.Fatalf("unexpected error %v", err)
 	}

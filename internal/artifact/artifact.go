@@ -208,7 +208,7 @@ func (s *Store) Get(kind Kind, k Key, decode func([]byte) (any, error)) (any, bo
 		s.miss(kind)
 		return nil, false
 	}
-	s.putObj(mk, v)
+	capPut(s, &s.objs, s.cfg.ObjEntries, mk, v)
 	s.hit(kind, tier)
 	return v, true
 }
@@ -221,7 +221,7 @@ func (s *Store) Put(kind Kind, k Key, v any, encode func() ([]byte, error)) {
 		return
 	}
 	mk := mkey{kind, k}
-	s.putObj(mk, v)
+	capPut(s, &s.objs, s.cfg.ObjEntries, mk, v)
 	if encode == nil {
 		return
 	}
@@ -274,12 +274,12 @@ func (s *Store) getBytesUncounted(mk mkey) (payload []byte, tier string, ok bool
 		return nil, "", false
 	}
 	s.reg.Counter("artifact.bytes_read").Add(int64(len(payload)))
-	s.memPutBytes(mk, payload)
+	capPut(s, &s.bytes, s.cfg.MemEntries, mk, payload)
 	return payload, "disk", true
 }
 
 func (s *Store) putBytes(mk mkey, payload []byte) {
-	s.memPutBytes(mk, payload)
+	capPut(s, &s.bytes, s.cfg.MemEntries, mk, payload)
 	if s.cfg.Dir != "" {
 		if s.diskWrite(mk, payload) {
 			s.reg.Counter("artifact.bytes_written").Add(int64(len(payload)))
@@ -287,28 +287,17 @@ func (s *Store) putBytes(mk mkey, payload []byte) {
 	}
 }
 
-// memPutBytes inserts into the byte tier, resetting it at the cap (the
+// capPut inserts into one in-memory tier, resetting it at the cap (the
 // distcache eviction discipline: O(1) bookkeeping, dropped entries are
 // recomputed or re-read on demand).
-func (s *Store) memPutBytes(mk mkey, payload []byte) {
+func capPut[V any](s *Store, tier *map[mkey]V, limit int, mk mkey, v V) {
 	s.mu.Lock()
-	if len(s.bytes) >= s.cfg.MemEntries {
-		s.reg.Counter("artifact.evictions").Add(int64(len(s.bytes)))
+	if len(*tier) >= limit {
+		s.reg.Counter("artifact.evictions").Add(int64(len(*tier)))
 		s.reg.Counter("artifact.eviction.resets").Inc()
-		s.bytes = map[mkey][]byte{}
+		*tier = map[mkey]V{}
 	}
-	s.bytes[mk] = payload
-	s.mu.Unlock()
-}
-
-func (s *Store) putObj(mk mkey, v any) {
-	s.mu.Lock()
-	if len(s.objs) >= s.cfg.ObjEntries {
-		s.reg.Counter("artifact.evictions").Add(int64(len(s.objs)))
-		s.reg.Counter("artifact.eviction.resets").Inc()
-		s.objs = map[mkey]any{}
-	}
-	s.objs[mk] = v
+	(*tier)[mk] = v
 	s.mu.Unlock()
 }
 

@@ -245,8 +245,10 @@ func buildCheckArtifact(out *CheckOutcome) *checkArtifact {
 }
 
 // reconstructCheck rebuilds a CheckOutcome from its artifact. Result stays
-// nil — the analysis never ran; callers needing the raw result (the -v
-// explain path) run without outcome caching.
+// nil — the analysis never ran; a caller needing the raw result runs
+// without outcome caching (cryptochecker -v, whose rules.Explain renders
+// from it, builds its checker with a nil Artifacts store and passes the
+// store to Options.Summaries only).
 func (c *CryptoChecker) reconstructCheck(art *checkArtifact) *CheckOutcome {
 	byID := make(map[string]*rules.Rule, len(c.Rules))
 	for _, r := range c.Rules {
@@ -288,17 +290,12 @@ func (c *CryptoChecker) checkKey(sources map[string]string, rctx rules.Context, 
 	return artifact.NewKey(artifact.KindCheck, parts...)
 }
 
-// checkFlight is what one check's store flight resolves to: the leader and
-// its concurrent waiters share the live outcome (Result included); warm
-// hitters get the artifact and reconstruct.
-type checkFlight struct {
-	out *CheckOutcome
-	art *checkArtifact
-}
-
-// checkOutcome dispatches one request-scoped check through the artifact
-// store; with no store it is exactly the live check. Errors are never
-// cached — a panicking snippet or an exhausted budget re-runs on retry.
+// checkOutcome dispatches one check through the artifact store; with no
+// store it is exactly the live check. The leader of a store flight and its
+// concurrent waiters share the live outcome (Result included); warm hitters
+// get the artifact and reconstruct. Errors are never cached — a panicking
+// snippet or an exhausted budget (whose partial outcome still comes back)
+// re-runs on retry.
 func (c *CryptoChecker) checkOutcome(ctx context.Context, sources map[string]string, rctx rules.Context, why bool) (*CheckOutcome, error) {
 	st := c.opts.Artifacts
 	if st == nil {
@@ -307,22 +304,17 @@ func (c *CryptoChecker) checkOutcome(ctx context.Context, sources map[string]str
 	k := c.checkKey(sources, rctx, why)
 	v, err := st.Do(artifact.KindCheck, k, func() (any, error) {
 		if av, ok := st.Get(artifact.KindCheck, k, decodeCheckArtifact); ok {
-			return &checkFlight{art: av.(*checkArtifact)}, nil
+			return av, nil
 		}
 		out, err := c.checkLive(ctx, sources, rctx, why)
-		if err != nil {
-			return nil, err
+		if err == nil {
+			art := buildCheckArtifact(out)
+			st.Put(artifact.KindCheck, k, art, func() ([]byte, error) { return json.Marshal(art) })
 		}
-		art := buildCheckArtifact(out)
-		st.Put(artifact.KindCheck, k, art, func() ([]byte, error) { return json.Marshal(art) })
-		return &checkFlight{out: out, art: art}, nil
+		return out, err
 	})
-	if err != nil {
-		return nil, err
+	if art, ok := v.(*checkArtifact); ok {
+		return c.reconstructCheck(art), nil
 	}
-	f := v.(*checkFlight)
-	if f.out != nil {
-		return f.out, nil
-	}
-	return c.reconstructCheck(f.art), nil
+	return v.(*CheckOutcome), err
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/change"
 	"repro/internal/mining"
 	"repro/internal/obs"
+	"repro/internal/resilience"
 	"repro/internal/rules"
 )
 
@@ -263,5 +265,30 @@ func TestArtifactInvalidationRuleMutation(t *testing.T) {
 	again, hits, misses := checkRun(t, dir, nil)
 	if again != cold || hits != 1 || misses != 0 {
 		t.Errorf("restored rules: output %q hits/misses %d/%d, want %q 1/0", again, hits, misses, cold)
+	}
+}
+
+// TestCheckRequestPartialOnBudget pins the budget contract of the checker's
+// one entry point: an exhausted step budget still returns the rules'
+// outcome over the partial analysis, together with ErrBudgetExhausted, and
+// that partial outcome is never cached — a repeat check is a second miss.
+func TestCheckRequestPartialOnBudget(t *testing.T) {
+	reg := obs.NewRegistry()
+	st := artifact.New(artifact.Config{Metrics: reg})
+	checker := NewChecker(nil, Options{Workers: 1, BudgetSteps: 1, Metrics: reg, Artifacts: st})
+	for i := 0; i < 2; i++ {
+		out, err := checker.CheckRequest(context.Background(), checkerSources(), rules.Context{}, false)
+		if !errors.Is(err, resilience.ErrBudgetExhausted) {
+			t.Fatalf("check %d: err = %v, want ErrBudgetExhausted", i, err)
+		}
+		if out == nil || out.Result == nil {
+			t.Fatalf("check %d: outcome = %+v, want the partial outcome", i, out)
+		}
+	}
+	if misses := reg.Counter("artifact.check.misses").Value(); misses != 2 {
+		t.Errorf("artifact.check.misses = %d, want 2 (a partial outcome must not be cached)", misses)
+	}
+	if n := reg.Counter("checker.programs").Value(); n != 2 {
+		t.Errorf("checker.programs = %d, want 2 (partial checks are counted)", n)
 	}
 }

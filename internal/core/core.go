@@ -6,6 +6,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync/atomic"
@@ -45,11 +46,13 @@ type Options struct {
 	// (the parallel layer is deterministic); only wall-clock time changes.
 	Workers int
 	// BudgetSteps caps the abstract-interpretation steps spent on one mined
-	// change (both versions share the budget); 0 means unlimited. Changes
-	// that exhaust it are skipped and recorded in the ledger.
+	// change (both versions share the budget) or, on a checker, on one
+	// check request; 0 means unlimited. Changes that exhaust it are skipped
+	// and recorded in the ledger; a check that exhausts it reports over the
+	// partial analysis (see CheckRequest).
 	BudgetSteps int64
-	// BudgetWall caps the wall-clock time spent on one mined change;
-	// 0 means unlimited.
+	// BudgetWall caps the wall-clock time spent on one mined change or one
+	// check request; 0 means unlimited.
 	BudgetWall time.Duration
 	// FailFast stops a batch analysis after the first recorded failure.
 	FailFast bool
@@ -482,71 +485,7 @@ func NewChecker(ruleSet []*rules.Rule, opts Options) *CryptoChecker {
 	}
 }
 
-// CheckSources analyzes the given files as one program and reports all rule
-// violations. The per-file parse and the per-rule evaluation fan out on the
-// checker's worker pool (the abstract interpretation between them analyzes
-// the whole program and stays single-goroutine); violations come back in
-// the stable rule-set order regardless of worker count.
-func (c *CryptoChecker) CheckSources(sources map[string]string, ctx rules.Context) []rules.Violation {
-	return c.CheckSourcesCtx(context.Background(), sources, ctx)
-}
-
-// CheckSourcesCtx is CheckSources with span propagation: the program runs
-// as a "check" stage span with parse, interpret, and rules stages below it.
-func (c *CryptoChecker) CheckSourcesCtx(tctx context.Context, sources map[string]string, ctx rules.Context) []rules.Violation {
-	reg := c.opts.Metrics
-	pool := c.opts.pool()
-	cctx, csp := trace.Stage(tctx, reg, "check")
-	prog := analysis.ParseProgramStoreCtx(cctx, sources, reg, pool, c.opts.Artifacts)
-	res, _ := analysis.AnalyzeBudgetedCtx(cctx, prog, c.opts.Analysis)
-	violations := rules.CheckPoolCtx(cctx, res, ctx, c.Rules, pool)
-	csp.End()
-	reg.Counter("checker.programs").Inc()
-	reg.Counter("checker.rules_evaluated").Add(int64(len(c.Rules)))
-	reg.Counter("checker.violations").Add(int64(len(violations)))
-	return violations
-}
-
-// CheckSourcesWhy is CheckSources with witness reconstruction: the analysis
-// runs with provenance tracking enabled, the violations come back sorted by
-// source location (file, line, rule ID — the -why report order), and every
-// violation carries its witness traces. Provenance is observation-only, so
-// the violation *set* is exactly CheckSources'; only the order of the
-// returned slice and the extra traces differ.
-func (c *CryptoChecker) CheckSourcesWhy(sources map[string]string, ctx rules.Context) ([]rules.Violation, []witness.Trace) {
-	return c.CheckSourcesWhyCtx(context.Background(), sources, ctx)
-}
-
-// CheckSourcesWhyCtx is CheckSourcesWhy with the same span propagation as
-// CheckSourcesCtx, plus a "witness" stage span for the reconstruction.
-func (c *CryptoChecker) CheckSourcesWhyCtx(tctx context.Context, sources map[string]string, ctx rules.Context) ([]rules.Violation, []witness.Trace) {
-	reg := c.opts.Metrics
-	pool := c.opts.pool()
-	cctx, csp := trace.Stage(tctx, reg, "check")
-	aopts := c.opts.Analysis
-	aopts.Provenance = true
-	prog := analysis.ParseProgramStoreCtx(cctx, sources, reg, pool, c.opts.Artifacts)
-	res, _ := analysis.AnalyzeBudgetedCtx(cctx, prog, aopts)
-	violations := rules.CheckPoolCtx(cctx, res, ctx, c.Rules, pool)
-	csp.End()
-	reg.Counter("checker.programs").Inc()
-	reg.Counter("checker.rules_evaluated").Add(int64(len(c.Rules)))
-	reg.Counter("checker.violations").Add(int64(len(violations)))
-	sorted := report.SortViolations(violations, res)
-	_, wsp := trace.Stage(tctx, reg, "witness")
-	traces := witness.Collect(sorted, res, ctx)
-	wsp.SetAttr("traces", fmt.Sprint(len(traces)))
-	wsp.End()
-	witness.Observe(reg, traces)
-	return sorted, traces
-}
-
-// CheckProject checks a corpus project snapshot.
-func (c *CryptoChecker) CheckProject(p *corpus.Project) []rules.Violation {
-	return c.CheckSources(p.Files, ContextOf(p))
-}
-
-// CheckOutcome is the result of one request-scoped check.
+// CheckOutcome is the result of one check.
 type CheckOutcome struct {
 	Violations []rules.Violation
 	// Traces holds the witness traces when the request asked for them; the
@@ -556,20 +495,27 @@ type CheckOutcome struct {
 	Result *analysis.Result
 }
 
-// CheckRequest is the request-scoped entry point behind the analysis
-// server's /v1/check: one guarded, budgeted, cancelable check of a source
-// bundle. The whole parse+analyze+check runs under resilience.Guard, so a
-// panic on a pathological snippet comes back as a categorizable error
-// instead of killing the serving process, and the per-request budget is
-// tightened by ctx's deadline and trips early if ctx is canceled (a
-// disconnected client stops paying for analysis nobody will read).
+// CheckRequest is the checker's one entry point — behind the CLIs, the
+// library facade, and the analysis server's /v1/check: one guarded,
+// budgeted, cancelable check of a source bundle analyzed as one program.
+// The whole parse+analyze+check runs under resilience.Guard, so a panic on
+// a pathological snippet comes back as a categorizable error instead of
+// killing the caller, and the step budget is tightened by ctx's deadline
+// and trips early if ctx is canceled (a disconnected client stops paying
+// for analysis nobody will read). The per-file parse and the per-rule
+// evaluation fan out on the checker's worker pool; violations come back in
+// the stable rule-set order at any worker count — or, with why, in report
+// order with their witness traces. An exhausted budget still checks the
+// partial analysis: the outcome comes back together with an error wrapping
+// resilience.ErrBudgetExhausted. Any other error returns a nil outcome.
 func (c *CryptoChecker) CheckRequest(ctx context.Context, sources map[string]string, rctx rules.Context, why bool) (*CheckOutcome, error) {
 	out, err := c.checkOutcome(ctx, sources, rctx, why)
-	if err != nil {
+	if out == nil {
 		return nil, err
 	}
-	// Per-request accounting fires once for every request served — the live
-	// leader, its single-flight waiters, and warm artifact hits alike.
+	// Per-request accounting fires once for every outcome returned — the
+	// live leader, its single-flight waiters, warm artifact hits, and
+	// partial checks alike.
 	reg := c.opts.Metrics
 	reg.Counter("checker.programs").Inc()
 	reg.Counter("checker.rules_evaluated").Add(int64(len(c.Rules)))
@@ -577,27 +523,30 @@ func (c *CryptoChecker) CheckRequest(ctx context.Context, sources map[string]str
 	if why {
 		witness.Observe(reg, out.Traces)
 	}
-	return out, nil
+	return out, err
 }
 
 // checkLive runs one guarded, budgeted, cancelable check — the storeless
 // CheckRequest body, also run (under single-flight) on an artifact miss.
-// Per-request counters and witness observation live in CheckRequest.
+// The program runs as a "check" stage span with parse, interpret, rules,
+// and (with why) witness stages below it. Per-request counters and witness
+// observation live in CheckRequest.
 func (c *CryptoChecker) checkLive(ctx context.Context, sources map[string]string, rctx rules.Context, why bool) (*CheckOutcome, error) {
 	reg := c.opts.Metrics
 	pool := c.opts.pool()
-	out := &CheckOutcome{}
+	var out *CheckOutcome
 	cctx, csp := trace.Stage(ctx, reg, "check")
+	defer csp.End()
 	err := resilience.Guard("check", func() error {
 		aopts := c.opts.Analysis
 		aopts.Budget = resilience.NewBudgetContext(ctx, c.opts.BudgetSteps, c.opts.BudgetWall)
-		aopts.Provenance = why
+		aopts.Provenance = aopts.Provenance || why
 		res, err := analysis.AnalyzeBudgetedCtx(cctx, analysis.ParseProgramStoreCtx(cctx, sources, reg, pool, c.opts.Artifacts), aopts)
-		if err != nil {
+		if err != nil && !errors.Is(err, resilience.ErrBudgetExhausted) {
 			return err
 		}
-		out.Result = res
-		out.Violations = rules.CheckPoolCtx(cctx, res, rctx, c.Rules, pool)
+		// A budget stop leaves a partial result: the rules still run over it.
+		out = &CheckOutcome{Result: res, Violations: rules.CheckPoolCtx(cctx, res, rctx, c.Rules, pool)}
 		if why {
 			out.Violations = report.SortViolations(out.Violations, res)
 			_, wsp := trace.Start(cctx, "witness")
@@ -605,16 +554,12 @@ func (c *CryptoChecker) checkLive(ctx context.Context, sources map[string]string
 			wsp.SetAttr("traces", fmt.Sprint(len(out.Traces)))
 			wsp.End()
 		}
-		return nil
+		return err
 	})
 	if err != nil {
 		csp.Annotate(string(resilience.Categorize(err)))
 	}
-	csp.End()
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return out, err
 }
 
 // ContextOf converts corpus project metadata into a rule context.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -223,14 +224,24 @@ func TestDeterminismShardEquivalence(t *testing.T) {
 	}
 }
 
-// checkerFingerprint runs CheckProject over every project under the given
-// options and serializes the violations in report order.
-func checkerFingerprint(c *corpus.Corpus, opts Options) string {
+// mustCheck runs one CheckRequest under ctx; any error fails the test.
+func mustCheck(t testing.TB, ctx context.Context, c *CryptoChecker, sources map[string]string, rctx rules.Context, why bool) *CheckOutcome {
+	t.Helper()
+	out, err := c.CheckRequest(ctx, sources, rctx, why)
+	if err != nil {
+		t.Fatalf("CheckRequest: %v", err)
+	}
+	return out
+}
+
+// checkerFingerprint checks every project (why off) under the given
+// options and serializes the violations in rule-set order.
+func checkerFingerprint(t *testing.T, c *corpus.Corpus, opts Options) string {
 	var sb strings.Builder
 	checker := NewChecker(nil, opts)
 	for _, p := range c.Projects {
 		fmt.Fprintf(&sb, "%s:\n", p.Name)
-		writeViolations(&sb, checker.CheckProject(p))
+		writeViolations(&sb, mustCheck(t, context.Background(), checker, p.Files, ContextOf(p), false).Violations)
 	}
 	return sb.String()
 }
@@ -250,12 +261,12 @@ func writeViolations(sb *strings.Builder, vs []rules.Violation) {
 // order and witness order — is identical at workers 1, 2, and 8.
 func TestDeterminismCheckSources(t *testing.T) {
 	c := determinismCorpus()
-	want := checkerFingerprint(c, Options{Workers: 1})
+	want := checkerFingerprint(t, c, Options{Workers: 1})
 	if !strings.Contains(want, "R") {
 		t.Fatalf("no violations found; fingerprint exercises too little")
 	}
 	for _, w := range []int{2, 8} {
-		if got := checkerFingerprint(c, Options{Workers: w}); got != want {
+		if got := checkerFingerprint(t, c, Options{Workers: w}); got != want {
 			t.Errorf("workers=%d: checker fingerprint differs from workers=1", w)
 		}
 	}
@@ -268,34 +279,34 @@ func TestDeterminismCheckSources(t *testing.T) {
 // back into the lattice, the joins, or the rule predicates.
 func TestDeterminismProvenanceObservationOnly(t *testing.T) {
 	c := determinismCorpus()
-	want := checkerFingerprint(c, Options{Workers: 1})
+	want := checkerFingerprint(t, c, Options{Workers: 1})
 	if !strings.Contains(want, "R") {
 		t.Fatalf("no violations found; fingerprint exercises too little")
 	}
 	for _, w := range []int{1, 2, 8} {
-		got := checkerFingerprint(c, Options{Workers: w, Analysis: analysis.Options{Provenance: true}})
+		got := checkerFingerprint(t, c, Options{Workers: w, Analysis: analysis.Options{Provenance: true}})
 		if got != want {
 			t.Errorf("workers=%d: provenance-on checker fingerprint differs from provenance-off\ngot:\n%.800s\nwant:\n%.800s", w, got, want)
 		}
 	}
 }
 
-// whyFingerprint runs CheckSourcesWhy over every project and serializes the
+// whyFingerprint checks every project with why on and serializes the
 // sorted violations plus every rendered witness trace.
-func whyFingerprint(c *corpus.Corpus, opts Options) string {
+func whyFingerprint(t *testing.T, c *corpus.Corpus, opts Options) string {
 	var sb strings.Builder
 	checker := NewChecker(nil, opts)
 	for _, p := range c.Projects {
 		fmt.Fprintf(&sb, "%s:\n", p.Name)
-		vs, traces := checker.CheckSourcesWhy(p.Files, ContextOf(p))
-		for _, v := range vs {
+		out := mustCheck(t, context.Background(), checker, p.Files, ContextOf(p), true)
+		for _, v := range out.Violations {
 			fmt.Fprintf(&sb, "  %s", v.Rule.ID)
 			for _, o := range v.Objs {
 				fmt.Fprintf(&sb, " %s@%d", o.SiteLabel(), o.Site.Line)
 			}
 			sb.WriteString("\n")
 		}
-		sb.WriteString(witness.Render(traces))
+		sb.WriteString(witness.Render(out.Traces))
 	}
 	return sb.String()
 }
@@ -305,12 +316,12 @@ func whyFingerprint(c *corpus.Corpus, opts Options) string {
 // byte-identical at workers 1, 2, and 8.
 func TestDeterminismWitnessTraces(t *testing.T) {
 	c := determinismCorpus()
-	want := whyFingerprint(c, Options{Workers: 1})
+	want := whyFingerprint(t, c, Options{Workers: 1})
 	if !strings.Contains(want, "sink:") {
 		t.Fatalf("no witness traces produced; fingerprint exercises too little")
 	}
 	for _, w := range []int{1, 2, 8} {
-		if got := whyFingerprint(c, Options{Workers: w}); got != want {
+		if got := whyFingerprint(t, c, Options{Workers: w}); got != want {
 			t.Errorf("workers=%d: -why fingerprint differs from workers=1", w)
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -180,7 +181,7 @@ func TestDifferentialSummaryOracle(t *testing.T) {
 		prog := analysis.ParseProgram(map[string]string{"P.java": g.src})
 
 		live := analysis.Analyze(prog, analysis.Options{})
-		wantUses, wantVs := renderUses(live), renderViolationSet(rules.Check(live, ctx, rules.All()))
+		wantUses, wantVs := renderUses(live), renderViolationSet(rules.CheckPoolCtx(context.Background(), live, ctx, rules.All(), nil))
 		if !strings.Contains("\n"+wantVs, "\n"+g.rule+" ") {
 			fail("live execution misses the planted misuse; violations:\n%s", wantVs)
 		}
@@ -201,7 +202,7 @@ func TestDifferentialSummaryOracle(t *testing.T) {
 			if got := renderUses(res); got != wantUses {
 				fail("%s: events differ from live execution\n--- live ---\n%s--- %s ---\n%s", m.name, wantUses, m.name, got)
 			}
-			if got := renderViolationSet(rules.Check(res, ctx, rules.All())); got != wantVs {
+			if got := renderViolationSet(rules.CheckPoolCtx(context.Background(), res, ctx, rules.All(), nil)); got != wantVs {
 				fail("%s: violations differ from live execution\n--- live ---\n%s\n--- %s ---\n%s", m.name, wantVs, m.name, got)
 			}
 			if m.name == "memo (warm table, replaying)" && warmReg.Counter("summary.hits").Value() == hits {
@@ -210,7 +211,7 @@ func TestDifferentialSummaryOracle(t *testing.T) {
 		}
 
 		for w, c := range checkers {
-			if got := renderViolationSet(c.CheckSources(map[string]string{"P.java": g.src}, ctx)); got != wantVs {
+			if got := renderViolationSet(mustCheck(t, context.Background(), c, map[string]string{"P.java": g.src}, ctx, false).Violations); got != wantVs {
 				fail("core checker at workers=%d: violations differ from live execution\n--- live ---\n%s\n--- checker ---\n%s", w, wantVs, got)
 			}
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -272,7 +273,7 @@ func TestCheckerOnProjects(t *testing.T) {
 	checker := NewChecker(nil, Options{})
 	found := 0
 	for _, p := range e.Corpus.Projects[:30] {
-		vs := checker.CheckProject(p)
+		vs := mustCheck(t, context.Background(), checker, p.Files, ContextOf(p), false).Violations
 		found += len(vs)
 		for _, v := range vs {
 			if v.Rule == nil || len(v.Objs) == 0 {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -26,14 +27,14 @@ func TestDeterminismSummariesOnOff(t *testing.T) {
 	for _, p := range c.Projects {
 		fmt.Fprintf(&sb, "%s:\n", p.Name)
 		res := analysis.Analyze(analysis.ParseProgram(p.Files), analysis.Options{})
-		writeViolations(&sb, rules.Check(res, ContextOf(p), rules.All()))
+		writeViolations(&sb, rules.CheckPoolCtx(context.Background(), res, ContextOf(p), rules.All(), nil))
 	}
 	want := sb.String()
 	if !strings.Contains(want, "R") {
 		t.Fatalf("no violations found; fingerprint exercises too little")
 	}
 	for _, w := range []int{1, 2, 8} {
-		if got := checkerFingerprint(c, Options{Workers: w}); got != want {
+		if got := checkerFingerprint(t, c, Options{Workers: w}); got != want {
 			t.Errorf("workers=%d: checker with summaries differs from live analysis\ngot:\n%.800s\nwant:\n%.800s", w, got, want)
 		}
 	}
@@ -101,10 +102,11 @@ func TestSummaryDeepChainDetection(t *testing.T) {
 	sources := map[string]string{"Deep.java": deepChainDES}
 
 	checker := NewChecker([]*rules.Rule{rules.R8}, Options{})
-	if vs := checker.CheckSources(sources, rules.Context{}); len(vs) != 1 {
+	if vs := mustCheck(t, context.Background(), checker, sources, rules.Context{}, false).Violations; len(vs) != 1 {
 		t.Fatalf("violations = %d, want 1 (R8)", len(vs))
 	}
-	vs, traces := checker.CheckSourcesWhy(sources, rules.Context{})
+	out := mustCheck(t, context.Background(), checker, sources, rules.Context{}, true)
+	vs, traces := out.Violations, out.Traces
 	if len(vs) != 1 {
 		t.Fatalf("-why violations = %d, want 1 (R8)", len(vs))
 	}

@@ -89,7 +89,7 @@ func TestDeterminismTraceFingerprint(t *testing.T) {
 }
 
 // TestDeterminismCheckTrace pins the same two contracts for the checking
-// entry point (CheckSourcesCtx): identical violations and identical trace
+// entry point (CheckRequest): identical violations and identical trace
 // fingerprints at workers 1, 2, and 8.
 func TestDeterminismCheckTrace(t *testing.T) {
 	c := determinismCorpus()
@@ -100,7 +100,7 @@ func TestDeterminismCheckTrace(t *testing.T) {
 		checker := NewChecker(nil, Options{Workers: workers})
 		for _, p := range c.Projects {
 			fmt.Fprintf(&sb, "%s:\n", p.Name)
-			for _, v := range checker.CheckSourcesCtx(ctx, p.Files, ContextOf(p)) {
+			for _, v := range mustCheck(t, ctx, checker, p.Files, ContextOf(p), false).Violations {
 				fmt.Fprintf(&sb, "  %s", v.Rule.ID)
 				for _, o := range v.Objs {
 					fmt.Fprintf(&sb, " %s@%d", o.SiteLabel(), o.Site.Line)
@@ -111,7 +111,7 @@ func TestDeterminismCheckTrace(t *testing.T) {
 		root.End()
 		return sb.String(), trace.Snapshot(root).Fingerprint()
 	}
-	untraced := checkerFingerprint(c, Options{Workers: 1})
+	untraced := checkerFingerprint(t, c, Options{Workers: 1})
 	wantOut, wantFP := run(1)
 	if wantOut != untraced {
 		t.Errorf("traced checker output differs from untraced at workers=1")

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -51,11 +52,11 @@ func whyTraces(t *testing.T, r *rules.Rule, workers int) []witness.Trace {
 	t.Helper()
 	ex := witnessExamples[r.ID]
 	checker := NewChecker([]*rules.Rule{r}, Options{Workers: workers})
-	vs, traces := checker.CheckSourcesWhy(loadExample(t, ex.file), ex.ctx)
-	if len(vs) == 0 {
+	out := mustCheck(t, context.Background(), checker, loadExample(t, ex.file), ex.ctx, true)
+	if len(out.Violations) == 0 {
 		t.Fatalf("%s: example %s does not violate the rule", r.ID, ex.file)
 	}
-	return traces
+	return out.Traces
 }
 
 // TestWitnessGoldenAllRules pins the rendered witness trace of one

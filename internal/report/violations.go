@@ -12,8 +12,8 @@ import (
 // (file, line, rule ID), with ties broken by allocation-site ID. Location
 // is the first witnessing object's allocation site; its file comes from the
 // object's recorded events (objects carry no file themselves). The input
-// slice is not modified — CheckSources' stable rule-set ordering is part of
-// the plain CLI surface, so only the location-first (-why) output path
+// slice is not modified — the checker's stable rule-set ordering is part
+// of the plain CLI surface, so only the location-first (-why) output path
 // sorts.
 func SortViolations(vs []rules.Violation, res *analysis.Result) []rules.Violation {
 	out := make([]rules.Violation, len(vs))

@@ -1,6 +1,7 @@
 package report
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/analysis"
@@ -31,7 +32,7 @@ func TestSortViolationsByLocation(t *testing.T) {
 	res := analysis.Analyze(analysis.ParseProgram(sources), analysis.Options{Provenance: true})
 	// R8 (DES, file b) precedes R9 (static IV, file a) in rule-set order;
 	// location order must flip them.
-	vs := rules.Check(res, rules.Context{}, []*rules.Rule{rules.R8, rules.R9})
+	vs := rules.CheckPoolCtx(context.Background(), res, rules.Context{}, []*rules.Rule{rules.R8, rules.R9}, nil)
 	if len(vs) != 2 {
 		t.Fatalf("want 2 violations, got %d", len(vs))
 	}
@@ -62,7 +63,7 @@ func TestSortViolationsSameFileByLine(t *testing.T) {
 			}
 		}`}
 	res := analysis.Analyze(analysis.ParseProgram(sources), analysis.Options{Provenance: true})
-	vs := rules.Check(res, rules.Context{}, []*rules.Rule{rules.R7, rules.R10})
+	vs := rules.CheckPoolCtx(context.Background(), res, rules.Context{}, []*rules.Rule{rules.R7, rules.R10}, nil)
 	if len(vs) != 2 {
 		t.Fatalf("want 2 violations, got %d", len(vs))
 	}

@@ -1,6 +1,7 @@
 package rules
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/analysis"
@@ -47,7 +48,7 @@ func TestEvidencePinpointsSinkArgument(t *testing.T) {
 				c.doFinal(new byte[16]);
 			}
 		}`)
-	vs := Check(res, Context{}, []*Rule{R7})
+	vs := CheckPoolCtx(context.Background(), res, Context{}, []*Rule{R7}, nil)
 	if len(vs) != 1 {
 		t.Fatalf("want 1 violation, got %d", len(vs))
 	}
@@ -85,7 +86,7 @@ func TestEvidenceFallbackForPredOnlyRules(t *testing.T) {
 		Description: "pred-only rule",
 		Clauses:     []Clause{{Class: "Cipher", Pred: predDES}},
 	}
-	vs := Check(res, Context{}, []*Rule{bare})
+	vs := CheckPoolCtx(context.Background(), res, Context{}, []*Rule{bare}, nil)
 	if len(vs) != 1 {
 		t.Fatalf("want 1 violation, got %d", len(vs))
 	}

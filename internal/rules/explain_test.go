@@ -1,6 +1,7 @@
 package rules
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -9,7 +10,7 @@ func TestExplain(t *testing.T) {
 	res := analyze(t, wrap(`
         Cipher c = Cipher.getInstance("DES");
         c.init(Cipher.ENCRYPT_MODE, key);`))
-	vs := Check(res, Context{}, []*Rule{R8})
+	vs := CheckPoolCtx(context.Background(), res, Context{}, []*Rule{R8}, nil)
 	if len(vs) != 1 {
 		t.Fatalf("violations = %d", len(vs))
 	}

@@ -135,25 +135,14 @@ type Violation struct {
 	Objs []*absdom.AObj
 }
 
-// Check runs a rule set over a program (CryptoChecker).
-func Check(res *analysis.Result, ctx Context, ruleSet []*Rule) []Violation {
-	return CheckPool(res, ctx, ruleSet, nil)
-}
-
-// CheckPool is Check over a worker pool: each rule evaluates concurrently
-// (Matches only reads the analysis result), and the matches fan back in by
-// rule index, so the violation list keeps Check's stable rule-set order at
-// any worker count. A nil or one-worker pool is the exact serial path.
-func CheckPool(res *analysis.Result, ctx Context, ruleSet []*Rule, p *parallel.Pool) []Violation {
-	return CheckPoolCtx(context.Background(), res, ctx, ruleSet, p)
-}
-
-// CheckPoolCtx is CheckPool with trace propagation: under a traced tctx the
-// evaluation runs as a "rules" child span with one "rule[i]" span per rule
-// carrying the rule ID, ordered by rule-set index at any worker count. Rule
-// evaluation keeps its pre-trace contract of never being canceled mid-set
-// (the fan-out always ran under context.Background()); only the span
-// propagates. On an untraced tctx this is exactly CheckPool.
+// CheckPoolCtx runs a rule set over a program (CryptoChecker) on a worker
+// pool: each rule evaluates concurrently (Matches only reads the analysis
+// result), and the matches fan back in by rule index, so the violation list
+// keeps the stable rule-set order at any worker count. A nil or one-worker
+// pool is the exact serial path. Under a traced tctx the evaluation runs as
+// a "rules" child span with one "rule[i]" span per rule carrying the rule
+// ID, ordered by rule-set index. Rule evaluation is never canceled mid-set;
+// only the span propagates from tctx.
 func CheckPoolCtx(tctx context.Context, res *analysis.Result, ctx Context, ruleSet []*Rule, p *parallel.Pool) []Violation {
 	rctx, rsp := trace.Start(tctx, "rules")
 	defer rsp.End()

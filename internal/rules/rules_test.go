@@ -1,6 +1,7 @@
 package rules
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/analysis"
@@ -149,7 +150,7 @@ func TestCheckAggregates(t *testing.T) {
 	res := analyze(t, wrap(`
         Cipher c = Cipher.getInstance("DES");
         MessageDigest md = MessageDigest.getInstance("MD5");`))
-	vs := Check(res, Context{}, All())
+	vs := CheckPoolCtx(context.Background(), res, Context{}, All(), nil)
 	ids := map[string]bool{}
 	for _, v := range vs {
 		ids[v.Rule.ID] = true

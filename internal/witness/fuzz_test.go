@@ -1,6 +1,7 @@
 package witness
 
 import (
+	"context"
 	"encoding/json"
 	"testing"
 
@@ -65,7 +66,7 @@ func FuzzExplain(f *testing.F) {
 	f.Fuzz(func(t *testing.T, src string) {
 		prog := analysis.ParseProgram(map[string]string{"F.java": src})
 		res := analysis.Analyze(prog, analysis.Options{Provenance: true})
-		vs := rules.Check(res, ctx, ruleSet)
+		vs := rules.CheckPoolCtx(context.Background(), res, ctx, ruleSet, nil)
 		traces := Collect(vs, res, ctx)
 		for _, tr := range traces {
 			if len(tr.Steps) == 0 {

@@ -1,6 +1,7 @@
 package witness
 
 import (
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -21,7 +22,7 @@ func analyzeWhy(t *testing.T, src string) *analysis.Result {
 func traceFor(t *testing.T, src string, r *rules.Rule) []Trace {
 	t.Helper()
 	res := analyzeWhy(t, src)
-	vs := rules.Check(res, rules.Context{}, []*rules.Rule{r})
+	vs := rules.CheckPoolCtx(context.Background(), res, rules.Context{}, []*rules.Rule{r}, nil)
 	if len(vs) != 1 {
 		t.Fatalf("want 1 violation of %s, got %d", r.ID, len(vs))
 	}

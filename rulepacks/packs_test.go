@@ -1,6 +1,7 @@
 package rulepacks
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -59,6 +60,17 @@ func loadExample(t *testing.T, name string) map[string]string {
 	return map[string]string{name: string(b)}
 }
 
+// checkExample checks one testdata example with the given checker; any
+// error fails the test.
+func checkExample(t *testing.T, checker *core.CryptoChecker, name string, why bool) *core.CheckOutcome {
+	t.Helper()
+	out, err := checker.CheckRequest(context.Background(), loadExample(t, name), rules.Context{}, why)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return out
+}
+
 func violatedIDs(vs []rules.Violation) map[string]bool {
 	out := map[string]bool{}
 	for _, v := range vs {
@@ -78,11 +90,11 @@ func TestPackRuleExamples(t *testing.T) {
 	checker := activeChecker(t)
 	for _, id := range ids {
 		t.Run(id, func(t *testing.T) {
-			pos := violatedIDs(checker.CheckSources(loadExample(t, id+".java"), rules.Context{}))
+			pos := violatedIDs(checkExample(t, checker, id+".java", false).Violations)
 			if !pos[id] {
 				t.Errorf("%s.java: rule %s did not fire (got %v)", id, id, keys(pos))
 			}
-			neg := violatedIDs(checker.CheckSources(loadExample(t, id+"_ok.java"), rules.Context{}))
+			neg := violatedIDs(checkExample(t, checker, id+"_ok.java", false).Violations)
 			if neg[id] {
 				t.Errorf("%s_ok.java: rule %s fired on the fixed example", id, id)
 			}
@@ -114,7 +126,7 @@ func TestPackExamplesPackClean(t *testing.T) {
 		if !strings.HasSuffix(e.Name(), "_ok.java") {
 			continue
 		}
-		for id := range violatedIDs(checker.CheckSources(loadExample(t, e.Name()), rules.Context{})) {
+		for id := range violatedIDs(checkExample(t, checker, e.Name(), false).Violations) {
 			if strings.HasPrefix(id, "P") {
 				t.Errorf("%s: fixed example still violates pack rule %s", e.Name(), id)
 			}
@@ -127,13 +139,13 @@ func TestPackExamplesPackClean(t *testing.T) {
 // built-ins, down to the rendered byte.
 func TestPackWitnessGolden(t *testing.T) {
 	checker := activeChecker(t)
-	vs, traces := checker.CheckSourcesWhy(loadExample(t, "P104.java"), rules.Context{})
-	ids := violatedIDs(vs)
+	out := checkExample(t, checker, "P104.java", true)
+	ids := violatedIDs(out.Violations)
 	if !ids["P104"] {
 		t.Fatalf("P104.java: P104 did not fire (got %v)", keys(ids))
 	}
 	var got strings.Builder
-	for _, tr := range traces {
+	for _, tr := range out.Traces {
 		if tr.Rule == "P104" {
 			got.WriteString(witness.Render([]witness.Trace{tr}))
 		}

@@ -8,8 +8,10 @@ import (
 
 	"repro/internal/change"
 	"repro/internal/corpus"
+	"repro/internal/cryptoapi"
 	"repro/internal/mining"
 	"repro/internal/resilience"
+	"repro/internal/rules"
 )
 
 // tinyChange builds a well-behaved mined change (a few dozen interpreter
@@ -267,6 +269,56 @@ func TestRunClassExtractGuard(t *testing.T) {
 	}
 	if entries[0].Phase != resilience.PhaseExtract || entries[0].Category != resilience.CatPanic {
 		t.Errorf("entry = phase %q category %q, want extract/panic", entries[0].Phase, entries[0].Category)
+	}
+}
+
+// TestEvaluationExtractGuard: within an evaluation, a change whose
+// extraction panics is skipped by every figure alike and recorded once,
+// however many figures read its class.
+func TestEvaluationExtractGuard(t *testing.T) {
+	c := corpus.Generate(corpus.Config{Seed: 7, Scale: 0.2, Projects: 10, ExtraProjects: 2})
+	e := NewEvaluation(c, Options{})
+	victim := ""
+	for _, a := range e.Analyzed {
+		if a.UsesClass(cryptoapi.Cipher) && len(e.DiffCode.ExtractClass(a, cryptoapi.Cipher)) > 0 {
+			victim = fmt.Sprintf("extract %s %s@%s:%s", cryptoapi.Cipher, a.Meta.Project, a.Meta.Commit, a.Meta.File)
+			break
+		}
+	}
+	if victim == "" {
+		t.Fatal("setup: no change has Cipher usage changes")
+	}
+
+	defer resilience.ClearFaultInjector()
+	resilience.SetFaultInjector(func(task string) error {
+		if task == victim {
+			panic("extract chaos")
+		}
+		return nil
+	})
+	fig6 := map[string]string{}
+	for _, row := range e.Figure6().Rows {
+		fig6[row[0]] = row[1]
+	}
+	fig7 := e.Figure7Data()
+	e.ElicitRules()
+
+	entries := e.DiffCode.Ledger().Entries()
+	if len(entries) != 1 {
+		t.Fatalf("ledger has %d entries, want 1:\n%s", len(entries), e.DiffCode.Ledger().Report())
+	}
+	if entries[0].Task != victim || entries[0].Phase != resilience.PhaseExtract {
+		t.Errorf("entry = %q phase %q, want %q phase extract", entries[0].Task, entries[0].Phase, victim)
+	}
+	totals := map[string]int{}
+	for _, row := range fig7 {
+		totals[row.Rule] += row.Total
+	}
+	for _, cl := range rules.CryptoLint() {
+		class := cl.Clauses[0].Class
+		if got := fmt.Sprint(totals[cl.ID]); got != fig6[class] {
+			t.Errorf("%s: Figure 7 totals %s usage changes, Figure 6 counts %s for %s", cl.ID, got, fig6[class], class)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -13,6 +14,8 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/corpus"
 	"repro/internal/cryptoapi"
+	"repro/internal/obs"
+	"repro/internal/resilience"
 	"repro/internal/rules"
 	"repro/internal/witness"
 )
@@ -91,6 +94,42 @@ func TestDeterminismMiningPipeline(t *testing.T) {
 		if got := pipelineFingerprint(t, c, Options{Workers: w}); got != want {
 			t.Errorf("workers=%d: pipeline fingerprint differs from workers=1\ngot:\n%.800s\nwant:\n%.800s", w, got, want)
 		}
+	}
+}
+
+// TestDeterminismEvaluationWorkers asserts the evaluation's Figure 6, 7
+// and 8 outputs, elicited rules and ledger are identical at workers 1 and
+// 4, and that every figure reads one extraction per class: after all of
+// them ran, the extract.usage_changes counter equals Figure 6's total.
+func TestDeterminismEvaluationWorkers(t *testing.T) {
+	c := determinismCorpus()
+	type outputs struct {
+		Fig6     [][]string
+		Fig7     []Figure7Row
+		Fig8     string
+		Elicited []string
+		Ledger   []resilience.Entry
+	}
+	run := func(workers int) outputs {
+		reg := obs.NewRegistry()
+		e := NewEvaluation(c, Options{Workers: workers, Metrics: reg})
+		o := outputs{Fig6: e.Figure6().Rows, Fig7: e.Figure7Data(), Fig8: e.Figure8().Rendering}
+		for _, er := range e.ElicitRules() {
+			o.Elicited = append(o.Elicited, fmt.Sprintf("%s %d %d %v %s", er.Class, er.Support, er.Reversals, er.Members, er.Rule.Formula))
+		}
+		h := e.ComputeHeadline(nil)
+		o.Ledger = e.DiffCode.Ledger().Entries()
+		if got := reg.Counter("extract.usage_changes").Value(); got != int64(h.TotalChanges) {
+			t.Errorf("workers=%d: extract.usage_changes = %d, want Figure 6's total %d (one extraction per class)", workers, got, h.TotalChanges)
+		}
+		return o
+	}
+	want := run(1)
+	if len(want.Elicited) == 0 || want.Fig8 == "" {
+		t.Fatalf("corpus elicited %d rules and rendered Figure 8 %q; the comparison exercises too little", len(want.Elicited), want.Fig8)
+	}
+	if got := run(4); !reflect.DeepEqual(got, want) {
+		t.Errorf("workers=4 evaluation differs from workers=1\ngot:  %+v\nwant: %+v", got, want)
 	}
 }
 

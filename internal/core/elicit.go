@@ -147,12 +147,9 @@ func minSwapDist(eng *distcache.Engine, a, b ElicitedRule) float64 {
 // of the class identically still counts once).
 func (e *Evaluation) changeMultiplicity(class string) map[string]int {
 	counts := map[string]int{}
-	for _, a := range e.Analyzed {
-		if !a.UsesClass(class) {
-			continue
-		}
+	for _, row := range e.table(class).rows {
 		perCommit := map[string]bool{}
-		for _, c := range e.DiffCode.ExtractClass(a, class) {
+		for _, c := range row {
 			if c.IsSame() || c.IsAddOnly() || c.IsRemoveOnly() {
 				continue
 			}

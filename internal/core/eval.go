@@ -25,8 +25,17 @@ type Evaluation struct {
 	Corpus   *corpus.Corpus
 	Analyzed []*AnalyzedChange
 
-	classOnce sync.Mutex
-	classRes  map[string]*ClassPipelineResult
+	mu      sync.Mutex
+	classes map[string]*classEntry
+}
+
+// classEntry is one target class's part of the evaluation's extraction
+// table: rows[i] holds the usage changes of Analyzed[i] (nil when that
+// change does not use the class or its extraction was skipped), and res
+// the filter pipeline's result over those rows.
+type classEntry struct {
+	rows [][]change.UsageChange
+	res  ClassPipelineResult
 }
 
 // NewEvaluation mines and analyzes the corpus once.
@@ -37,7 +46,9 @@ func NewEvaluation(c *corpus.Corpus, opts Options) *Evaluation {
 // NewEvaluationCtx is NewEvaluation with trace propagation: under a traced
 // ctx the mining run attaches its span tree (mine → analyze → per-change
 // spans) to the current span. On an untraced ctx this is exactly
-// NewEvaluation.
+// NewEvaluation. It extracts no usage changes: the first figure that needs
+// a class extracts that class from Analyzed, once per evaluation (see
+// table), so a caller may still replace Analyzed before the first figure.
 func NewEvaluationCtx(ctx context.Context, c *corpus.Corpus, opts Options) *Evaluation {
 	// The evaluation harness re-classifies changes against both raw analysis
 	// results (Figure 7 needs Old/New), which warm artifact hits do not
@@ -48,20 +59,30 @@ func NewEvaluationCtx(ctx context.Context, c *corpus.Corpus, opts Options) *Eval
 		DiffCode: d,
 		Corpus:   c,
 		Analyzed: d.MineCorpusCtx(ctx, c),
-		classRes: map[string]*ClassPipelineResult{},
+		classes:  map[string]*classEntry{},
 	}
 }
 
-// classResult memoizes per-class pipeline runs.
-func (e *Evaluation) classResult(class string) *ClassPipelineResult {
-	e.classOnce.Lock()
-	defer e.classOnce.Unlock()
-	if r, ok := e.classRes[class]; ok {
-		return r
+// table returns the class's entry of the extraction table, extracting and
+// filtering it on first use. Every figure, the multiplicity vote and
+// provenance read these rows, so each (change, class) pair is extracted
+// once per evaluation and a change whose extraction was skipped is missing
+// from all of them alike.
+func (e *Evaluation) table(class string) *classEntry {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if ce, ok := e.classes[class]; ok {
+		return ce
 	}
-	r := e.DiffCode.RunClass(e.Analyzed, class)
-	e.classRes[class] = &r
-	return &r
+	ce := &classEntry{rows: e.DiffCode.extractRows(context.Background(), e.Analyzed, class)}
+	ce.res = e.DiffCode.filterRows(context.Background(), ce.rows, class)
+	e.classes[class] = ce
+	return ce
+}
+
+// classResult is the class's filter pipeline result.
+func (e *Evaluation) classResult(class string) *ClassPipelineResult {
+	return &e.table(class).res
 }
 
 // ---------------------------------------------------------------------------
@@ -106,33 +127,28 @@ type Figure7Row struct {
 	Remaining int
 }
 
-// Figure7Data computes the classification table backing Figure 7.
+// Figure7Data computes the classification table backing Figure 7 in one
+// pass over the extraction table: each change with usage changes of a CL
+// rule's class is classified once under that rule, and fdup counts the
+// distinct survivor signatures per (rule, type).
 func (e *Evaluation) Figure7Data() []Figure7Row {
-	type key struct {
-		rule string
-		typ  rules.ChangeType
-	}
-	acc := map[key]*Figure7Row{}
-	get := func(rule string, typ rules.ChangeType) *Figure7Row {
-		k := key{rule, typ}
-		if r, ok := acc[k]; ok {
-			return r
-		}
-		r := &Figure7Row{Rule: rule, Type: typ}
-		acc[k] = r
-		return r
-	}
+	types := []rules.ChangeType{rules.SecurityFix, rules.BuggyChange, rules.NonSemantic}
+	var out []Figure7Row
 	for _, cl := range rules.CryptoLint() {
-		class := cl.Clauses[0].Class
-		for _, a := range e.Analyzed {
-			if !a.UsesClass(class) {
+		acc := map[rules.ChangeType]*Figure7Row{}
+		seen := map[rules.ChangeType]map[string]bool{}
+		for _, typ := range types {
+			acc[typ], seen[typ] = &Figure7Row{Rule: cl.ID, Type: typ}, map[string]bool{}
+		}
+		for i, ucs := range e.table(cl.Clauses[0].Class).rows {
+			if len(ucs) == 0 {
 				continue
 			}
+			a := e.Analyzed[i]
 			typ := rules.Classify(cl, a.Old, a.New, rules.Context{})
-			ucs := e.DiffCode.ExtractClass(a, class)
-			row := get(cl.ID, typ)
-			for i := range ucs {
-				c := &ucs[i]
+			row := acc[typ]
+			for j := range ucs {
+				c := &ucs[j]
 				row.Total++
 				switch {
 				case c.IsSame():
@@ -142,44 +158,16 @@ func (e *Evaluation) Figure7Data() []Figure7Row {
 				case c.IsRemoveOnly():
 					row.ByFrem++
 				default:
-					row.Remaining++ // fdup handled below per rule+type
+					row.Remaining++
+					seen[typ][c.Key()] = true
 				}
 			}
 		}
-	}
-	// Deduplicate the survivors per (rule, type) to account for fdup.
-	for _, cl := range rules.CryptoLint() {
-		class := cl.Clauses[0].Class
-		for _, typ := range []rules.ChangeType{rules.SecurityFix, rules.BuggyChange, rules.NonSemantic} {
-			row := get(cl.ID, typ)
-			seen := map[string]bool{}
-			unique := 0
-			for _, a := range e.Analyzed {
-				if !a.UsesClass(class) {
-					continue
-				}
-				if rules.Classify(cl, a.Old, a.New, rules.Context{}) != typ {
-					continue
-				}
-				for _, c := range e.DiffCode.ExtractClass(a, class) {
-					if c.IsSame() || c.IsAddOnly() || c.IsRemoveOnly() {
-						continue
-					}
-					k := c.Key()
-					if !seen[k] {
-						seen[k] = true
-						unique++
-					}
-				}
-			}
-			row.ByFdup = row.Remaining - unique
-			row.Remaining = unique
-		}
-	}
-	var out []Figure7Row
-	for _, cl := range rules.CryptoLint() {
-		for _, typ := range []rules.ChangeType{rules.SecurityFix, rules.BuggyChange, rules.NonSemantic} {
-			out = append(out, *get(cl.ID, typ))
+		for _, typ := range types {
+			row := acc[typ]
+			row.ByFdup = row.Remaining - len(seen[typ])
+			row.Remaining = len(seen[typ])
+			out = append(out, *row)
 		}
 	}
 	return out

@@ -15,13 +15,10 @@ import (
 func (e *Evaluation) Provenance(c change.UsageChange) []*AnalyzedChange {
 	key := c.Key()
 	var out []*AnalyzedChange
-	for _, a := range e.Analyzed {
-		if !a.UsesClass(c.Class) {
-			continue
-		}
-		for _, uc := range e.DiffCode.ExtractClass(a, c.Class) {
+	for i, row := range e.table(c.Class).rows {
+		for _, uc := range row {
 			if uc.Key() == key {
-				out = append(out, a)
+				out = append(out, e.Analyzed[i])
 				break
 			}
 		}

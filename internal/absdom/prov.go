@@ -85,11 +85,13 @@ type Prov struct {
 	// Truncated marks a step whose history was cut to enforce MaxProvDepth;
 	// the surviving Prev0 points at the chain's origin.
 	Truncated bool
+	depth     uint8 // ≤ MaxProvDepth+1
 	// Line/Col locate the definition site (with File). A zero Line means
 	// the step has no concrete source position (synthetic joins).
-	Line  int32
-	Col   int32
-	depth int32
+	Line int32
+	Col  int32
+	// seq is the node's creation stamp in its arena (0 for heap nodes).
+	seq uint32
 	// file points at the interned source-file name (nil for synthetic
 	// steps); all steps of one file share the analyzer's one string header.
 	file *string
@@ -112,6 +114,17 @@ func (p *Prov) File() string {
 	}
 	return *p.file
 }
+
+// Label returns the step's label parts: the constant shape (nil for a
+// one-piece label) and the two dynamic names What joins into it.
+func (p *Prov) Label() (shape *LabelShape, n1, n2 string) {
+	return p.shape, p.n1, p.n2
+}
+
+// Seq returns the node's creation stamp in its arena: nodes created after
+// an arena's Seq() was read are exactly those stamped above it. Heap nodes
+// (NewProv, NewProvShape) are stamped 0.
+func (p *Prov) Seq() uint32 { return p.seq }
 
 // What renders the step's label: the literal text, the variable or field
 // name, the callee, the operator.
@@ -184,9 +197,17 @@ const provChunk = 39
 // step. Nodes stay individually immutable and shared; the arena only changes
 // where they live (a chunk is retained as long as any node in it). Not safe
 // for concurrent use — each analyzer owns one.
+//
+// The arena stamps every node with a creation sequence number. That stamp
+// is the creation tee summary recordings read: a recording notes Seq() when
+// it begins, and the nodes it created are those stamped above that.
 type ProvArena struct {
 	free []Prov
+	seq  uint32
 }
+
+// Seq returns the stamp of the last node the arena created (0 before any).
+func (a *ProvArena) Seq() uint32 { return a.seq }
 
 // NewShape is NewProvShape backed by the arena, with the file name passed
 // as the caller's interned pointer (one shared string header per file).
@@ -196,6 +217,8 @@ func (a *ProvArena) NewShape(kind ProvKind, file *string, line, col int, shape *
 	}
 	p := &a.free[0]
 	a.free = a.free[1:]
+	a.seq++
+	p.seq = a.seq
 	return initProv(p, kind, file, line, col, shape, n1, n2, p0, p1)
 }
 

@@ -57,9 +57,10 @@ type Options struct {
 	// callee and replays a recorded effect triple on a hit. The table may be
 	// shared across analyses — a mining run shares one table across all
 	// changes, a server across all requests. Nil means live execution of
-	// every call under the same cycle policy (recursive SCCs widen to Top),
-	// which is also what runs with Provenance on (summaries carry no
-	// provenance), so every mode agrees on the violation set.
+	// every call under the same cycle policy (recursive SCCs widen to Top).
+	// With Provenance on, entries also carry a provenance template, so
+	// replayed chains — and the witness text built from them — equal a
+	// live run's.
 	Summaries *summary.Table
 }
 
@@ -268,8 +269,8 @@ type analyzer struct {
 	budget      *resilience.Budget
 
 	// Summary machinery (summary.go). sums is the shared table (nil = live
-	// execution of every call); memoOK gates lookups (off under provenance
-	// or for fingerprint-less programs, which execute live). siteOf is the
+	// execution of every call); memoOK gates lookups (off for
+	// fingerprint-less programs, which execute live). siteOf is the
 	// reverse of sites — it renders abstract objects portably. recs is the
 	// stack of in-flight recordings that the allocObj/record/markExecuted
 	// tee points feed; localSums caches summaries already rebound into this
@@ -352,13 +353,17 @@ func newAnalyzer(prog *Program, opts Options) *analyzer {
 		sums:        opts.Summaries,
 		siteOf:      map[*absdom.AObj]siteKey{},
 	}
-	// Memoization needs provenance off (entries carry none) and a program
-	// fingerprint (the key's exactness anchor); otherwise every call
-	// executes live under the same cycle policy.
-	an.memoOK = an.sums != nil && !an.provOn && prog.SourceFP != ""
+	// Memoization needs a program fingerprint (the key's exactness anchor);
+	// without one every call executes live under the same cycle policy.
+	// Entries recorded under provenance carry a provenance template, so they
+	// are keyed apart from provenance-off ones.
+	an.memoOK = an.sums != nil && prog.SourceFP != ""
 	if an.memoOK {
 		an.localSums = map[*summary.Entry]*resolvedSum{}
 		an.sumOptsFP = fmt.Sprintf("ms=%d", opts.MaxStates)
+		if an.provOn {
+			an.sumOptsFP += ",prov"
+		}
 	}
 	for fi, f := range prog.Files {
 		for _, t := range f.Unit.Types {

@@ -231,8 +231,15 @@ func (an *analyzer) evalFieldAccess(x *javaast.FieldAccess, st *absdom.State, fr
 }
 
 // staticFieldValue evaluates (and caches) the initializer of a static-ish
-// field accessed cross-class. A cycle guard breaks mutual recursion.
+// field accessed cross-class. A cycle guard breaks mutual recursion. Under
+// provenance the cached chain is shared by every later read and the cache
+// is outside summary keys, so every in-flight recording is unportable.
 func (an *analyzer) staticFieldValue(ci *classInfo, fd *javaast.FieldDecl) absdom.Value {
+	if an.provOn {
+		for _, r := range an.recs {
+			r.unportable = true
+		}
+	}
 	if an.constCache == nil {
 		an.constCache = map[*javaast.FieldDecl]absdom.Value{}
 		an.constBusy = map[*javaast.FieldDecl]bool{}
@@ -512,8 +519,8 @@ func (an *analyzer) pickMethod(ci *classInfo, name string, arity int) *javaast.M
 // inlineCall executes a callee in the caller's state with the callee's own
 // variable scope. Reach is bounded by cycle detection (recursive SCCs widen
 // to Top, counted as summary.cycles) plus a generous backstop, and, when
-// memoization applies (a table attached, provenance off, fingerprinted
-// program), the summary table is consulted before executing.
+// memoization applies (a table attached, fingerprinted program), the
+// summary table is consulted before executing.
 func (an *analyzer) inlineCall(ci *classInfo, m *javaast.MethodDecl, args []absdom.Value, st *absdom.State) absdom.Value {
 	for i, on := range an.inlineStack {
 		if on == m {

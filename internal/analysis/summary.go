@@ -30,6 +30,15 @@ package analysis
 // frames (depth is deliberately outside the key; putting it in would
 // fragment the table per call depth).
 //
+// Provenance (Options.Provenance) memoizes too. Its entries are keyed
+// apart (",prov" in the options fingerprint, plus the shape of the inputs'
+// provenance) and carry a provenance template: every chain an output value
+// holds, as nodes the recording created on top of input slots. Replay
+// creates the template's nodes afresh over the caller's inputs, so chain
+// identity, depth cuts and witness text equal a live run's. A recording
+// whose chains reach anything else — a cached cross-class constant, a chain
+// the depth cap cut — is dropped as unportable and that call stays live.
+//
 // Cycle policy (shared with live execution): a recursive call (direct or
 // through a SCC) widens to the callee's ⊤ return, which is a post-fixpoint
 // of the recursive equation, so convergence is immediate. A recording whose execution hit
@@ -69,6 +78,8 @@ type recEvent struct {
 type recActive struct {
 	startIdx   int // inline stack depth when the recording began
 	startSteps int64
+	provSeq    uint32 // arena stamp when the recording began
+	unportable bool   // read the static-field constant cache under provenance
 	allocs     []*absdom.AObj
 	events     []recEvent
 	executed   []*javaast.MethodDecl
@@ -84,7 +95,8 @@ type resolvedSum struct {
 	entry   *summary.Entry
 	execMs  []*javaast.MethodDecl
 	outer   []*javaast.MethodDecl
-	refObjs []*absdom.AObj // Sites[NAlloc:], resolved
+	refObjs []*absdom.AObj       // Sites[NAlloc:], resolved
+	shapes  []*absdom.LabelShape // label shape of each Prov template node
 
 	materialized bool
 	objs         []*absdom.AObj
@@ -124,18 +136,19 @@ func (an *analyzer) noteCycle(stackIdx int, m *javaast.MethodDecl) {
 // valid hit, otherwise execute live under a fresh recording and memoize the
 // result.
 func (an *analyzer) inlineMemo(ci *classInfo, m *javaast.MethodDecl, args []absdom.Value, st *absdom.State) absdom.Value {
-	key, ok := an.summaryKey(ci, m, args, st)
+	key, ins, ok := an.summaryKey(ci, m, args, st)
 	if !ok {
 		return an.inlineLive(ci, m, args, st)
 	}
-	if rs := an.lookupSummary(key); rs != nil && an.summaryValid(rs) {
+	if rs := an.lookupSummary(key, len(ins)); rs != nil && an.summaryValid(rs) {
 		an.sums.Hit()
-		return an.applySummary(rs, st)
+		return an.applySummary(rs, ins, st)
 	}
 	an.sums.Miss()
 	rec := &recActive{
 		startIdx:   len(an.inlineStack),
 		startSteps: an.steps,
+		provSeq:    an.provArena.Seq(),
 		executedIn: map[*javaast.MethodDecl]bool{},
 		outerIn:    map[*javaast.MethodDecl]bool{},
 	}
@@ -144,23 +157,31 @@ func (an *analyzer) inlineMemo(ci *classInfo, m *javaast.MethodDecl, args []absd
 	// On a budget panic the unwind abandons the partial recording with the
 	// analyzer — entries are only ever inserted for completed executions.
 	an.recs = an.recs[:len(an.recs)-1]
-	an.finishRecording(rec, key, ret, st)
+	an.finishRecording(rec, key, ins, ret, st)
 	return ret
 }
 
 // summaryKey renders the memoization key for calling m with args under st's
 // field/heap context. ok is false when the call cannot be keyed portably
 // (an object without a site, a method not reachable through the class
-// index) — such calls fall back to live execution.
-func (an *analyzer) summaryKey(ci *classInfo, m *javaast.MethodDecl, args []absdom.Value, st *absdom.State) (artifact.Key, bool) {
+// index) — such calls fall back to live execution. Under provenance, ins
+// lists every input's provenance in key order (the slots templates
+// reference), and the key ends with their shape: which are nil, which alias.
+func (an *analyzer) summaryKey(ci *classInfo, m *javaast.MethodDecl, args []absdom.Value, st *absdom.State) (key artifact.Key, ins []*absdom.Prov, ok bool) {
 	pm, ok := an.methodPRef(m)
 	if !ok {
-		return artifact.Key{}, false
+		return artifact.Key{}, nil, false
 	}
 	var sb strings.Builder
+	input := func(v absdom.Value) bool {
+		if an.provOn {
+			ins = append(ins, v.Prov)
+		}
+		return an.renderValue(&sb, v)
+	}
 	for _, a := range args {
-		if !an.renderValue(&sb, a) {
-			return artifact.Key{}, false
+		if !input(a) {
+			return artifact.Key{}, nil, false
 		}
 		sb.WriteByte(0x1e)
 	}
@@ -175,8 +196,8 @@ func (an *analyzer) summaryKey(ci *classInfo, m *javaast.MethodDecl, args []absd
 	for _, k := range names {
 		sb.WriteString(k)
 		sb.WriteByte(0x1f)
-		if !an.renderValue(&sb, st.Fields[k]) {
-			return artifact.Key{}, false
+		if !input(st.Fields[k]) {
+			return artifact.Key{}, nil, false
 		}
 		sb.WriteByte(0x1e)
 	}
@@ -189,7 +210,7 @@ func (an *analyzer) summaryKey(ci *classInfo, m *javaast.MethodDecl, args []absd
 	for o := range st.Heap {
 		sk, ok := an.siteOf[o]
 		if !ok {
-			return artifact.Key{}, false
+			return artifact.Key{}, nil, false
 		}
 		hs = append(hs, heapEnt{sk, o})
 	}
@@ -211,21 +232,43 @@ func (an *analyzer) summaryKey(ci *classInfo, m *javaast.MethodDecl, args []absd
 		for _, k := range fnames {
 			sb.WriteString(k)
 			sb.WriteByte(0x1f)
-			if !an.renderValue(&sb, fields[k]) {
-				return artifact.Key{}, false
+			if !input(fields[k]) {
+				return artifact.Key{}, nil, false
 			}
 			sb.WriteByte(0x1e)
 		}
 		sb.WriteByte(0x1d)
 	}
+	if an.provOn {
+		sb.WriteByte(0x1c)
+		for _, p := range ins {
+			if p == nil {
+				sb.WriteByte('-')
+			} else {
+				sb.WriteString(strconv.Itoa(firstSlot(ins, p)))
+			}
+			sb.WriteByte(',')
+		}
+	}
 	ctxFP := sb.String()
 	return artifact.NewKey(artifact.KindSummary,
-		an.prog.SourceFP, pm.Class, strconv.Itoa(pm.Index), argsFP, ctxFP, an.sumOptsFP), true
+		an.prog.SourceFP, pm.Class, strconv.Itoa(pm.Index), argsFP, ctxFP, an.sumOptsFP), ins, true
+}
+
+// firstSlot returns the index of p's first occurrence in ins (-1 if none):
+// the input slot templates name p's alias class by.
+func firstSlot(ins []*absdom.Prov, p *absdom.Prov) int {
+	for i, q := range ins {
+		if q == p {
+			return i
+		}
+	}
+	return -1
 }
 
 // renderValue appends a value's unambiguous fingerprint form (payloads are
 // length-prefixed; objects render as their allocation site). Provenance is
-// excluded by design — it is observation-only.
+// excluded: its shape is keyed once per call by summaryKey.
 func (an *analyzer) renderValue(sb *strings.Builder, v absdom.Value) bool {
 	fmt.Fprintf(sb, "%d\x1f%d:%s\x1f%s", int(v.Kind), len(v.Payload), v.Payload, v.Type)
 	if v.Kind == absdom.KObj {
@@ -266,9 +309,9 @@ func (an *analyzer) resolveMethod(pm summary.PMethod) *javaast.MethodDecl {
 // key: the table may replace a cycle-context entry with a guard-free
 // recording under the same key, and the replacement must be picked up here
 // rather than shadowed by a stale resolution. Resolution is side-effect
-// free; an entry whose referenced sites or methods don't resolve here reads
-// as a miss.
-func (an *analyzer) lookupSummary(key artifact.Key) *resolvedSum {
+// free; an entry whose referenced sites or methods don't resolve here, or
+// whose template does not fit the call's nIn input slots, reads as a miss.
+func (an *analyzer) lookupSummary(key artifact.Key, nIn int) *resolvedSum {
 	e := an.sums.Lookup(key)
 	if e == nil {
 		return nil
@@ -276,7 +319,7 @@ func (an *analyzer) lookupSummary(key artifact.Key) *resolvedSum {
 	if rs, ok := an.localSums[e]; ok {
 		return rs
 	}
-	rs := an.resolveSummary(e)
+	rs := an.resolveSummary(e, nIn)
 	if rs == nil {
 		return nil
 	}
@@ -287,13 +330,31 @@ func (an *analyzer) lookupSummary(key artifact.Key) *resolvedSum {
 
 // resolveSummary rebinds an entry's method and pre-existing-object
 // references against this analyzer and validates the entry's internal
-// indices (a malformed disk artifact reads as a miss, never a panic).
-func (an *analyzer) resolveSummary(e *summary.Entry) *resolvedSum {
-	if e.Steps < 0 || e.NAlloc < 0 || e.NAlloc > len(e.Sites) {
+// indices against itself and the call's nIn input slots (a malformed disk
+// artifact reads as a miss, never a panic or a loop).
+func (an *analyzer) resolveSummary(e *summary.Entry, nIn int) *resolvedSum {
+	if e.Steps < 0 || e.NAlloc < 0 || e.NAlloc > len(e.Sites) || e.NIn != nIn ||
+		(!an.provOn && len(e.Prov) > 0) {
 		return nil
 	}
+	// A provenance reference must name an input slot or a template node
+	// below limit — for a node's predecessors, a node before it.
+	okRef := func(r, limit int) bool { return -r <= e.NIn && r <= limit }
+	var shapes []*absdom.LabelShape
+	for i, pp := range e.Prov {
+		if !okRef(pp.P0, i) || !okRef(pp.P1, i) || pp.File < 0 || pp.File > len(an.prog.Files) {
+			return nil
+		}
+		var sh *absdom.LabelShape
+		if pp.Pre != "" || pp.Mid != "" || pp.Suf != "" {
+			sh = &absdom.LabelShape{Pre: pp.Pre, Mid: pp.Mid, Suf: pp.Suf}
+		}
+		shapes = append(shapes, sh)
+	}
 	okIdx := func(i int) bool { return i >= 1 && i <= len(e.Sites) }
-	okVal := func(pv summary.PValue) bool { return pv.Obj == 0 || okIdx(pv.Obj) }
+	okVal := func(pv summary.PValue) bool {
+		return (pv.Obj == 0 || okIdx(pv.Obj)) && okRef(pv.Prov, len(e.Prov))
+	}
 	for _, pe := range e.Events {
 		if !okIdx(pe.Obj) {
 			return nil
@@ -322,7 +383,7 @@ func (an *analyzer) resolveSummary(e *summary.Entry) *resolvedSum {
 	if e.Ret != nil && !okVal(*e.Ret) {
 		return nil
 	}
-	rs := &resolvedSum{entry: e}
+	rs := &resolvedSum{entry: e, shapes: shapes}
 	for _, pm := range e.Executed {
 		m := an.resolveMethod(pm)
 		if m == nil {
@@ -378,8 +439,9 @@ func (an *analyzer) summaryValid(rs *resolvedSum) bool {
 // cost, re-run the allocation and event-attempt logs through the live
 // primitives (which tee into any outer recording), mark executed methods,
 // install the recorded field/heap post-state, and return the recorded
-// return abstraction.
-func (an *analyzer) applySummary(rs *resolvedSum, st *absdom.State) absdom.Value {
+// return abstraction. Under provenance every value then takes its chain
+// from the template, instantiated afresh on top of the caller's inputs ins.
+func (an *analyzer) applySummary(rs *resolvedSum, ins []*absdom.Prov, st *absdom.State) absdom.Value {
 	e := rs.entry
 	an.stepN(e.Steps)
 	// The entry's outer guards replay too: a live execution here would hit
@@ -404,7 +466,18 @@ func (an *analyzer) applySummary(rs *resolvedSum, st *absdom.State) absdom.Value
 			an.allocObjAt(s.File, s.Pos, s.Type)
 		}
 	}
-	for _, re := range rs.events {
+	var env provEnv
+	if an.provOn {
+		env = an.instantiateProv(rs, ins)
+	}
+	for i, re := range rs.events {
+		if an.provOn && len(re.ev.Args) > 0 {
+			args := make([]absdom.Value, len(re.ev.Args)) // the resolved log is shared
+			for j, a := range re.ev.Args {
+				args[j] = a.WithProv(env.at(e.Events[i].Args[j].Prov))
+			}
+			re.ev.Args = args
+		}
 		an.record(re.obj, re.ev)
 	}
 	for _, m := range rs.execMs {
@@ -412,7 +485,55 @@ func (an *analyzer) applySummary(rs *resolvedSum, st *absdom.State) absdom.Value
 	}
 	st.Fields = cloneFieldMap(rs.fields)
 	st.Heap = cloneHeapMap(rs.heap)
-	return rs.ret
+	ret := rs.ret
+	if an.provOn {
+		env.patch(st.Fields, e.Fields)
+		for _, h := range e.Heap {
+			env.patch(st.Heap[rs.objs[h.Obj-1]], h.Fields)
+		}
+		if e.Ret != nil {
+			ret.Prov = env.at(e.Ret.Prov)
+		}
+	}
+	return ret
+}
+
+// provEnv resolves template references during one replay: nodes are the
+// template's fresh instances, ins the caller's input provenance.
+type provEnv struct{ nodes, ins []*absdom.Prov }
+
+// instantiateProv creates the template's nodes afresh through the arena,
+// where initProv cuts them at MaxProvDepth exactly as live execution would.
+func (an *analyzer) instantiateProv(rs *resolvedSum, ins []*absdom.Prov) provEnv {
+	env := provEnv{nodes: make([]*absdom.Prov, len(rs.entry.Prov)), ins: ins}
+	for i, pp := range rs.entry.Prov {
+		var file *string
+		if pp.File > 0 {
+			file = &an.prog.Files[pp.File-1].Name
+		}
+		env.nodes[i] = an.provArena.NewShape(absdom.ProvKind(pp.Kind), file, int(pp.Line), int(pp.Col),
+			rs.shapes[i], pp.N1, pp.N2, env.at(pp.P0), env.at(pp.P1))
+	}
+	return env
+}
+
+func (env provEnv) at(r int) *absdom.Prov {
+	switch {
+	case r > 0:
+		return env.nodes[r-1]
+	case r < 0:
+		return env.ins[-r-1]
+	}
+	return nil
+}
+
+// patch sets the provenance of every value in m that pvs references.
+func (env provEnv) patch(m map[string]absdom.Value, pvs map[string]summary.PValue) {
+	for k, pv := range pvs {
+		if pv.Prov != 0 {
+			m[k] = m[k].WithProv(env.at(pv.Prov))
+		}
+	}
 }
 
 // materializeSummary fills the resolved entry's value templates, allocating
@@ -489,6 +610,10 @@ type entryBuilder struct {
 	e   *summary.Entry
 	idx map[*absdom.AObj]int // 1-based site indices
 	ok  bool
+	// Under provenance: the recording's arena stamp and the template
+	// reference of every chain rendered so far, seeded with the input slots.
+	provSeq uint32
+	refs    map[*absdom.Prov]int
 }
 
 func (b *entryBuilder) siteIndex(o *absdom.AObj) int {
@@ -507,22 +632,65 @@ func (b *entryBuilder) siteIndex(o *absdom.AObj) int {
 }
 
 func (b *entryBuilder) value(v absdom.Value) summary.PValue {
-	pv := summary.PValue{Kind: int(v.Kind), Payload: v.Payload, Type: v.Type}
+	pv := summary.PValue{Kind: int(v.Kind), Payload: v.Payload, Type: v.Type, Prov: b.provRef(v.Prov)}
 	if v.Kind == absdom.KObj {
 		pv.Obj = b.siteIndex(v.Obj)
 	}
 	return pv
 }
 
+// provRef renders p as a template reference, appending the recording's
+// nodes predecessors first. Reaching any other non-input node, or a node
+// the depth cap cut, makes the entry unportable (the recursion descends
+// only through uncut nodes, so the cap bounds it).
+func (b *entryBuilder) provRef(p *absdom.Prov) int {
+	if p == nil {
+		return 0
+	}
+	if r, ok := b.refs[p]; ok {
+		return r
+	}
+	if p.Seq() <= b.provSeq || p.Truncated {
+		b.ok = false
+		return 0
+	}
+	shape, n1, n2 := p.Label()
+	pp := summary.PProv{Kind: int(p.Kind), Line: p.Line, Col: p.Col, N1: n1, N2: n2}
+	if f := p.File(); f != "" { // program files are sorted by name
+		files := b.an.prog.Files
+		i := sort.Search(len(files), func(i int) bool { return files[i].Name >= f })
+		b.ok = b.ok && i < len(files) && files[i].Name == f
+		pp.File = i + 1
+	}
+	if shape != nil {
+		pp.Pre, pp.Mid, pp.Suf = shape.Pre, shape.Mid, shape.Suf
+	}
+	pp.P0, pp.P1 = b.provRef(p.Prev0), b.provRef(p.Prev1)
+	b.e.Prov = append(b.e.Prov, pp)
+	r := len(b.e.Prov)
+	b.refs[p] = r
+	return r
+}
+
 // finishRecording renders rec into a portable entry and inserts it into the
 // shared table. The post-state is read from st (the caller's state after
-// the live call returned); ret is the live return value.
-func (an *analyzer) finishRecording(rec *recActive, key artifact.Key, ret absdom.Value, st *absdom.State) {
+// the live call returned); ret is the live return value and ins the input
+// provenance summaryKey collected.
+func (an *analyzer) finishRecording(rec *recActive, key artifact.Key, ins []*absdom.Prov, ret absdom.Value, st *absdom.State) {
 	b := &entryBuilder{
-		an:  an,
-		e:   &summary.Entry{Steps: an.steps - rec.startSteps},
-		idx: map[*absdom.AObj]int{},
-		ok:  true,
+		an:      an,
+		e:       &summary.Entry{Steps: an.steps - rec.startSteps, NIn: len(ins)},
+		idx:     map[*absdom.AObj]int{},
+		ok:      !rec.unportable,
+		provSeq: rec.provSeq,
+	}
+	if an.provOn {
+		b.refs = make(map[*absdom.Prov]int, len(ins))
+		for _, p := range ins {
+			if p != nil {
+				b.refs[p] = -firstSlot(ins, p) - 1
+			}
+		}
 	}
 	for _, o := range rec.allocs {
 		b.siteIndex(o)
@@ -537,16 +705,12 @@ func (an *analyzer) finishRecording(rec *recActive, key artifact.Key, ret absdom
 	}
 	for _, m := range rec.executed {
 		pm, ok := an.methodPRef(m)
-		if !ok {
-			return
-		}
+		b.ok = b.ok && ok
 		b.e.Executed = append(b.e.Executed, pm)
 	}
 	for _, m := range rec.outer {
 		pm, ok := an.methodPRef(m)
-		if !ok {
-			return
-		}
+		b.ok = b.ok && ok
 		b.e.OuterGuard = append(b.e.OuterGuard, pm)
 	}
 	if len(st.Fields) > 0 {
@@ -584,6 +748,7 @@ func (an *analyzer) finishRecording(rec *recActive, key artifact.Key, ret absdom
 		b.e.Ret = &pv
 	}
 	if !b.ok {
+		an.sums.Unportable()
 		return
 	}
 	an.sums.Insert(key, b.e)

@@ -236,27 +236,6 @@ func TestSummaryEquivalenceOnPaperExamples(t *testing.T) {
 	}
 }
 
-// TestSummaryProvenanceStillLiftsDepth: with provenance on, memoization is
-// disabled (entries carry no provenance) but the depth lift must still
-// apply, so -why and plain runs agree on which violations exist.
-func TestSummaryProvenanceStillLiftsDepth(t *testing.T) {
-	reg := obs.NewRegistry()
-	r := AnalyzeSource(deepChainSrc, Options{
-		Summaries:  summary.NewTable(nil, reg),
-		Provenance: true,
-	})
-	ciphers := r.ObjsOfType("Cipher")
-	if len(ciphers) != 1 {
-		t.Fatalf("cipher objects = %d, want 1", len(ciphers))
-	}
-	if !findEvent(r, ciphers[0], `Cipher.getInstance "DES"`) {
-		t.Errorf("provenance-on summaries mode misses the depth-6 constant: %v", evKeys(r, ciphers[0]))
-	}
-	if hits := reg.Counter("summary.hits").Value(); hits != 0 {
-		t.Errorf("summary.hits = %d with provenance on, want 0 (memoization must be off)", hits)
-	}
-}
-
 // outerGuardSrc builds the cycle-context replay chain the OuterGuard
 // machinery exists for. Under entry's first call, x records h while x is on
 // the stack, so h's summary embeds the x-recursion widening and carries
@@ -311,19 +290,47 @@ func TestSummaryOuterGuardPropagatesThroughReplay(t *testing.T) {
 
 // TestResolveSummaryRejectsCorruptEntries: malformed disk artifacts must
 // read as misses, including a negative step count that would otherwise
-// corrupt the analyzer's budget accounting on replay.
+// corrupt the analyzer's budget accounting on replay, and provenance
+// templates whose references would loop, dangle, or index past the call's
+// inputs or the program's files.
 func TestResolveSummaryRejectsCorruptEntries(t *testing.T) {
 	prog := ParseProgram(map[string]string{"C.java": "class C { void run() {} }"})
 	an := newAnalyzer(prog, Options{}.withDefaults())
 	for name, e := range map[string]*summary.Entry{
-		"negativeSteps": {Steps: -1},
-		"negativeAlloc": {NAlloc: -1},
-		"allocOverrun":  {NAlloc: 1},
-		"badEventObj":   {Events: []summary.PEvent{{Obj: 2}}},
+		"negativeSteps":         {Steps: -1},
+		"negativeAlloc":         {NAlloc: -1},
+		"allocOverrun":          {NAlloc: 1},
+		"badEventObj":           {Events: []summary.PEvent{{Obj: 2}}},
+		"provWithoutProvenance": {Prov: []summary.PProv{{Kind: 1}}},
 	} {
-		if rs := an.resolveSummary(e); rs != nil {
+		if rs := an.resolveSummary(e, 0); rs != nil {
 			t.Errorf("%s: resolveSummary accepted corrupt entry %+v", name, e)
 		}
+	}
+
+	an = newAnalyzer(prog, Options{Provenance: true}.withDefaults())
+	ret := func(r int) *summary.PValue { return &summary.PValue{Kind: 1, Prov: r} }
+	for name, tc := range map[string]struct {
+		e   *summary.Entry
+		nIn int
+	}{
+		"forwardRef":     {&summary.Entry{Prov: []summary.PProv{{P0: 2}, {}}}, 0},
+		"selfRef":        {&summary.Entry{Prov: []summary.PProv{{P1: 1}}}, 0},
+		"slotOutOfRange": {&summary.Entry{NIn: 1, Prov: []summary.PProv{{P0: -2}}}, 1},
+		"valueSlot":      {&summary.Entry{NIn: 1, Ret: ret(-2)}, 1},
+		"valueNode":      {&summary.Entry{Prov: []summary.PProv{{}}, Ret: ret(2)}, 0},
+		"nInMismatch":    {&summary.Entry{NIn: 2, Ret: ret(-1)}, 1},
+		"fileOutOfRange": {&summary.Entry{Prov: []summary.PProv{{File: 2}}}, 0},
+		"negativeFile":   {&summary.Entry{Prov: []summary.PProv{{File: -1}}}, 0},
+	} {
+		if rs := an.resolveSummary(tc.e, tc.nIn); rs != nil {
+			t.Errorf("%s: resolveSummary accepted corrupt entry %+v", name, tc.e)
+		}
+	}
+	// The well-formed neighbour of those cases resolves.
+	ok := &summary.Entry{NIn: 1, Prov: []summary.PProv{{File: 1, P0: -1}, {P0: 1, P1: -1}}, Ret: ret(2)}
+	if an.resolveSummary(ok, 1) == nil {
+		t.Errorf("resolveSummary rejected a well-formed template %+v", ok)
 	}
 }
 

@@ -10,17 +10,21 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/obs"
+	"repro/internal/report"
 	"repro/internal/rules"
 	"repro/internal/summary"
+	"repro/internal/witness"
 )
 
 // The differential oracle for the interprocedural engine: generated
 // helper-chain programs must yield identical usage events and violation
 // sets whether every call executes live, replays memoized summaries from a
 // fresh or a warm shared table, runs with provenance tracking, or is
-// checked through the pipeline at different worker counts. Each program
-// also plants one misuse of a built-in rule at the bottom of its chain, and
-// every mode must report it regardless of the chain's depth.
+// checked through the pipeline at different worker counts. With provenance
+// on, the witness text (JSON and rendering) must also equal a live
+// provenance run's, whether summaries are recorded or replayed. Each
+// program also plants one misuse of a built-in rule at the bottom of its
+// chain, and every mode must report it regardless of the chain's depth.
 
 // plantedMisuse is a sink over the String parameter a, together with the
 // rule it violates once the constant arg reaches it.
@@ -155,6 +159,17 @@ func renderViolationSet(vs []rules.Violation) string {
 	return strings.Join(lines, "\n")
 }
 
+// witnessText renders the witness traces of a result's violations as the
+// checker's why path does (report order), in both JSON and text form.
+func witnessText(res *analysis.Result, ctx rules.Context) string {
+	vs := report.SortViolations(rules.CheckPoolCtx(context.Background(), res, ctx, rules.All(), nil), res)
+	return traceText(witness.Collect(vs, res, ctx))
+}
+
+func traceText(traces []witness.Trace) string {
+	return witness.JSON(traces) + "\n" + witness.Render(traces)
+}
+
 // TestDifferentialSummaryOracle runs the oracle over 200 seeded programs.
 func TestDifferentialSummaryOracle(t *testing.T) {
 	const programs = 200
@@ -186,15 +201,21 @@ func TestDifferentialSummaryOracle(t *testing.T) {
 			fail("live execution misses the planted misuse; violations:\n%s", wantVs)
 		}
 
+		// The witness reference is a live provenance run (no table).
+		wantWhy := witnessText(analysis.Analyze(prog, analysis.Options{Provenance: true}), ctx)
+
 		type mode struct {
-			name string
-			opts analysis.Options
+			name   string
+			opts   analysis.Options
+			replay bool // a warm-table leg that must replay
 		}
 		modes := []mode{
-			{"memo (fresh table)", analysis.Options{Summaries: summary.NewTable(nil, nil)}},
-			{"memo (warm table, recording)", analysis.Options{Summaries: warm}},
-			{"memo (warm table, replaying)", analysis.Options{Summaries: warm}},
-			{"provenance", analysis.Options{Summaries: warm, Provenance: true}},
+			{"memo (fresh table)", analysis.Options{Summaries: summary.NewTable(nil, nil)}, false},
+			{"memo (warm table, recording)", analysis.Options{Summaries: warm}, false},
+			{"memo (warm table, replaying)", analysis.Options{Summaries: warm}, true},
+			{"provenance (fresh table)", analysis.Options{Summaries: summary.NewTable(nil, nil), Provenance: true}, false},
+			{"provenance (warm table, recording)", analysis.Options{Summaries: warm, Provenance: true}, false},
+			{"provenance (warm table, replaying)", analysis.Options{Summaries: warm, Provenance: true}, true},
 		}
 		for _, m := range modes {
 			hits := warmReg.Counter("summary.hits").Value()
@@ -205,14 +226,23 @@ func TestDifferentialSummaryOracle(t *testing.T) {
 			if got := renderViolationSet(rules.CheckPoolCtx(context.Background(), res, ctx, rules.All(), nil)); got != wantVs {
 				fail("%s: violations differ from live execution\n--- live ---\n%s\n--- %s ---\n%s", m.name, wantVs, m.name, got)
 			}
-			if m.name == "memo (warm table, replaying)" && warmReg.Counter("summary.hits").Value() == hits {
-				fail("warm table replayed nothing (summary.hits unchanged)")
+			if m.opts.Provenance {
+				if got := witnessText(res, ctx); got != wantWhy {
+					fail("%s: witness text differs from live provenance run\n--- live ---\n%s\n--- %s ---\n%s", m.name, wantWhy, m.name, got)
+				}
+			}
+			if m.replay && warmReg.Counter("summary.hits").Value() == hits {
+				fail("%s: warm table replayed nothing (summary.hits unchanged)", m.name)
 			}
 		}
 
 		for w, c := range checkers {
-			if got := renderViolationSet(mustCheck(t, context.Background(), c, map[string]string{"P.java": g.src}, ctx, false).Violations); got != wantVs {
+			src := map[string]string{"P.java": g.src}
+			if got := renderViolationSet(mustCheck(t, context.Background(), c, src, ctx, false).Violations); got != wantVs {
 				fail("core checker at workers=%d: violations differ from live execution\n--- live ---\n%s\n--- checker ---\n%s", w, wantVs, got)
+			}
+			if got := traceText(mustCheck(t, context.Background(), c, src, ctx, true).Traces); got != wantWhy {
+				fail("core checker at workers=%d: witness text differs from live provenance run\n--- live ---\n%s\n--- checker ---\n%s", w, wantWhy, got)
 			}
 		}
 		if t.Failed() {

@@ -89,11 +89,12 @@ func TestPipelineMetricsTwoChanges(t *testing.T) {
 		"  parse.files                                       4",
 		// The summary.* counters register eagerly when the table is built
 		// (so a Prometheus scrape carries the series from the start); this
-		// workload has no helper calls, so all four stay zero.
+		// workload has no helper calls, so all five stay zero.
 		"  summary.cycles                                    0",
 		"  summary.hits                                      0",
 		"  summary.instantiations                            0",
 		"  summary.misses                                    0",
+		"  summary.unportable                                0",
 		"gauges",
 		"  pipeline.workers                                  1",
 		"distributions",

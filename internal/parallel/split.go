@@ -80,5 +80,5 @@ func triPairs(n, from int) int {
 		return 0
 	}
 	// Row i owns n-1-i pairs; summed over i in [from, n).
-	return rows * (n - 1 - from) - rows*(rows-1)/2
+	return rows*(n-1-from) - rows*(rows-1)/2
 }

@@ -39,13 +39,38 @@ import (
 
 // PValue is a portable abstract value: Kind/Payload/Type mirror
 // absdom.Value, and object references are by allocation-site index into the
-// owning Entry's Sites table (1-based; 0 means no object). Provenance is
-// never captured — summaries are recorded only with provenance off.
+// owning Entry's Sites table (1-based; 0 means no object). Prov is the
+// value's provenance as a template reference (see PProv); it is 0 in every
+// entry recorded with provenance off.
 type PValue struct {
 	Kind    int    `json:"k"`
 	Payload string `json:"p,omitempty"`
 	Type    string `json:"t,omitempty"`
 	Obj     int    `json:"o,omitempty"`
+	Prov    int    `json:"pv,omitempty"`
+}
+
+// PProv is one node of an entry's provenance template: an absdom.Prov with
+// its file as a 1-based index into the program's sorted file list (0 for
+// none) and its predecessors as template references. A reference r is nil
+// when 0, the template node Entry.Prov[r-1] when positive (always an
+// earlier node: the template is in topological order), and the caller's
+// input slot -r-1 when negative. Input slots number the provenance of the
+// call's inputs — the arguments, then the fields, then the heap fields, in
+// summary-key order. Replay creates each node afresh on top of the
+// caller's input provenance, so the depth cap applies as it would live.
+type PProv struct {
+	Kind int    `json:"k"`
+	File int    `json:"f,omitempty"`
+	Line int32  `json:"l,omitempty"`
+	Col  int32  `json:"c,omitempty"`
+	Pre  string `json:"pre,omitempty"`
+	Mid  string `json:"mid,omitempty"`
+	Suf  string `json:"suf,omitempty"`
+	N1   string `json:"n1,omitempty"`
+	N2   string `json:"n2,omitempty"`
+	P0   int    `json:"p0,omitempty"`
+	P1   int    `json:"p1,omitempty"`
 }
 
 // PSite is a portable allocation site: the file index within the program's
@@ -111,4 +136,9 @@ type Entry struct {
 	// Steps is the interpreter step cost of the recorded execution; replay
 	// bulk-charges it against the run's budget.
 	Steps int64 `json:"steps"`
+	// Prov is the provenance template the values above reference, and NIn
+	// the number of input slots the key's call has. Both are empty in
+	// entries recorded with provenance off.
+	Prov []PProv `json:"prov,omitempty"`
+	NIn  int     `json:"nin,omitempty"`
 }

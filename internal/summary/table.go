@@ -18,7 +18,9 @@ import (
 // The summary.* telemetry lives here so every consumer reports uniformly:
 // hits/misses count table consultations, instantiations count summaries
 // rebound into a new analyzer's object table, cycles counts recursive calls
-// widened to Top by the cycle guard.
+// widened to Top by the cycle guard, unportable counts recordings dropped
+// because they could not be rendered portably (under provenance: a chain
+// reaching a node outside the call's inputs, or one cut by the depth cap).
 type Table struct {
 	mu    sync.RWMutex
 	mem   map[artifact.Key]*Entry
@@ -28,6 +30,7 @@ type Table struct {
 	misses         *obs.Counter
 	instantiations *obs.Counter
 	cycles         *obs.Counter
+	unportable     *obs.Counter
 }
 
 // NewTable builds a summary table backed by store (nil keeps summaries
@@ -42,6 +45,7 @@ func NewTable(store *artifact.Store, reg *obs.Registry) *Table {
 		misses:         reg.Counter("summary.misses"),
 		instantiations: reg.Counter("summary.instantiations"),
 		cycles:         reg.Counter("summary.cycles"),
+		unportable:     reg.Counter("summary.unportable"),
 	}
 }
 
@@ -120,8 +124,9 @@ func (t *Table) Len() int {
 	return len(t.mem)
 }
 
-// Hit/Miss/Instantiation/Cycle bump the summary.* telemetry; all are valid
-// on a nil table (live execution without a table never reports).
+// Hit/Miss/Instantiation/Cycle/Unportable bump the summary.* telemetry;
+// all are valid on a nil table (live execution without a table never
+// reports).
 
 func (t *Table) Hit() {
 	if t != nil {
@@ -144,5 +149,11 @@ func (t *Table) Instantiation() {
 func (t *Table) Cycle() {
 	if t != nil {
 		t.cycles.Inc()
+	}
+}
+
+func (t *Table) Unportable() {
+	if t != nil {
+		t.unportable.Inc()
 	}
 }

@@ -33,7 +33,6 @@ import (
 	"repro/internal/cliutil"
 	"repro/internal/core"
 	"repro/internal/resilience"
-	"repro/internal/ruledsl"
 	"repro/internal/rulelint"
 	"repro/internal/rules"
 	"repro/internal/summary"
@@ -43,7 +42,6 @@ import (
 func main() {
 	var (
 		ruleList  = flag.String("only", "", "comma-separated rule IDs to check (default: the full active set)")
-		ruleFile  = flag.String("rulefile", "", "load additional rules from a file ('id | description | formula' lines; unlinted legacy path — prefer -rules)")
 		lintRules = flag.Bool("lint-rules", false, "lint the given rule pack files and exit (2 = errors, 1 = warnings, 0 = clean)")
 		android   = flag.Bool("android", false, "treat the project as an Android app")
 		minSDK    = flag.Int("minsdk", 0, "Android minSdkVersion (for rule R6)")
@@ -81,9 +79,8 @@ func main() {
 	// the violation report on stdout is unchanged). run.Ctx carries the
 	// run's root span through check → parse → interpret → rules.
 	run := std.Start()
-	// The artifact store caches per-file parses, method summaries, check
-	// outcomes, and -rulefile compilations; with -cache-dir they persist
-	// across runs (compilations stay in memory).
+	// The artifact store caches per-file parses, method summaries, and
+	// check outcomes; with -cache-dir they persist across runs.
 	store := std.Artifacts(run.Reg)
 
 	// The rule-pack gate: -rules packs compile, lint, and merge with the
@@ -112,18 +109,6 @@ func main() {
 		}
 		ruleSet = filtered
 	}
-	if *ruleFile != "" {
-		content, err := os.ReadFile(*ruleFile)
-		if err != nil {
-			run.Fatal(nil, err)
-		}
-		extra, err := ruledsl.ParseFileCached(string(content), store)
-		if err != nil {
-			run.Fatal(nil, fmt.Errorf("%s: %v", *ruleFile, err))
-		}
-		ruleSet = append(ruleSet, extra...)
-	}
-
 	// Unreadable inputs are skipped and recorded rather than aborting the
 	// whole check; -fail-fast restores the old abort-on-first-error mode.
 	ledger := resilience.NewLedger()

@@ -1,6 +1,6 @@
 // Package artifact is the content-addressed artifact store behind the
 // incremental pipeline (-cache-dir): parsed ASTs, per-change analysis
-// results, compiled rule sets, and check outcomes are stored under keys
+// results, method summaries, and check outcomes are stored under keys
 // derived from their *inputs* — source content, rule-set identity, and an
 // options fingerprint — so a warm run re-derives only what actually changed
 // and a second request for the same snippet is a lookup, not an analysis.
@@ -8,7 +8,7 @@
 // The store has three tiers:
 //
 //   - an object tier: decoded artifacts (shared read-only — *javaast
-//     CompilationUnits, compiled rules) kept in memory, capped with
+//     CompilationUnits, analysis results) kept in memory, capped with
 //     reset-on-cap eviction like the distcache shards;
 //   - a byte tier: encoded payloads in memory, same cap discipline;
 //   - an optional disk tier (Config.Dir): versioned, self-validating
@@ -48,9 +48,6 @@ const (
 	// change extractions of both versions), keyed by both sources plus the
 	// pipeline options fingerprint.
 	KindAnalysis Kind = "analysis"
-	// KindRules: compiled rule sets (memory tiers only — compiled rules
-	// hold closures, which no byte encoding can round-trip).
-	KindRules Kind = "rules"
 	// KindCheck: whole check outcomes (violations + witness traces), keyed
 	// by sources, rule-set identity, rule context, and options.
 	KindCheck Kind = "check"
@@ -177,7 +174,7 @@ func (s *Store) miss(kind Kind) {
 // Get returns the decoded artifact for key: object tier first, then the
 // byte/disk tiers through decode (promoting the decoded value to the object
 // tier on the way up). A nil decode restricts the lookup to the object tier
-// (artifacts that cannot be serialized, like compiled rules). Exactly one
+// (artifacts that cannot be serialized). Exactly one
 // hit or one miss is counted per call.
 func (s *Store) Get(kind Kind, k Key, decode func([]byte) (any, error)) (any, bool) {
 	if s == nil {

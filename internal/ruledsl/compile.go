@@ -10,45 +10,30 @@ import (
 	"repro/internal/rules"
 )
 
-// Parse compiles a textual rule into an executable rules.Rule. The id and
-// description annotate the result; the source text is preserved as the
-// rule's Formula. Parse never panics: rule sources reach this function from
-// user-supplied files (cryptochecker -rulefile), so even an internal
-// lexer/parser/compiler bug on pathological input is converted into an
-// error. Only MustParse — reserved for the static rule tables — panics.
-func Parse(id, description, src string) (r *rules.Rule, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			r, err = nil, fmt.Errorf("rule %s: internal error compiling rule: %v", id, p)
-		}
-	}()
-	toks, err := lex(src)
+// Parse compiles a textual rule into an executable rules.Rule: ParseSyntax
+// followed by compile. The id and description annotate the result; the
+// source text is preserved as the rule's Formula. Parse never panics: rule
+// sources reach it from user-supplied packs (cryptochecker -rules, the
+// server's hot reload), so even a parser bug on pathological input comes
+// back as an error.
+func Parse(id, description, src string) (*rules.Rule, error) {
+	s, err := ParseSyntax(src)
 	if err != nil {
-		resolvePos(err, src)
 		return nil, fmt.Errorf("rule %s: %w", id, err)
 	}
-	clauses, err := parseRule(toks)
-	if err != nil {
-		resolvePos(err, src)
-		return nil, fmt.Errorf("rule %s: %w", id, err)
-	}
-	r = &rules.Rule{ID: id, Description: description, Formula: src}
-	for _, c := range clauses {
-		c := c
-		r.Clauses = append(r.Clauses, rules.Clause{
-			Class:   c.class,
-			Negated: c.negated,
-			Pred:    compileFormula(c.formula),
-		})
-	}
-	return r, nil
+	return compile(id, description, s), nil
 }
 
-// MustParse is Parse for static rule tables; it panics on error.
-func MustParse(id, description, src string) *rules.Rule {
-	r, err := Parse(id, description, src)
-	if err != nil {
-		panic(err)
+// compile turns a parsed rule into an executable rules.Rule whose clause
+// predicates evaluate the syntax tree.
+func compile(id, description string, s *Syntax) *rules.Rule {
+	r := &rules.Rule{ID: id, Description: description, Formula: s.Source}
+	for _, c := range s.Clauses {
+		r.Clauses = append(r.Clauses, rules.Clause{
+			Class:   c.Class,
+			Negated: c.Negated,
+			Pred:    compileFormula(c.Formula),
+		})
 	}
 	return r
 }
@@ -68,40 +53,40 @@ func (b bindings) with(name string, v absdom.Value) bindings {
 // compileFormula builds an object predicate that searches for a satisfying
 // assignment of events to call atoms (continuation-passing backtracking;
 // rule formulas are tiny, so this is cheap).
-func compileFormula(f node) rules.ObjPred {
+func compileFormula(f Formula) rules.ObjPred {
 	return func(res *analysis.Result, obj *absdom.AObj, ctx rules.Context) bool {
 		events := res.Uses[obj]
 		return eval(f, events, ctx, bindings{}, func(bindings) bool { return true })
 	}
 }
 
-func eval(n node, events []analysis.Event, ctx rules.Context, env bindings, k func(bindings) bool) bool {
-	switch x := n.(type) {
-	case andNode:
-		return evalSeq(x.kids, events, ctx, env, k)
-	case orNode:
-		for _, kid := range x.kids {
+func eval(f Formula, events []analysis.Event, ctx rules.Context, env bindings, k func(bindings) bool) bool {
+	switch x := f.(type) {
+	case AndExpr:
+		return evalSeq(x.Kids, events, ctx, env, k)
+	case OrExpr:
+		for _, kid := range x.Kids {
 			if eval(kid, events, ctx, env, k) {
 				return true
 			}
 		}
 		return false
-	case notNode:
+	case NotExpr:
 		// Negation is evaluated against the current environment; bindings
 		// made inside do not escape.
-		if eval(x.kid, events, ctx, env, func(bindings) bool { return true }) {
+		if eval(x.Kid, events, ctx, env, func(bindings) bool { return true }) {
 			return false
 		}
 		return k(env)
-	case callNode:
+	case CallAtom:
 		for _, ev := range events {
-			if ev.Sig.Name != x.method {
+			if ev.Sig.Name != x.Method {
 				continue
 			}
-			if x.hasArgs && len(ev.Args) != len(x.args) {
+			if x.HasArgs && len(ev.Args) != len(x.Args) {
 				continue
 			}
-			env2, ok := matchArgs(x.args, ev.Args, env)
+			env2, ok := matchArgs(x.Args, ev.Args, env)
 			if !ok {
 				continue
 			}
@@ -110,34 +95,34 @@ func eval(n node, events []analysis.Event, ctx rules.Context, env bindings, k fu
 			}
 		}
 		return false
-	case cmpNode:
-		v, bound := env[x.varName]
+	case CmpAtom:
+		v, bound := env[x.Var]
 		if !bound {
 			return false
 		}
-		if !compare(v, x.op, x.value) {
+		if !compare(v, x.Op, x.Value) {
 			return false
 		}
 		return k(env)
-	case startsNode:
-		v, bound := env[x.varName]
+	case StartsAtom:
+		v, bound := env[x.Var]
 		if !bound {
 			return false
 		}
 		if v.Kind != absdom.KStrConst ||
-			!strings.HasPrefix(norm(v.Payload), norm(x.value)) {
+			!strings.HasPrefix(norm(v.Payload), norm(x.Value)) {
 			return false
 		}
 		return k(env)
-	case ctxNode:
+	case CtxAtom:
 		ok := false
-		switch x.name {
+		switch x.Name {
 		case "LPRNG":
 			ok = ctx.HasLPRNG
 		case "ANDROID":
 			ok = ctx.Android
 		case "MIN_SDK_VERSION":
-			ok = compareInts(int64(ctx.MinSDKVersion), x.op, x.num) && ctx.Android
+			ok = compareInts(int64(ctx.MinSDKVersion), x.Op, x.Num) && ctx.Android
 		}
 		if !ok {
 			return false
@@ -147,7 +132,7 @@ func eval(n node, events []analysis.Event, ctx rules.Context, env bindings, k fu
 	return false
 }
 
-func evalSeq(kids []node, events []analysis.Event, ctx rules.Context, env bindings, k func(bindings) bool) bool {
+func evalSeq(kids []Formula, events []analysis.Event, ctx rules.Context, env bindings, k func(bindings) bool) bool {
 	if len(kids) == 0 {
 		return k(env)
 	}
@@ -156,20 +141,20 @@ func evalSeq(kids []node, events []analysis.Event, ctx rules.Context, env bindin
 	})
 }
 
-func matchArgs(pats []argPat, args []absdom.Value, env bindings) (bindings, bool) {
+func matchArgs(pats []ArgPattern, args []absdom.Value, env bindings) (bindings, bool) {
 	for i, p := range pats {
-		switch p.kind {
-		case argAny:
-		case argVar:
-			if prev, bound := env[p.name]; bound {
+		switch p.Kind {
+		case ArgAny:
+		case ArgVar:
+			if prev, bound := env[p.Name]; bound {
 				if !prev.Equal(args[i]) {
 					return nil, false
 				}
 			} else {
-				env = env.with(p.name, args[i])
+				env = env.with(p.Name, args[i])
 			}
-		case argLit:
-			if !literalEq(args[i], p.name) {
+		case ArgLit:
+			if !literalEq(args[i], p.Name) {
 				return nil, false
 			}
 		}
@@ -207,16 +192,16 @@ func literalEq(v absdom.Value, lit string) bool {
 // holds unless the value is provably that constant (matching the paper's
 // checker, which flags unknown values too); numeric comparisons require a
 // provable integer constant.
-func compare(v absdom.Value, op tokKind, lit string) bool {
+func compare(v absdom.Value, op CmpOp, lit string) bool {
 	switch op {
-	case tEq:
+	case OpEq:
 		return literalEq(v, lit)
-	case tNe:
+	case OpNe:
 		if isTopLiteral(lit) {
 			return v.IsConst()
 		}
 		return !literalEq(v, lit)
-	case tLt, tLe, tGt, tGe:
+	case OpLt, OpLe, OpGt, OpGe:
 		if v.Kind != absdom.KIntConst {
 			return false
 		}
@@ -233,19 +218,19 @@ func compare(v absdom.Value, op tokKind, lit string) bool {
 	return false
 }
 
-func compareInts(n int64, op tokKind, m int64) bool {
+func compareInts(n int64, op CmpOp, m int64) bool {
 	switch op {
-	case tEq:
+	case OpEq:
 		return n == m
-	case tNe:
+	case OpNe:
 		return n != m
-	case tLt:
+	case OpLt:
 		return n < m
-	case tLe:
+	case OpLe:
 		return n <= m
-	case tGt:
+	case OpGt:
 		return n > m
-	case tGe:
+	case OpGe:
 		return n >= m
 	}
 	return false

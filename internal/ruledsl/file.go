@@ -8,10 +8,10 @@ import (
 )
 
 // PackRule is one rule line of a pack: the raw fields, where they sit in
-// the pack file, and the compiled/parsed forms. Rule and Syntax are nil
-// when Err is set. FormulaCol is the 1-based column of the formula's
-// first character on Line, letting diagnostics translate formula-relative
-// positions into pack-absolute ones.
+// the pack file, and the parsed and compiled forms (one parse feeds both).
+// Rule and Syntax are nil when Err is set. FormulaCol is the 1-based
+// column of the formula's first character on Line, letting diagnostics
+// translate formula-relative positions into pack-absolute ones.
 type PackRule struct {
 	ID          string
 	Description string
@@ -86,19 +86,10 @@ func ParsePack(name, content string) *Pack {
 			Line:        i + 1,
 			FormulaCol:  col,
 		}
-		r, err := Parse(id, pr.Description, formula)
-		if err != nil {
-			pr.Err = err
+		if syn, err := ParseSyntax(formula); err != nil {
+			pr.Err = fmt.Errorf("rule %s: %w", id, err)
 		} else {
-			pr.Rule = r
-			// A formula that compiled always re-parses; a failure here
-			// would be an internal inconsistency worth surfacing.
-			syn, serr := ParseSyntax(formula)
-			if serr != nil {
-				pr.Err = serr
-			} else {
-				pr.Syntax = syn
-			}
+			pr.Syntax, pr.Rule = syn, compile(id, pr.Description, syn)
 		}
 		p.Rules = append(p.Rules, pr)
 	}

@@ -25,7 +25,11 @@
 // fallbacks are accepted for the logical operators: "&&" or "and" for ∧,
 // "||" or "or" for ∨, "!" or "not" for ¬, "!=" for ≠, "<=" for ≤ and ">="
 // for ≥. Context flags are LPRNG, ANDROID, and MIN_SDK_VERSION (the last
-// in comparisons).
+// in comparisons). Parentheses, ¬ and parenthesised clauses nest at most
+// 256 levels deep.
+//
+// A rule is parsed once, into the position-annotated Syntax tree: Parse
+// compiles that tree into predicates, and rulelint analyzes the same tree.
 package ruledsl
 
 import (
@@ -60,7 +64,7 @@ const (
 type token struct {
 	kind tokKind
 	text string
-	pos  int
+	pos  Pos
 }
 
 func (t token) String() string {
@@ -71,127 +75,115 @@ func (t token) String() string {
 		"∧", "∨", "¬", "=", "≠", "<", "≤", ">", "≥"}[t.kind]
 }
 
-// lex tokenizes a rule string. Literal tokens are maximal runs of
-// characters that are not whitespace, delimiters, or operators — this
-// admits transformation strings (AES/CBC/PKCS5Padding), algorithm names
-// with dashes (SHA-1), and the ⊤-notation (⊤byte[]).
+// lex tokenizes a rule string, recording each token's line:col as it
+// scans. Columns count runes, so ∧/∨/¬ advance by one. Literal tokens are
+// maximal runs of characters that are not whitespace, delimiters, or
+// operators — this admits transformation strings (AES/CBC/PKCS5Padding),
+// algorithm names with dashes (SHA-1), and the ⊤-notation (⊤byte[]).
 func lex(src string) ([]token, error) {
 	var toks []token
-	i := 0
-	emit := func(k tokKind, text string, pos int) {
-		toks = append(toks, token{kind: k, text: text, pos: pos})
+	i, line, col := 0, 1, 1
+	at := func() Pos { return Pos{Offset: i, Line: line, Col: col} }
+	// advance consumes n bytes of the current line.
+	advance := func(n int) {
+		col += utf8.RuneCountInString(src[i : i+n])
+		i += n
+	}
+	emit := func(k tokKind, text string, n int) {
+		toks = append(toks, token{kind: k, text: text, pos: at()})
+		advance(n)
 	}
 	for i < len(src) {
 		r, w := utf8.DecodeRuneInString(src[i:])
-		start := i
 		switch {
-		case r == ' ' || r == '\t' || r == '\n':
-			i += w
+		case r == '\n':
+			i++
+			line, col = line+1, 1
+		case r == ' ' || r == '\t':
+			advance(w)
 		case r == '(':
-			emit(tLParen, "", start)
-			i += w
+			emit(tLParen, "", w)
 		case r == ')':
-			emit(tRParen, "", start)
-			i += w
+			emit(tRParen, "", w)
 		case r == ',':
-			emit(tComma, "", start)
-			i += w
+			emit(tComma, "", w)
 		case r == ':':
-			i += w
-			emit(tColon, "", start)
+			emit(tColon, "", w)
 		case r == '∧':
-			emit(tAnd, "", start)
-			i += w
+			emit(tAnd, "", w)
 		case r == '∨':
-			emit(tOr, "", start)
-			i += w
+			emit(tOr, "", w)
 		case r == '¬':
-			emit(tNot, "", start)
-			i += w
+			emit(tNot, "", w)
 		case r == '!':
 			if strings.HasPrefix(src[i:], "!=") {
-				emit(tNe, "", start)
-				i += 2
+				emit(tNe, "", 2)
 			} else {
-				emit(tNot, "", start)
-				i += w
+				emit(tNot, "", w)
 			}
 		case r == '&':
 			if !strings.HasPrefix(src[i:], "&&") {
-				return nil, perr(i, "single '&'")
+				return nil, perr(at(), "single '&'")
 			}
-			emit(tAnd, "", start)
-			i += 2
+			emit(tAnd, "", 2)
 		case r == '|':
 			if !strings.HasPrefix(src[i:], "||") {
-				return nil, perr(i, "single '|'")
+				return nil, perr(at(), "single '|'")
 			}
-			emit(tOr, "", start)
-			i += 2
+			emit(tOr, "", 2)
 		case r == '=':
-			emit(tEq, "", start)
-			i += w
+			emit(tEq, "", w)
 		case r == '≠':
-			emit(tNe, "", start)
-			i += w
+			emit(tNe, "", w)
 		case r == '≤':
-			emit(tLe, "", start)
-			i += w
+			emit(tLe, "", w)
 		case r == '≥':
-			emit(tGe, "", start)
-			i += w
+			emit(tGe, "", w)
 		case r == '<':
 			// "<=" or "<init>" or plain "<".
 			if strings.HasPrefix(src[i:], "<=") {
-				emit(tLe, "", start)
-				i += 2
+				emit(tLe, "", 2)
 			} else if strings.HasPrefix(src[i:], "<init>") {
-				emit(tIdent, "<init>", start)
-				i += len("<init>")
+				emit(tIdent, "<init>", len("<init>"))
 			} else {
-				emit(tLt, "", start)
-				i += w
+				emit(tLt, "", w)
 			}
 		case r == '>':
 			if strings.HasPrefix(src[i:], ">=") {
-				emit(tGe, "", start)
-				i += 2
+				emit(tGe, "", 2)
 			} else {
-				emit(tGt, "", start)
-				i += w
+				emit(tGt, "", w)
 			}
 		default:
 			j := i
 			for j < len(src) {
 				r2, w2 := utf8.DecodeRuneInString(src[j:])
-				if isLiteralRune(r2) {
-					j += w2
-					continue
+				if !isLiteralRune(r2) {
+					break
 				}
-				break
+				j += w2
 			}
 			if j == i {
-				return nil, perr(i, "unexpected character %q", r)
+				return nil, perr(at(), "unexpected character %q", r)
 			}
 			text := src[i:j]
-			i = j
 			switch {
 			case text == "_":
-				emit(tWildcard, "", start)
+				emit(tWildcard, "", j-i)
 			case text == "and":
-				emit(tAnd, "", start)
+				emit(tAnd, "", j-i)
 			case text == "or":
-				emit(tOr, "", start)
+				emit(tOr, "", j-i)
 			case text == "not":
-				emit(tNot, "", start)
+				emit(tNot, "", j-i)
 			case isVarName(text):
-				emit(tVar, text, start)
+				emit(tVar, text, j-i)
 			default:
-				emit(tIdent, text, start)
+				emit(tIdent, text, j-i)
 			}
 		}
 	}
-	emit(tEOF, "", i)
+	emit(tEOF, "", 0)
 	return toks, nil
 }
 

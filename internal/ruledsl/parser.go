@@ -1,79 +1,15 @@
 package ruledsl
 
-// Formula AST.
-type node interface{ nodeTag() }
-
-type orNode struct{ kids []node }
-type andNode struct{ kids []node }
-type notNode struct{ kid node }
-
-// callNode matches an event by method name; args constrain arity and
-// argument values when present.
-type callNode struct {
-	method  string
-	args    []argPat
-	hasArgs bool
-	pos     int
-}
-
-// argPat is one argument pattern.
-type argPat struct {
-	kind argKind
-	name string // variable name or literal text
-	pos  int
-}
-
-type argKind int
-
-const (
-	argAny argKind = iota // _
-	argVar                // X — binds the argument's abstract value
-	argLit                // literal constant, e.g. AES or 1000
-)
-
-// cmpNode compares a bound variable against a literal.
-type cmpNode struct {
-	varName string
-	op      tokKind // tEq, tNe, tLt, tLe, tGt, tGe
-	value   string
-	pos     int
-}
-
-// startsNode is startsWith(X, prefix).
-type startsNode struct {
-	varName string
-	value   string
-	pos     int
-}
-
-// ctxNode tests project context: LPRNG, ANDROID, or a MIN_SDK_VERSION
-// comparison.
-type ctxNode struct {
-	name string
-	op   tokKind // tEq etc.; 0 for bare flags
-	num  int64
-	pos  int
-}
-
-func (orNode) nodeTag()     {}
-func (andNode) nodeTag()    {}
-func (notNode) nodeTag()    {}
-func (callNode) nodeTag()   {}
-func (cmpNode) nodeTag()    {}
-func (startsNode) nodeTag() {}
-func (ctxNode) nodeTag()    {}
-
-// clauseAST is one Class:formula conjunct of a (possibly composite) rule.
-type clauseAST struct {
-	class    string
-	classPos int
-	negated  bool
-	formula  node
-}
+// maxNesting caps how deep parentheses, ¬ and parenthesised clauses may
+// nest in one formula. Real rules nest a few levels; the cap keeps the
+// recursive-descent parser (and every tree walk after it) off the stack
+// limit on hostile input.
+const maxNesting = 256
 
 type parser struct {
-	toks []token
-	i    int
+	toks  []token
+	i     int
+	depth int
 }
 
 func (p *parser) cur() token  { return p.toks[p.i] }
@@ -86,10 +22,20 @@ func (p *parser) expect(k tokKind) (token, error) {
 	return p.next(), nil
 }
 
+// nest enters one nesting level opened by t; the caller leaves it with
+// p.depth--.
+func (p *parser) nest(t token) error {
+	p.depth++
+	if p.depth > maxNesting {
+		return perr(t.pos, "formula nested deeper than %d levels", maxNesting)
+	}
+	return nil
+}
+
 // parseRule parses the top level: clause { ∧ clause }.
-func parseRule(toks []token) ([]clauseAST, error) {
+func parseRule(toks []token) ([]ClauseSyntax, error) {
 	p := &parser{toks: toks}
-	var clauses []clauseAST
+	var clauses []ClauseSyntax
 	for {
 		c, err := p.parseClause()
 		if err != nil {
@@ -107,67 +53,56 @@ func parseRule(toks []token) ([]clauseAST, error) {
 	return clauses, nil
 }
 
-func (p *parser) parseClause() (clauseAST, error) {
+func (p *parser) parseClause() (ClauseSyntax, error) {
 	negated := false
 	if p.cur().kind == tNot {
-		p.next()
 		negated = true
-		if _, err := p.expect(tLParen); err != nil {
-			return clauseAST{}, err
-		}
-		c, err := p.parseSimpleClause()
-		if err != nil {
-			return clauseAST{}, err
-		}
-		if _, err := p.expect(tRParen); err != nil {
-			return clauseAST{}, err
-		}
-		c.negated = true
-		return c, nil
-	}
-	if p.cur().kind == tLParen {
-		// Could be a parenthesized clause "(Class : ...)"; peek for the
-		// class-colon shape.
-		save := p.i
 		p.next()
-		if p.cur().kind == tIdent && p.toks[p.i+1].kind == tColon {
-			c, err := p.parseSimpleClause()
-			if err != nil {
-				return clauseAST{}, err
-			}
-			if _, err := p.expect(tRParen); err != nil {
-				return clauseAST{}, err
-			}
-			return c, nil
+		if _, err := p.expect(tLParen); err != nil {
+			return ClauseSyntax{}, err
 		}
-		p.i = save
+	} else if p.cur().kind == tLParen && p.toks[p.i+1].kind == tIdent && p.toks[p.i+2].kind == tColon {
+		// A parenthesized clause "(Class : ...)".
+		p.next()
+	} else {
+		return p.parseSimpleClause()
+	}
+	if err := p.nest(p.toks[p.i-1]); err != nil {
+		return ClauseSyntax{}, err
 	}
 	c, err := p.parseSimpleClause()
-	c.negated = negated
-	return c, err
+	if err != nil {
+		return ClauseSyntax{}, err
+	}
+	p.depth--
+	if _, err := p.expect(tRParen); err != nil {
+		return ClauseSyntax{}, err
+	}
+	c.Negated = negated
+	return c, nil
 }
 
-func (p *parser) parseSimpleClause() (clauseAST, error) {
+func (p *parser) parseSimpleClause() (ClauseSyntax, error) {
 	cls, err := p.expect(tIdent)
 	if err != nil {
-		return clauseAST{}, err
+		return ClauseSyntax{}, err
 	}
 	if _, err := p.expect(tColon); err != nil {
-		return clauseAST{}, err
+		return ClauseSyntax{}, err
 	}
 	f, err := p.parseOr()
 	if err != nil {
-		return clauseAST{}, err
+		return ClauseSyntax{}, err
 	}
-	return clauseAST{class: cls.text, classPos: cls.pos, formula: f}, nil
+	return ClauseSyntax{Class: cls.text, Pos: cls.pos, Formula: f}, nil
 }
 
-func (p *parser) parseOr() (node, error) {
+func (p *parser) parseOr() (Formula, error) {
 	first, err := p.parseAnd()
 	if err != nil {
 		return nil, err
 	}
-	kids := []node{first}
+	kids := []Formula{first}
 	for p.cur().kind == tOr {
 		p.next()
 		n, err := p.parseAnd()
@@ -179,15 +114,15 @@ func (p *parser) parseOr() (node, error) {
 	if len(kids) == 1 {
 		return first, nil
 	}
-	return orNode{kids: kids}, nil
+	return OrExpr{Kids: kids}, nil
 }
 
-func (p *parser) parseAnd() (node, error) {
+func (p *parser) parseAnd() (Formula, error) {
 	first, err := p.parseUnary()
 	if err != nil {
 		return nil, err
 	}
-	kids := []node{first}
+	kids := []Formula{first}
 	for p.cur().kind == tAnd {
 		// The top-level rule conjunction also uses ∧; a following
 		// "( Ident :" or "¬( Ident :" belongs to the next clause.
@@ -204,7 +139,7 @@ func (p *parser) parseAnd() (node, error) {
 	if len(kids) == 1 {
 		return first, nil
 	}
-	return andNode{kids: kids}, nil
+	return AndExpr{Kids: kids}, nil
 }
 
 // clauseFollows reports whether the ∧ at the cursor starts a new
@@ -223,21 +158,27 @@ func (p *parser) clauseFollows() bool {
 	return j+1 < len(p.toks) && p.toks[j].kind == tIdent && p.toks[j+1].kind == tColon
 }
 
-func (p *parser) parseUnary() (node, error) {
+func (p *parser) parseUnary() (Formula, error) {
 	switch p.cur().kind {
 	case tNot:
-		p.next()
+		if err := p.nest(p.next()); err != nil {
+			return nil, err
+		}
 		kid, err := p.parseUnary()
 		if err != nil {
 			return nil, err
 		}
-		return notNode{kid: kid}, nil
+		p.depth--
+		return NotExpr{Kid: kid}, nil
 	case tLParen:
-		p.next()
+		if err := p.nest(p.next()); err != nil {
+			return nil, err
+		}
 		inner, err := p.parseOr()
 		if err != nil {
 			return nil, err
 		}
+		p.depth--
 		if _, err := p.expect(tRParen); err != nil {
 			return nil, err
 		}
@@ -246,22 +187,19 @@ func (p *parser) parseUnary() (node, error) {
 	return p.parseAtom()
 }
 
-func (p *parser) parseAtom() (node, error) {
+func (p *parser) parseAtom() (Formula, error) {
 	switch p.cur().kind {
 	case tVar:
 		v := p.next()
-		op := p.cur().kind
-		switch op {
-		case tEq, tNe, tLt, tLe, tGt, tGe:
-			p.next()
-		default:
-			return nil, perr(p.cur().pos, "expected comparison after variable %s", v.text)
+		op, err := p.parseCmpOp("expected comparison after variable %s", v.text)
+		if err != nil {
+			return nil, err
 		}
 		val, err := p.parseLiteral()
 		if err != nil {
 			return nil, err
 		}
-		return cmpNode{varName: v.text, op: op, value: val, pos: v.pos}, nil
+		return CmpAtom{Var: v.text, Op: op, Value: val, Pos: v.pos}, nil
 	case tIdent:
 		id := p.next()
 		switch id.text {
@@ -283,20 +221,17 @@ func (p *parser) parseAtom() (node, error) {
 			if _, err := p.expect(tRParen); err != nil {
 				return nil, err
 			}
-			return startsNode{varName: v.text, value: val, pos: id.pos}, nil
+			return StartsAtom{Var: v.text, Value: val, Pos: id.pos}, nil
 		case "LPRNG", "ANDROID", "HAS_LPRNG":
 			name := id.text
 			if name == "HAS_LPRNG" {
 				name = "LPRNG"
 			}
-			return ctxNode{name: name, pos: id.pos}, nil
+			return CtxAtom{Name: name, Pos: id.pos}, nil
 		case "MIN_SDK_VERSION":
-			op := p.cur().kind
-			switch op {
-			case tEq, tNe, tLt, tLe, tGt, tGe:
-				p.next()
-			default:
-				return nil, perr(p.cur().pos, "expected comparison after MIN_SDK_VERSION")
+			op, err := p.parseCmpOp("expected comparison after MIN_SDK_VERSION")
+			if err != nil {
+				return nil, err
 			}
 			val, err := p.parseLiteral()
 			if err != nil {
@@ -309,31 +244,30 @@ func (p *parser) parseAtom() (node, error) {
 				}
 				num = num*10 + int64(r-'0')
 			}
-			return ctxNode{name: "MIN_SDK_VERSION", op: op, num: num, pos: id.pos}, nil
+			return CtxAtom{Name: "MIN_SDK_VERSION", Op: op, Num: num, HasOp: true, Pos: id.pos}, nil
 		}
 		// Method call atom.
-		call := callNode{method: id.text, pos: id.pos}
+		call := CallAtom{Method: id.text, Pos: id.pos}
 		if p.cur().kind == tLParen {
 			p.next()
-			call.hasArgs = true
+			call.HasArgs = true
 			for p.cur().kind != tRParen {
-				switch p.cur().kind {
+				t := p.cur()
+				switch t.kind {
 				case tWildcard:
-					call.args = append(call.args, argPat{kind: argAny, pos: p.next().pos})
+					call.Args = append(call.Args, ArgPattern{Kind: ArgAny, Pos: t.pos})
 				case tVar:
-					t := p.next()
-					call.args = append(call.args, argPat{kind: argVar, name: t.text, pos: t.pos})
+					call.Args = append(call.Args, ArgPattern{Kind: ArgVar, Name: t.text, Pos: t.pos})
 				case tIdent:
-					t := p.next()
-					call.args = append(call.args, argPat{kind: argLit, name: t.text, pos: t.pos})
+					call.Args = append(call.Args, ArgPattern{Kind: ArgLit, Name: t.text, Pos: t.pos})
 				default:
-					return nil, perr(p.cur().pos, "bad argument pattern %v", p.cur())
+					return nil, perr(t.pos, "bad argument pattern %v", t)
 				}
-				if p.cur().kind == tComma {
-					p.next()
-					continue
+				p.next()
+				if p.cur().kind != tComma {
+					break
 				}
-				break
+				p.next()
 			}
 			if _, err := p.expect(tRParen); err != nil {
 				return nil, err
@@ -343,6 +277,19 @@ func (p *parser) parseAtom() (node, error) {
 	}
 	return nil, perr(p.cur().pos, "unexpected %v in formula", p.cur())
 }
+
+// parseCmpOp consumes a comparison operator, or fails with the given
+// message at the current token.
+func (p *parser) parseCmpOp(format string, args ...any) (CmpOp, error) {
+	op, ok := cmpOps[p.cur().kind]
+	if !ok {
+		return 0, perr(p.cur().pos, format, args...)
+	}
+	p.next()
+	return op, nil
+}
+
+var cmpOps = map[tokKind]CmpOp{tEq: OpEq, tNe: OpNe, tLt: OpLt, tLe: OpLe, tGt: OpGt, tGe: OpGe}
 
 func (p *parser) parseLiteral() (string, error) {
 	t := p.cur()

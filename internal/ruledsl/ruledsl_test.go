@@ -231,15 +231,6 @@ func TestDSLAgreesWithRegistry(t *testing.T) {
 	}
 }
 
-func TestMustParsePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("MustParse did not panic on bad input")
-		}
-	}()
-	MustParse("X", "", "not a rule at all :::")
-}
-
 func TestParseFile(t *testing.T) {
 	content := `
 # custom rules
@@ -275,7 +266,7 @@ func TestParseFileErrors(t *testing.T) {
 }
 
 // TestParseNeverPanics feeds Parse the kind of garbage a user-supplied
-// -rulefile can contain. Whatever happens internally, it must come back as
+// rule pack can contain. Whatever happens internally, it must come back as
 // an error — the checker CLI routes untrusted rule sources through here.
 func TestParseNeverPanics(t *testing.T) {
 	inputs := []string{

@@ -12,29 +12,9 @@ type Pos struct {
 	Col    int `json:"col"`
 }
 
-// PosAt computes the 1-based line:col of a byte offset in src. Columns
-// count runes, not bytes, so ∧/∨/¬ advance by one. Offsets past the end
-// clamp to the position one past the last character.
-func PosAt(src string, offset int) Pos {
-	if offset > len(src) {
-		offset = len(src)
-	}
-	line, col := 1, 1
-	for _, r := range src[:offset] {
-		if r == '\n' {
-			line++
-			col = 1
-		} else {
-			col++
-		}
-	}
-	return Pos{Offset: offset, Line: line, Col: col}
-}
-
 // ParseError is a lexer/parser error carrying the offending token's
-// position. Parse fills Line/Col from the source so the rendered form is
-// "line L:C: message" — position-accurate for editors and for rulelint
-// diagnostics — instead of a bare byte offset.
+// position, rendered as "line L:C: message" — position-accurate for
+// editors and for rulelint diagnostics.
 type ParseError struct {
 	Offset    int
 	Line, Col int
@@ -45,45 +25,14 @@ func (e *ParseError) Error() string {
 	return fmt.Sprintf("line %d:%d: %s", e.Line, e.Col, e.Msg)
 }
 
-// perr builds a ParseError at a byte offset; Parse resolves Line/Col.
-func perr(offset int, format string, args ...any) *ParseError {
-	return &ParseError{Offset: offset, Msg: fmt.Sprintf(format, args...)}
+// perr builds a ParseError at a token position.
+func perr(at Pos, format string, args ...any) *ParseError {
+	return &ParseError{Offset: at.Offset, Line: at.Line, Col: at.Col, Msg: fmt.Sprintf(format, args...)}
 }
-
-// resolvePos fills the line:col of a ParseError (possibly wrapped) from
-// the rule source it was produced over.
-func resolvePos(err error, src string) {
-	var pe *ParseError
-	if asParseError(err, &pe) {
-		p := PosAt(src, pe.Offset)
-		pe.Line, pe.Col = p.Line, p.Col
-	}
-}
-
-// asParseError is errors.As without the import cycle risk of bringing
-// errors into every call site; kept trivial on purpose.
-func asParseError(err error, target **ParseError) bool {
-	for err != nil {
-		if pe, ok := err.(*ParseError); ok {
-			*target = pe
-			return true
-		}
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		err = u.Unwrap()
-	}
-	return false
-}
-
-// ---------------------------------------------------------------------------
-// Exported, position-annotated syntax
-// ---------------------------------------------------------------------------
 
 // Syntax is the parsed form of one rule: its clause list with every atom
-// position-annotated. It is the surface rulelint analyzes — the compiled
-// rules.Rule only exposes opaque predicate closures.
+// position-annotated. It is the one parse tree of the rule language: Parse
+// compiles it into predicate closures and rulelint analyzes it.
 type Syntax struct {
 	Source  string
 	Clauses []ClauseSyntax
@@ -189,9 +138,9 @@ func (CmpAtom) formulaTag()    {}
 func (StartsAtom) formulaTag() {}
 func (CtxAtom) formulaTag()    {}
 
-// ParseSyntax parses a rule source into its exported syntax tree without
-// compiling it. The same grammar as Parse; errors are *ParseError with
-// line:col resolved.
+// ParseSyntax parses a rule source into its syntax tree — the one parse
+// tree of the rule language, which Parse compiles and rulelint analyzes.
+// Errors are *ParseError values positioned at the offending token.
 func ParseSyntax(src string) (s *Syntax, err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -200,79 +149,13 @@ func ParseSyntax(src string) (s *Syntax, err error) {
 	}()
 	toks, err := lex(src)
 	if err != nil {
-		resolvePos(err, src)
 		return nil, err
 	}
 	clauses, err := parseRule(toks)
 	if err != nil {
-		resolvePos(err, src)
 		return nil, err
 	}
-	s = &Syntax{Source: src}
-	for _, c := range clauses {
-		s.Clauses = append(s.Clauses, ClauseSyntax{
-			Class:   c.class,
-			Pos:     PosAt(src, c.classPos),
-			Negated: c.negated,
-			Formula: exportFormula(c.formula, src),
-		})
-	}
-	return s, nil
-}
-
-func exportFormula(n node, src string) Formula {
-	switch x := n.(type) {
-	case andNode:
-		e := AndExpr{Kids: make([]Formula, len(x.kids))}
-		for i, k := range x.kids {
-			e.Kids[i] = exportFormula(k, src)
-		}
-		return e
-	case orNode:
-		e := OrExpr{Kids: make([]Formula, len(x.kids))}
-		for i, k := range x.kids {
-			e.Kids[i] = exportFormula(k, src)
-		}
-		return e
-	case notNode:
-		return NotExpr{Kid: exportFormula(x.kid, src)}
-	case callNode:
-		e := CallAtom{Method: x.method, Pos: PosAt(src, x.pos), HasArgs: x.hasArgs}
-		for _, a := range x.args {
-			e.Args = append(e.Args, ArgPattern{Kind: ArgPatKind(a.kind), Name: a.name, Pos: PosAt(src, a.pos)})
-		}
-		return e
-	case cmpNode:
-		return CmpAtom{Var: x.varName, Op: cmpOpOf(x.op), Value: x.value, Pos: PosAt(src, x.pos)}
-	case startsNode:
-		return StartsAtom{Var: x.varName, Value: x.value, Pos: PosAt(src, x.pos)}
-	case ctxNode:
-		e := CtxAtom{Name: x.name, Num: x.num, Pos: PosAt(src, x.pos)}
-		if x.op != 0 {
-			e.Op, e.HasOp = cmpOpOf(x.op), true
-		}
-		return e
-	}
-	return nil
-}
-
-// cmpOpOf maps an operator token to its exported CmpOp.
-func cmpOpOf(k tokKind) CmpOp {
-	switch k {
-	case tEq:
-		return OpEq
-	case tNe:
-		return OpNe
-	case tLt:
-		return OpLt
-	case tLe:
-		return OpLe
-	case tGt:
-		return OpGt
-	case tGe:
-		return OpGe
-	}
-	return OpEq
+	return &Syntax{Source: src, Clauses: clauses}, nil
 }
 
 // NormLiteral canonicalizes an algorithm-ish literal exactly the way rule

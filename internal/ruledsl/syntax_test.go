@@ -3,7 +3,9 @@ package ruledsl
 import (
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
+	"unicode/utf8"
 )
 
 // TestParseErrorRendering pins the rendered line:col form of parse
@@ -41,19 +43,104 @@ func TestParseErrorRendering(t *testing.T) {
 	}
 }
 
-func TestPosAt(t *testing.T) {
-	src := "ab\ncd\ne"
-	cases := []struct {
-		off       int
-		line, col int
-	}{
-		{0, 1, 1}, {1, 1, 2}, {2, 1, 3}, {3, 2, 1}, {5, 2, 3}, {6, 3, 1}, {7, 3, 2}, {99, 3, 2},
-	}
-	for _, c := range cases {
-		got := PosAt(src, c.off)
-		if got.Line != c.line || got.Col != c.col {
-			t.Errorf("PosAt(%d) = %d:%d, want %d:%d", c.off, got.Line, got.Col, c.line, c.col)
+// TestSyntaxPositions checks the line:col the lexer records for every
+// atom against a rune count over the source: columns count runes, so the
+// multi-byte ∧/¬ advance by one, and a newline starts column 1 again.
+func TestSyntaxPositions(t *testing.T) {
+	for _, src := range []string{
+		"Cipher : ¬init ∧ getInstance(X) ∧ X=AES",
+		"Cipher :\n  getInstance(X) ∧\n  X=AES",
+		"Cipher\n:\ncd(X,_,AES) ∧ ¬startsWith(X,A) ∧\n¬(Mac : e)",
+		"\n\nCipher :\n\n¬ANDROID ∨ MIN_SDK_VERSION≥16",
+	} {
+		syn, err := ParseSyntax(src)
+		if err != nil {
+			t.Fatalf("ParseSyntax(%q): %v", src, err)
 		}
+		var positions []Pos
+		for _, c := range syn.Clauses {
+			positions = append(positions, c.Pos)
+			walk(c.Formula, func(f Formula) {
+				switch a := f.(type) {
+				case CallAtom:
+					positions = append(positions, a.Pos)
+					for _, arg := range a.Args {
+						positions = append(positions, arg.Pos)
+					}
+				case CmpAtom:
+					positions = append(positions, a.Pos)
+				case StartsAtom:
+					positions = append(positions, a.Pos)
+				case CtxAtom:
+					positions = append(positions, a.Pos)
+				}
+			})
+		}
+		for _, p := range positions {
+			line, col := 1, 1
+			for _, r := range src[:p.Offset] {
+				if r == '\n' {
+					line, col = line+1, 1
+				} else {
+					col++
+				}
+			}
+			if p.Line != line || p.Col != col {
+				t.Errorf("%q: token at offset %d is %d:%d, want %d:%d", src, p.Offset, p.Line, p.Col, line, col)
+			}
+		}
+	}
+	syn, err := ParseSyntax("Cipher : ¬init ∧\n getInstance(X)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	and := syn.Clauses[0].Formula.(AndExpr)
+	if p := and.Kids[0].(NotExpr).Kid.(CallAtom).Pos; p.Line != 1 || p.Col != 11 {
+		t.Errorf("init at %d:%d, want 1:11", p.Line, p.Col)
+	}
+	if p := and.Kids[1].(CallAtom).Pos; p.Line != 2 || p.Col != 2 {
+		t.Errorf("getInstance at %d:%d, want 2:2", p.Line, p.Col)
+	}
+}
+
+func walk(f Formula, visit func(Formula)) {
+	visit(f)
+	switch x := f.(type) {
+	case AndExpr:
+		for _, k := range x.Kids {
+			walk(k, visit)
+		}
+	case OrExpr:
+		for _, k := range x.Kids {
+			walk(k, visit)
+		}
+	case NotExpr:
+		walk(x.Kid, visit)
+	}
+}
+
+// TestNestingCap pins the parser's depth limit: a formula nested exactly
+// maxNesting levels deep in parentheses and ¬ parses, one level more is a
+// ParseError rather than a stack overflow.
+func TestNestingCap(t *testing.T) {
+	for _, open := range []string{"(", "¬", "¬("} {
+		levels := utf8.RuneCountInString(open)
+		deep := func(n int) string {
+			return "Cipher : " + strings.Repeat(open, n) + "init" + strings.Repeat(")", strings.Count(open, "(")*n)
+		}
+		if _, err := ParseSyntax(deep(maxNesting / levels)); err != nil {
+			t.Errorf("%q×%d: %v", open, maxNesting/levels, err)
+		}
+		_, err := Parse("T", "", deep(maxNesting/levels+1))
+		var pe *ParseError
+		if !errors.As(err, &pe) || !strings.Contains(pe.Msg, "nested deeper than") {
+			t.Errorf("%q×%d: err = %v, want a nesting ParseError", open, maxNesting/levels+1, err)
+		}
+	}
+	// A parenthesised clause is one level of its formula.
+	clause := "(Cipher : " + strings.Repeat("(", maxNesting) + "init" + strings.Repeat(")", maxNesting+1)
+	if _, err := ParseSyntax(clause); err == nil || !strings.Contains(err.Error(), "nested deeper than") {
+		t.Errorf("parenthesised clause over the cap: err = %v", err)
 	}
 }
 

@@ -11,7 +11,8 @@
 //  2. Satisfiability — per-clause constraint conjunctions that can never
 //     hold (contradictory equalities, empty numeric ranges, prefix tests
 //     excluding all modeled algorithm strings), via a small abstract
-//     constraint evaluator over the base domains.
+//     constraint evaluator over the base domains. A clause whose DNF
+//     expansion exceeds a fixed bound is not expanded (RL205).
 //  3. Subsumption/overlap — pairwise trigger implication across
 //     built-ins and loaded packs, plus duplicate rule-ID collisions.
 //  4. Dead constraints — constraints on variables no call atom binds.
@@ -53,6 +54,7 @@ const (
 	CodeEmptyRange   = "RL202" // empty numeric range
 	CodeBadPrefix    = "RL203" // prefix excludes all modeled algorithm strings
 	CodeDeadBranch   = "RL204" // unsatisfiable disjunct
+	CodeDNFBound     = "RL205" // too many disjuncts to check satisfiability
 	CodeDuplicate    = "RL301" // duplicate of another rule
 	CodeSubsumed     = "RL302" // trigger implies another rule's
 	CodeUnboundVar   = "RL401" // constraint on a variable no atom binds

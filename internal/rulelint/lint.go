@@ -1,6 +1,7 @@
 package rulelint
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -50,8 +51,9 @@ func Lint(packs []*ruledsl.Pack, opts Options) *Report {
 	}
 
 	// Cross-rule passes: ID collisions, then subsumption/overlap.
-	l.lintCollisions(packs, opts.Builtins, opts.Reserved)
-	l.lintSubsumption(packs, opts.Builtins)
+	uni := universe(packs, opts.Builtins)
+	l.lintCollisions(uni, opts.Reserved)
+	l.lintSubsumption(uni)
 
 	rep.sortDiags()
 	return rep
@@ -90,26 +92,11 @@ func (l *linter) parseDiag(p *ruledsl.Pack, pr *ruledsl.PackRule) Diag {
 		Msg: pr.Err.Error(),
 	}
 	var pe *ruledsl.ParseError
-	if asParseError(pr.Err, &pe) {
+	if errors.As(pr.Err, &pe) {
 		d.Line, d.Col = packPos(pr, ruledsl.Pos{Line: pe.Line, Col: pe.Col})
 		d.Msg = pe.Msg
 	}
 	return d
-}
-
-func asParseError(err error, target **ruledsl.ParseError) bool {
-	for err != nil {
-		if pe, ok := err.(*ruledsl.ParseError); ok {
-			*target = pe
-			return true
-		}
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		err = u.Unwrap()
-	}
-	return false
 }
 
 // ---------------------------------------------------------------------------

@@ -17,6 +17,17 @@ import (
 // abstract evaluator that tracks, per variable, the base-domain facts the
 // constraints pin: an exact string/symbol, excluded values, a numeric
 // interval, and required prefixes. An empty meet is a contradiction.
+//
+// The expansion is exponential in the worst case — each (X=A ∨ X=B)
+// conjunct doubles the disjuncts — so it stops at maxDNF: past that, the
+// clause gets one RL205 warning instead of a satisfiability verdict.
+
+// maxDNF bounds one clause's expansion, counted as disjuncts plus the
+// literals in them. A formula whose expansion is linear in its size costs
+// at most two units per atom (a disjunction of X=lit arms: one disjunct and
+// one literal each), so everything up to 32k atoms — a 10k-arm disjunction
+// included — is fully checked.
+const maxDNF = 1 << 16
 
 // cLit is one constraint literal of a DNF disjunct.
 type cLit struct {
@@ -53,7 +64,12 @@ func (l *linter) lintSat(p *ruledsl.Pack, pr *ruledsl.PackRule) {
 			}
 		})
 
-		disjuncts := dnf(cl.Formula, false)
+		disjuncts, ok := dnf(cl.Formula, false)
+		if !ok {
+			l.add(p, pr, cl.Pos, CodeDNFBound, SevWarn,
+				"clause %s has too many disjuncts to check satisfiability (over %d)", cl.Class, maxDNF)
+			continue
+		}
 		if len(disjuncts) == 0 {
 			continue
 		}
@@ -94,62 +110,99 @@ func renderConj(conj []cLit) string {
 	return strings.Join(parts, " ∧ ")
 }
 
-// dnf expands a formula into disjuncts of constraint literals. Call and
-// context atoms contribute no constraints (they are ⊤ for this analysis);
-// negation distributes by De Morgan and flips comparison operators.
-func dnf(f ruledsl.Formula, neg bool) [][]cLit {
+// dnf expands a formula into disjuncts of constraint literals, or reports
+// false when the expansion would exceed maxDNF. Call and context atoms
+// contribute no constraints (they are ⊤ for this analysis); negation
+// distributes by De Morgan and flips comparison operators.
+func dnf(f ruledsl.Formula, neg bool) ([][]cLit, bool) {
 	switch x := f.(type) {
 	case ruledsl.AndExpr:
 		if neg { // ¬(a ∧ b) = ¬a ∨ ¬b
-			var out [][]cLit
-			for _, k := range x.Kids {
-				out = append(out, dnf(k, true)...)
-			}
-			return out
+			return union(x.Kids, true)
 		}
-		out := [][]cLit{{}}
-		for _, k := range x.Kids {
-			out = cross(out, dnf(k, false))
-		}
-		return out
+		return product(x.Kids, false)
 	case ruledsl.OrExpr:
 		if neg { // ¬(a ∨ b) = ¬a ∧ ¬b
-			out := [][]cLit{{}}
-			for _, k := range x.Kids {
-				out = cross(out, dnf(k, true))
-			}
-			return out
+			return product(x.Kids, true)
 		}
-		var out [][]cLit
-		for _, k := range x.Kids {
-			out = append(out, dnf(k, false)...)
-		}
-		return out
+		return union(x.Kids, false)
 	case ruledsl.NotExpr:
 		return dnf(x.Kid, !neg)
 	case ruledsl.CmpAtom:
 		if neg {
 			x = negateCmp(x)
 		}
-		return [][]cLit{{{v: x}}}
+		return [][]cLit{{{v: x}}}, true
 	case ruledsl.StartsAtom:
-		return [][]cLit{{{isStarts: true, negated: neg, s: x}}}
+		return [][]cLit{{{isStarts: true, negated: neg, s: x}}}, true
 	}
 	// CallAtom, CtxAtom, nil: unconstrained.
-	return [][]cLit{{}}
+	return [][]cLit{{}}, true
 }
 
-func cross(a, b [][]cLit) [][]cLit {
-	out := make([][]cLit, 0, len(a)*len(b))
-	for _, x := range a {
-		for _, y := range b {
-			conj := make([]cLit, 0, len(x)+len(y))
-			conj = append(conj, x...)
-			conj = append(conj, y...)
-			out = append(out, conj)
+// union is the disjunction of the kids' expansions.
+func union(kids []ruledsl.Formula, neg bool) ([][]cLit, bool) {
+	var out [][]cLit
+	size := 0
+	for _, k := range kids {
+		d, ok := dnf(k, neg)
+		if !ok {
+			return nil, false
+		}
+		if size += len(d) + literals(d); size > maxDNF {
+			return nil, false
+		}
+		out = append(out, d...)
+	}
+	return out, true
+}
+
+// product is the conjunction of the kids' expansions: one disjunct per
+// choice of a disjunct from every kid, the last kid varying fastest. Its
+// size is checked before any of it is built, and each disjunct is built
+// once, so a long conjunction of atoms expands in linear time.
+func product(kids []ruledsl.Formula, neg bool) ([][]cLit, bool) {
+	ds := make([][][]cLit, len(kids))
+	n, lits := 1, 0
+	for i, k := range kids {
+		d, ok := dnf(k, neg)
+		if !ok {
+			return nil, false
+		}
+		n, lits = n*len(d), lits*len(d)+literals(d)*n
+		if n+lits > maxDNF {
+			return nil, false
+		}
+		ds[i] = d
+	}
+	out := make([][]cLit, 0, n)
+	pick := make([]int, len(ds))
+	for {
+		conj := []cLit{}
+		for i, d := range ds {
+			conj = append(conj, d[pick[i]]...)
+		}
+		out = append(out, conj)
+		i := len(ds) - 1
+		for ; i >= 0; i-- {
+			if pick[i]++; pick[i] < len(ds[i]) {
+				break
+			}
+			pick[i] = 0
+		}
+		if i < 0 {
+			return out, true
 		}
 	}
-	return out
+}
+
+// literals counts the constraint literals of an expansion.
+func literals(d [][]cLit) int {
+	n := 0
+	for _, conj := range d {
+		n += len(conj)
+	}
+	return n
 }
 
 func negateCmp(c ruledsl.CmpAtom) ruledsl.CmpAtom {

@@ -55,8 +55,7 @@ func universe(packs []*ruledsl.Pack, builtins []*rules.Rule) []ruleAt {
 
 // lintCollisions reports RL010 for every rule whose ID an earlier rule
 // (built-in, reserved alias, or pack) already claimed.
-func (l *linter) lintCollisions(packs []*ruledsl.Pack, builtins, reserved []*rules.Rule) {
-	uni := universe(packs, builtins)
+func (l *linter) lintCollisions(uni []ruleAt, reserved []*rules.Rule) {
 	first := map[string]ruleAt{}
 	for _, r := range reserved {
 		first[r.ID] = ruleAt{id: r.ID, origin: "built-in"}
@@ -77,8 +76,7 @@ func (l *linter) lintCollisions(packs []*ruledsl.Pack, builtins, reserved []*rul
 
 // lintSubsumption reports RL301/RL302 for pack rules whose trigger
 // duplicates or implies another rule's in the universe.
-func (l *linter) lintSubsumption(packs []*ruledsl.Pack, builtins []*rules.Rule) {
-	uni := universe(packs, builtins)
+func (l *linter) lintSubsumption(uni []ruleAt) {
 	for i, a := range uni {
 		if a.pr == nil || a.syntax == nil {
 			continue // findings only anchor at parseable pack rules

@@ -2,11 +2,9 @@ package rules
 
 import (
 	"sort"
-	"strings"
 
 	"repro/internal/absdom"
 	"repro/internal/analysis"
-	"repro/internal/cryptoapi"
 )
 
 // Evidence pinpoints, per witnessing object, which recorded usage events a
@@ -103,119 +101,4 @@ func dedupeMatches(matches []EventMatch) []EventMatch {
 		out = append(out, EventMatch{EventIndex: i, Args: uniq})
 	}
 	return out
-}
-
-// findEvents is the evidence twin of existsEvent: it returns every event
-// with the given method name that test accepts, where test also names the
-// decisive argument positions.
-func findEvents(res *analysis.Result, obj *absdom.AObj, method string, test func(analysis.Event) (bool, []int)) []EventMatch {
-	var out []EventMatch
-	for i, ev := range res.Uses[obj] {
-		if method != "" && ev.Sig.Name != method {
-			continue
-		}
-		if test == nil {
-			out = append(out, EventMatch{EventIndex: i})
-			continue
-		}
-		if ok, args := test(ev); ok {
-			out = append(out, EventMatch{EventIndex: i, Args: args})
-		}
-	}
-	return out
-}
-
-// ---------------------------------------------------------------------------
-// Per-rule evidence finders (mirrors of the predicates in registry.go)
-// ---------------------------------------------------------------------------
-
-func findDigestWeak(res *analysis.Result, obj *absdom.AObj, _ Context) []EventMatch {
-	return findEvents(res, obj, "getInstance", func(ev analysis.Event) (bool, []int) {
-		s, ok := argStr(ev, 0)
-		return ok && isWeakDigest(s), []int{0}
-	})
-}
-
-func findPBEIterations(res *analysis.Result, obj *absdom.AObj, _ Context) []EventMatch {
-	return findEvents(res, obj, "<init>", func(ev analysis.Event) (bool, []int) {
-		if len(ev.Args) < 3 {
-			return false, nil
-		}
-		return argIntLess(ev, 2, cryptoapi.MinPBEIterations), []int{2}
-	})
-}
-
-func findNotSHA1PRNG(res *analysis.Result, obj *absdom.AObj, _ Context) []EventMatch {
-	out := findEvents(res, obj, "<init>", nil)
-	out = append(out, findEvents(res, obj, "getInstance", func(ev analysis.Event) (bool, []int) {
-		s, ok := argStr(ev, 0)
-		if !ok {
-			return true, nil
-		}
-		return normalizeAlg(s) != cryptoapi.SHA1PRNG, []int{0}
-	})...)
-	return out
-}
-
-func findInstanceStrong(res *analysis.Result, obj *absdom.AObj, _ Context) []EventMatch {
-	return findEvents(res, obj, "getInstanceStrong", nil)
-}
-
-func findNotBouncyCastle(res *analysis.Result, obj *absdom.AObj, _ Context) []EventMatch {
-	return findEvents(res, obj, "getInstance", func(ev analysis.Event) (bool, []int) {
-		if len(ev.Args) >= 2 {
-			s, ok := argStr(ev, 1)
-			return !ok || s != cryptoapi.ProviderBouncyCastle, []int{1}
-		}
-		return true, nil // the missing provider argument is the evidence
-	})
-}
-
-func findAndroidPRNG(res *analysis.Result, obj *absdom.AObj, ctx Context) []EventMatch {
-	if ctx.HasLPRNG || ctx.MinSDKVersion < 16 {
-		return nil
-	}
-	out := findEvents(res, obj, "<init>", nil)
-	out = append(out, findEvents(res, obj, "getInstance", nil)...)
-	return out
-}
-
-func findECB(res *analysis.Result, obj *absdom.AObj, _ Context) []EventMatch {
-	return findEvents(res, obj, "getInstance", func(ev analysis.Event) (bool, []int) {
-		s, ok := argStr(ev, 0)
-		return ok && isECBTransformation(s), []int{0}
-	})
-}
-
-func findDES(res *analysis.Result, obj *absdom.AObj, _ Context) []EventMatch {
-	return findEvents(res, obj, "getInstance", func(ev analysis.Event) (bool, []int) {
-		s, ok := argStr(ev, 0)
-		if !ok {
-			return false, nil
-		}
-		return normalizeAlg(cryptoapi.ParseTransformation(s).Algorithm) == "DES", []int{0}
-	})
-}
-
-func findCtorConstArg(i int) EvidenceFn {
-	return func(res *analysis.Result, obj *absdom.AObj, _ Context) []EventMatch {
-		return findEvents(res, obj, "<init>", func(ev analysis.Event) (bool, []int) {
-			return argIsConstData(ev, i), []int{i}
-		})
-	}
-}
-
-func findStaticSeed(res *analysis.Result, obj *absdom.AObj, _ Context) []EventMatch {
-	return findEvents(res, obj, "setSeed", func(ev analysis.Event) (bool, []int) {
-		return argIsConstData(ev, 0), []int{0}
-	})
-}
-
-func findTransformPrefix(prefix string) EvidenceFn {
-	return func(res *analysis.Result, obj *absdom.AObj, _ Context) []EventMatch {
-		return findEvents(res, obj, "getInstance", func(ev analysis.Event) (bool, []int) {
-			s, ok := argStr(ev, 0)
-			return ok && strings.HasPrefix(normalizeAlg(s), normalizeAlg(prefix)), []int{0}
-		})
-	}
 }

@@ -84,7 +84,7 @@ func TestEvidenceFallbackForPredOnlyRules(t *testing.T) {
 	bare := &Rule{
 		ID:          "X1",
 		Description: "pred-only rule",
-		Clauses:     []Clause{{Class: "Cipher", Pred: predDES}},
+		Clauses:     []Clause{{Class: "Cipher", Pred: R8.Clauses[0].Pred}},
 	}
 	vs := CheckPoolCtx(context.Background(), res, Context{}, []*Rule{bare}, nil)
 	if len(vs) != 1 {

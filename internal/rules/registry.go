@@ -16,7 +16,7 @@ var (
 		Description: "Use SHA-256 instead of SHA-1",
 		Formula:     "MessageDigest : getInstance(X) ∧ X=SHA-1",
 		Ref:         "Stevens et al., the first SHA-1 collision (2017)",
-		Clauses:     []Clause{{Class: cryptoapi.MessageDigest, Pred: predDigestWeak, Find: findDigestWeak}},
+		Clauses:     []Clause{clause(cryptoapi.MessageDigest, weakDigest)},
 	}
 
 	// R2: PBE iteration count must be at least 1000.
@@ -25,7 +25,7 @@ var (
 		Description: "Do not use password-based encryption with iteration count less than 1000",
 		Formula:     "PBEKeySpec : <init>(_,_,X,_) ∧ X<1000",
 		Ref:         "Abadi & Warinschi, Password-Based Encryption Analyzed (2005)",
-		Clauses:     []Clause{{Class: cryptoapi.PBEKeySpec, Pred: predPBEIterations, Find: findPBEIterations}},
+		Clauses:     []Clause{clause(cryptoapi.PBEKeySpec, fewPBEIterations)},
 	}
 
 	// R3: SecureRandom should be used with SHA1PRNG.
@@ -34,7 +34,7 @@ var (
 		Description: "SecureRandom should be used with SHA1PRNG",
 		Formula:     "SecureRandom : <init>(X) ∧ X≠SHA-1PRNG",
 		Ref:         "The Right Way to Use SecureRandom (2015)",
-		Clauses:     []Clause{{Class: cryptoapi.SecureRandom, Pred: predNotSHA1PRNG, Find: findNotSHA1PRNG}},
+		Clauses:     []Clause{clause(cryptoapi.SecureRandom, notSHA1PRNG...)},
 	}
 
 	// R4: avoid getInstanceStrong on server-side code.
@@ -43,7 +43,7 @@ var (
 		Description: "SecureRandom with getInstanceStrong should be avoided",
 		Formula:     "SecureRandom : ¬getInstanceStrong",
 		Ref:         "Proper use of Java SecureRandom (2016)",
-		Clauses:     []Clause{{Class: cryptoapi.SecureRandom, Pred: predInstanceStrong, Find: findInstanceStrong}},
+		Clauses:     []Clause{clause(cryptoapi.SecureRandom, instanceStrong)},
 	}
 
 	// R5: use the BouncyCastle provider for Cipher.
@@ -52,7 +52,7 @@ var (
 		Description: "Use the BouncyCastle provider for Cipher",
 		Formula:     "Cipher : getInstance(_,X) ∧ X≠BC",
 		Ref:         "Bouncy Castle vs JCA key-size restrictions (2016)",
-		Clauses:     []Clause{{Class: cryptoapi.Cipher, Pred: predNotBouncyCastle, Find: findNotBouncyCastle}},
+		Clauses:     []Clause{clause(cryptoapi.Cipher, notBouncyCastle...)},
 	}
 
 	// R6: Android SecureRandom PRNG vulnerability on SDK 16-18.
@@ -61,7 +61,7 @@ var (
 		Description:   "The underlying PRNG is vulnerable on Android v16-18",
 		Formula:       "SecureRandom : <init>(_) ∧ ¬LPRNG ∧ MIN_SDK_VERSION≥16",
 		Ref:           "Kaplan et al., Attacking the Linux PRNG on Android (WOOT'14)",
-		Clauses:       []Clause{{Class: cryptoapi.SecureRandom, Pred: predAndroidPRNG, Find: findAndroidPRNG}},
+		Clauses:       []Clause{clause(cryptoapi.SecureRandom, androidPRNG...)},
 		ApplicableCtx: func(ctx Context) bool { return ctx.Android },
 	}
 
@@ -71,7 +71,7 @@ var (
 		Description: "Do not use Cipher in AES/ECB mode",
 		Formula:     "Cipher : getInstance(X) ∧ (X=AES ∨ X=AES/ECB)",
 		Ref:         "Bellare & Rogaway, Introduction to Modern Cryptography",
-		Clauses:     []Clause{{Class: cryptoapi.Cipher, Pred: predECB, Find: findECB}},
+		Clauses:     []Clause{clause(cryptoapi.Cipher, ecb)},
 	}
 
 	// R8: do not use DES.
@@ -80,7 +80,7 @@ var (
 		Description: "Do not use Cipher with DES mode",
 		Formula:     "Cipher : getInstance(X) ∧ X=DES",
 		Ref:         "CERT MSC61-J: do not use insecure or weak cryptographic algorithms",
-		Clauses:     []Clause{{Class: cryptoapi.Cipher, Pred: predDES, Find: findDES}},
+		Clauses:     []Clause{clause(cryptoapi.Cipher, des)},
 	}
 
 	// R9: IV must not be a static byte array.
@@ -89,7 +89,7 @@ var (
 		Description: "IvParameterSpec should not be initialized with a static byte array",
 		Formula:     "IvParameterSpec : <init>(X) ∧ X≠⊤byte[]",
 		Ref:         "Bellare & Rogaway, Introduction to Modern Cryptography",
-		Clauses:     []Clause{{Class: cryptoapi.IvParameterSpec, Pred: predCtorConstArg(0), Find: findCtorConstArg(0)}},
+		Clauses:     []Clause{clause(cryptoapi.IvParameterSpec, ctorConstArg(0))},
 	}
 
 	// R10: secret keys must not be static.
@@ -98,7 +98,7 @@ var (
 		Description: "SecretKeySpec should not be static",
 		Formula:     "SecretKeySpec : <init>(X) ∧ X≠⊤byte[]",
 		Ref:         "CryptoLint rule 3 (Egele et al., CCS'13)",
-		Clauses:     []Clause{{Class: cryptoapi.SecretKeySpec, Pred: predCtorConstArg(0), Find: findCtorConstArg(0)}},
+		Clauses:     []Clause{clause(cryptoapi.SecretKeySpec, ctorConstArg(0))},
 	}
 
 	// R11: PBE salt must not be static.
@@ -107,7 +107,7 @@ var (
 		Description: "Do not use password-based encryption with static salt",
 		Formula:     "PBEKeySpec : <init>(_,X,_,_) ∧ X≠⊤byte[]",
 		Ref:         "CryptoLint rule 4 (Egele et al., CCS'13)",
-		Clauses:     []Clause{{Class: cryptoapi.PBEKeySpec, Pred: predCtorConstArg(1), Find: findCtorConstArg(1)}},
+		Clauses:     []Clause{clause(cryptoapi.PBEKeySpec, ctorConstArg(1))},
 	}
 
 	// R12: SecureRandom seeds must not be static.
@@ -116,7 +116,7 @@ var (
 		Description: "Do not use SecureRandom static seed",
 		Formula:     "SecureRandom : setSeed(X) ∧ X≠⊤byte[]",
 		Ref:         "CryptoLint rule 6 (Egele et al., CCS'13)",
-		Clauses:     []Clause{{Class: cryptoapi.SecureRandom, Pred: predStaticSeed, Find: findStaticSeed}},
+		Clauses:     []Clause{clause(cryptoapi.SecureRandom, staticSeed)},
 	}
 
 	// R13: integrity is missing after an RSA-based symmetric key exchange.
@@ -127,9 +127,9 @@ var (
 			"(Cipher : getInstance(Y) ∧ Y=RSA) ∧ ¬(Mac : getInstance(Z) ∧ startsWith(Z,Hmac))",
 		Ref: "Top 10 developer crypto mistakes (2017)",
 		Clauses: []Clause{
-			{Class: cryptoapi.Cipher, Pred: predTransformPrefix("AES/CBC"), Find: findTransformPrefix("AES/CBC")},
-			{Class: cryptoapi.Cipher, Pred: predTransformPrefix("RSA"), Find: findTransformPrefix("RSA")},
-			{Class: cryptoapi.Mac, Negated: true, Pred: predMacHmac},
+			clause(cryptoapi.Cipher, transformPrefix("AES/CBC")),
+			clause(cryptoapi.Cipher, transformPrefix("RSA")),
+			negated(clause(cryptoapi.Mac, transformPrefix("HMAC"))),
 		},
 	}
 )
@@ -171,105 +171,146 @@ func ByID(id string) *Rule {
 }
 
 // ---------------------------------------------------------------------------
-// Rule predicates
+// Built-in clause matchers
 // ---------------------------------------------------------------------------
 
-func predDigestWeak(res *analysis.Result, obj *absdom.AObj, _ Context) bool {
-	return existsEvent(res, obj, "getInstance", func(ev analysis.Event) bool {
+// eventTest is one event test of a built-in clause: a usage event calling
+// method that test accepts (nil accepts them all) satisfies the clause, and
+// arg is the argument position that decided it (noArg: the call itself is
+// the evidence).
+type eventTest struct {
+	method string
+	arg    int
+	test   func(ev *analysis.Event, ctx Context) bool
+}
+
+const noArg = -1
+
+func (t *eventTest) accepts(ev *analysis.Event, ctx Context) bool {
+	return ev.Sig.Name == t.method && (t.test == nil || t.test(ev, ctx))
+}
+
+// clause builds a built-in clause from its event tests, deriving both Pred
+// and Find from them so that the two accept exactly the same events. Pred
+// runs per object wherever rules are checked, so it stops at the first
+// match and allocates nothing; Find lists every match with its decisive
+// argument for witness evidence.
+func clause(class string, tests ...eventTest) Clause {
+	return Clause{
+		Class: class,
+		Pred: func(res *analysis.Result, obj *absdom.AObj, ctx Context) bool {
+			evs := res.Uses[obj]
+			for j := range evs {
+				for i := range tests {
+					if tests[i].accepts(&evs[j], ctx) {
+						return true
+					}
+				}
+			}
+			return false
+		},
+		Find: func(res *analysis.Result, obj *absdom.AObj, ctx Context) []EventMatch {
+			var out []EventMatch
+			evs := res.Uses[obj]
+			for j := range evs {
+				for i := range tests {
+					if !tests[i].accepts(&evs[j], ctx) {
+						continue
+					}
+					m := EventMatch{EventIndex: j}
+					if tests[i].arg != noArg {
+						m.Args = []int{tests[i].arg}
+					}
+					out = append(out, m)
+				}
+			}
+			return out
+		},
+	}
+}
+
+func negated(c Clause) Clause {
+	c.Negated = true
+	return c
+}
+
+// The event tests of the built-in clauses.
+var (
+	weakDigest = eventTest{"getInstance", 0, func(ev *analysis.Event, _ Context) bool {
 		s, ok := argStr(ev, 0)
 		return ok && isWeakDigest(s)
-	})
-}
+	}}
 
-func predPBEIterations(res *analysis.Result, obj *absdom.AObj, _ Context) bool {
-	return existsEvent(res, obj, "<init>", func(ev analysis.Event) bool {
-		// <init>(pw, salt, iterations[, keyLen]): the count is argument 3.
-		if len(ev.Args) < 3 {
-			return false
-		}
+	// <init>(pw, salt, iterations[, keyLen]): the count is argument 3.
+	fewPBEIterations = eventTest{"<init>", 2, func(ev *analysis.Event, _ Context) bool {
 		return argIntLess(ev, 2, cryptoapi.MinPBEIterations)
-	})
-}
+	}}
 
-func predNotSHA1PRNG(res *analysis.Result, obj *absdom.AObj, _ Context) bool {
-	// Violated when the object is created without selecting SHA1PRNG:
-	// plain constructors, or getInstance with a different algorithm.
-	viaCtor := existsEvent(res, obj, "<init>", nil)
-	viaGet := existsEvent(res, obj, "getInstance", func(ev analysis.Event) bool {
-		s, ok := argStr(ev, 0)
-		return !ok || normalizeAlg(s) != cryptoapi.SHA1PRNG
-	})
-	return viaCtor || viaGet
-}
-
-func predInstanceStrong(res *analysis.Result, obj *absdom.AObj, _ Context) bool {
-	return existsEvent(res, obj, "getInstanceStrong", nil)
-}
-
-func predNotBouncyCastle(res *analysis.Result, obj *absdom.AObj, _ Context) bool {
-	return existsEvent(res, obj, "getInstance", func(ev analysis.Event) bool {
-		if len(ev.Args) >= 2 {
-			s, ok := argStr(ev, 1)
-			return !ok || s != cryptoapi.ProviderBouncyCastle
-		}
-		return true // no provider argument: the default (non-BC) provider
-	})
-}
-
-func predAndroidPRNG(res *analysis.Result, obj *absdom.AObj, ctx Context) bool {
-	if ctx.HasLPRNG || ctx.MinSDKVersion < 16 {
-		return false
+	// Created without selecting SHA1PRNG: plain constructors, getInstance
+	// with an unknown algorithm, or getInstance with a different one.
+	notSHA1PRNG = []eventTest{
+		{"<init>", noArg, nil},
+		{"getInstance", noArg, func(ev *analysis.Event, _ Context) bool {
+			_, ok := argStr(ev, 0)
+			return !ok
+		}},
+		{"getInstance", 0, func(ev *analysis.Event, _ Context) bool {
+			s, ok := argStr(ev, 0)
+			return ok && normalizeAlg(s) != cryptoapi.SHA1PRNG
+		}},
 	}
-	return existsEvent(res, obj, "<init>", nil) ||
-		existsEvent(res, obj, "getInstance", nil)
-}
 
-func predECB(res *analysis.Result, obj *absdom.AObj, _ Context) bool {
-	return existsEvent(res, obj, "getInstance", func(ev analysis.Event) bool {
+	instanceStrong = eventTest{"getInstanceStrong", noArg, nil}
+
+	// No provider argument (the default, non-BC provider) or another one.
+	notBouncyCastle = []eventTest{
+		{"getInstance", noArg, func(ev *analysis.Event, _ Context) bool {
+			return len(ev.Args) < 2
+		}},
+		{"getInstance", 1, func(ev *analysis.Event, _ Context) bool {
+			s, ok := argStr(ev, 1)
+			return len(ev.Args) >= 2 && (!ok || s != cryptoapi.ProviderBouncyCastle)
+		}},
+	}
+
+	androidPRNG = []eventTest{
+		{"<init>", noArg, vulnerableAndroidPRNG},
+		{"getInstance", noArg, vulnerableAndroidPRNG},
+	}
+
+	ecb = eventTest{"getInstance", 0, func(ev *analysis.Event, _ Context) bool {
 		s, ok := argStr(ev, 0)
 		return ok && isECBTransformation(s)
-	})
-}
+	}}
 
-func predDES(res *analysis.Result, obj *absdom.AObj, _ Context) bool {
-	return existsEvent(res, obj, "getInstance", func(ev analysis.Event) bool {
+	des = eventTest{"getInstance", 0, func(ev *analysis.Event, _ Context) bool {
 		s, ok := argStr(ev, 0)
-		if !ok {
-			return false
-		}
-		return normalizeAlg(cryptoapi.ParseTransformation(s).Algorithm) == "DES"
-	})
-}
+		return ok && normalizeAlg(cryptoapi.ParseTransformation(s).Algorithm) == "DES"
+	}}
 
-// predCtorConstArg flags constructors whose i-th argument is compile-time
-// constant data (X ≠ ⊤byte[]).
-func predCtorConstArg(i int) ObjPred {
-	return func(res *analysis.Result, obj *absdom.AObj, _ Context) bool {
-		return existsEvent(res, obj, "<init>", func(ev analysis.Event) bool {
-			return argIsConstData(ev, i)
-		})
-	}
-}
-
-func predStaticSeed(res *analysis.Result, obj *absdom.AObj, _ Context) bool {
-	return existsEvent(res, obj, "setSeed", func(ev analysis.Event) bool {
+	staticSeed = eventTest{"setSeed", 0, func(ev *analysis.Event, _ Context) bool {
 		return argIsConstData(ev, 0)
-	})
+	}}
+)
+
+// vulnerableAndroidPRNG holds on Android 16–18 without the Linux-PRNG fix.
+func vulnerableAndroidPRNG(_ *analysis.Event, ctx Context) bool {
+	return !ctx.HasLPRNG && ctx.MinSDKVersion >= 16
 }
 
-// predTransformPrefix matches getInstance transformations by prefix.
-func predTransformPrefix(prefix string) ObjPred {
-	return func(res *analysis.Result, obj *absdom.AObj, _ Context) bool {
-		return existsEvent(res, obj, "getInstance", func(ev analysis.Event) bool {
-			s, ok := argStr(ev, 0)
-			return ok && strings.HasPrefix(normalizeAlg(s), normalizeAlg(prefix))
-		})
-	}
+// ctorConstArg flags constructors whose i-th argument is compile-time
+// constant data (X ≠ ⊤byte[]).
+func ctorConstArg(i int) eventTest {
+	return eventTest{"<init>", i, func(ev *analysis.Event, _ Context) bool {
+		return argIsConstData(ev, i)
+	}}
 }
 
-func predMacHmac(res *analysis.Result, obj *absdom.AObj, _ Context) bool {
-	return existsEvent(res, obj, "getInstance", func(ev analysis.Event) bool {
+// transformPrefix matches getInstance transformations by prefix.
+func transformPrefix(prefix string) eventTest {
+	prefix = normalizeAlg(prefix)
+	return eventTest{"getInstance", 0, func(ev *analysis.Event, _ Context) bool {
 		s, ok := argStr(ev, 0)
-		return ok && strings.HasPrefix(normalizeAlg(s), "HMAC")
-	})
+		return ok && strings.HasPrefix(normalizeAlg(s), prefix)
+	}}
 }

@@ -39,8 +39,10 @@ type Clause struct {
 	Pred    ObjPred
 	// Find, when set, locates the events (and argument positions) the
 	// predicate matched on, for witness-trace evidence. It must accept
-	// exactly the events Pred accepts; clauses without one get fallback
-	// evidence. Negated clauses never produce evidence.
+	// exactly the events Pred accepts, which is why the built-in clauses
+	// derive both from one declaration; clauses without one (DSL and
+	// suggested rules) get fallback evidence. Negated clauses never
+	// produce evidence.
 	Find EvidenceFn
 }
 
@@ -207,21 +209,7 @@ func Classify(r *Rule, oldRes, newRes *analysis.Result, ctx Context) ChangeType 
 // Predicate helpers
 // ---------------------------------------------------------------------------
 
-// existsEvent reports whether AUses(obj) contains an event with the given
-// method name satisfying test (nil test = any).
-func existsEvent(res *analysis.Result, obj *absdom.AObj, method string, test func(analysis.Event) bool) bool {
-	for _, ev := range res.Uses[obj] {
-		if method != "" && ev.Sig.Name != method {
-			continue
-		}
-		if test == nil || test(ev) {
-			return true
-		}
-	}
-	return false
-}
-
-func argStr(ev analysis.Event, i int) (string, bool) {
+func argStr(ev *analysis.Event, i int) (string, bool) {
 	if i >= len(ev.Args) {
 		return "", false
 	}
@@ -232,7 +220,7 @@ func argStr(ev analysis.Event, i int) (string, bool) {
 	return "", false
 }
 
-func argIntLess(ev analysis.Event, i int, bound int64) bool {
+func argIntLess(ev *analysis.Event, i int, bound int64) bool {
 	if i >= len(ev.Args) {
 		return false
 	}
@@ -262,7 +250,7 @@ func argIntLess(ev analysis.Event, i int, bound int64) bool {
 // argIsConstData reports whether argument i is a compile-time constant
 // (byte/int/string array constants, or a numeric constant for long seeds) —
 // the X ≠ ⊤byte[] condition of rules R9–R12.
-func argIsConstData(ev analysis.Event, i int) bool {
+func argIsConstData(ev *analysis.Event, i int) bool {
 	if i >= len(ev.Args) {
 		return false
 	}

@@ -23,14 +23,16 @@ race:
 serve:
 	$(GO) run ./cmd/diffcoded
 
-# Packages whose Go benchmarks the bench targets run: the root package
-# (figures, ablations, named perf benchmarks) and the Java front end.
-BENCH_PKGS = . ./internal/javatok ./internal/javaparser
-
-# Full benchmark suite.
+# The repository's benchmark: every workload of BENCHMARK.json, untraced and
+# traced (see bench/README.md for single-workload and comparison runs).
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem $(BENCH_PKGS)
+	bash bench/run.sh
 
-# One iteration per benchmark: a smoke pass cheap enough for CI.
+# Packages whose Go micro-benchmarks bench-short runs: the root package
+# (figures, ablations, named perf benchmarks), the Java front end, and usage
+# extraction (DAG build, diff, extract).
+BENCH_PKGS = . ./internal/javatok ./internal/javaparser ./internal/usage ./internal/change
+
+# One iteration per micro-benchmark: a smoke pass cheap enough for CI.
 bench-short:
 	$(GO) test -run '^$$' -bench . -benchtime 1x $(BENCH_PKGS)

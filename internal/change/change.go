@@ -92,28 +92,40 @@ func Shortest(paths []usage.Path) []usage.Path {
 
 // Diff computes the usage change between two DAGs:
 // F− = Shortest(Paths(G1) \ Paths(G2)), F+ = Shortest(Paths(G2) \ Paths(G1)).
+// Graphs of the same shape have equal path sets, so Diff returns nil, nil
+// for them without listing paths.
 func Diff(g1, g2 *usage.Graph) (removed, added []usage.Path) {
+	if usage.SameShape(g1, g2) {
+		return nil, nil
+	}
 	p1, p2 := g1.Paths(), g2.Paths()
-	set1 := map[string]bool{}
-	for _, p := range p1 {
-		set1[p.Key()] = true
+	k1, k2 := pathKeys(p1), pathKeys(p2)
+	return Shortest(onlyIn(p1, k1, k2)), Shortest(onlyIn(p2, k2, k1))
+}
+
+// pathKeys returns the Key of each path.
+func pathKeys(ps []usage.Path) []string {
+	out := make([]string, len(ps))
+	for i, p := range ps {
+		out[i] = p.Key()
 	}
-	set2 := map[string]bool{}
-	for _, p := range p2 {
-		set2[p.Key()] = true
+	return out
+}
+
+// onlyIn returns, in order, the paths of ps (with keys keys) whose key is
+// not in other.
+func onlyIn(ps []usage.Path, keys, other []string) []usage.Path {
+	drop := make(map[string]bool, len(other))
+	for _, k := range other {
+		drop[k] = true
 	}
-	var only1, only2 []usage.Path
-	for _, p := range p1 {
-		if !set2[p.Key()] {
-			only1 = append(only1, p)
+	var out []usage.Path
+	for i, p := range ps {
+		if !drop[keys[i]] {
+			out = append(out, p)
 		}
 	}
-	for _, p := range p2 {
-		if !set1[p.Key()] {
-			only2 = append(only2, p)
-		}
-	}
-	return Shortest(only1), Shortest(only2)
+	return out
 }
 
 // Extract derives all usage changes of one target class between two program

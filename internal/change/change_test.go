@@ -282,3 +282,43 @@ class A {
 		t.Errorf("dedup failed: %d survivors", len(out))
 	}
 }
+
+// Benchmark results land in these so the compiler keeps the calls.
+var (
+	benchRemoved, benchAdded []usage.Path
+	benchChanges             []UsageChange
+)
+
+// BenchmarkDiff diffs the Figure 2 DAG pair, and a DAG against an equal
+// one built from a second analysis (the same-shape shortcut).
+func BenchmarkDiff(b *testing.B) {
+	build := func(src string) *usage.Graph {
+		res := analysis.AnalyzeSource(src, analysis.Options{})
+		return usage.Build(res, res.ObjsOfType(cryptoapi.Cipher)[0], usage.DefaultDepth)
+	}
+	for _, bc := range []struct {
+		name   string
+		g1, g2 *usage.Graph
+	}{
+		{"differ", build(oldSrc), build(newSrc)},
+		{"same-shape", build(newSrc), build(newSrc)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchRemoved, benchAdded = Diff(bc.g1, bc.g2)
+			}
+		})
+	}
+}
+
+// BenchmarkExtract runs the whole extraction of Figure 2: both versions'
+// DAGs, pairing and diff.
+func BenchmarkExtract(b *testing.B) {
+	oldRes := analysis.AnalyzeSource(oldSrc, analysis.Options{})
+	newRes := analysis.AnalyzeSource(newSrc, analysis.Options{})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		benchChanges = Extract(oldRes, newRes, cryptoapi.Cipher, usage.DefaultDepth, Meta{})
+	}
+}

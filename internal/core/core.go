@@ -411,7 +411,8 @@ func (d *DiffCode) RunClassCtx(ctx context.Context, analyzed []*AnalyzedChange, 
 // and is nil when that change does not use the class or its extraction
 // panicked; a panicking change is skipped and recorded in the ledger. The
 // loop stays serial: on the worker pool a paper-scale evaluation ran about
-// a tenth faster on 2 vCPUs, but its peak heap grew 13% (EXPERIMENTS.md).
+// a tenth faster on 2 vCPUs, but its peak heap grew 13% with map-based
+// usage DAGs and 14% with the cheaper index-based ones (EXPERIMENTS.md).
 func (d *DiffCode) extractRows(ctx context.Context, analyzed []*AnalyzedChange, class string) [][]change.UsageChange {
 	_, xsp := trace.Stage(ctx, d.opts.Metrics, "extract")
 	xsp.SetTask(class)

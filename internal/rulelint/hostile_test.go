@@ -1,6 +1,7 @@
 package rulelint
 
 import (
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -65,14 +66,41 @@ func TestDNFBoundKeepsLinearFormulas(t *testing.T) {
 	}
 }
 
+// armsRule is one rule line whose getInstance(X) is constrained by an
+// n-arm disjunction; longRule has n X≠… conjuncts after getInstance(X).
+// Structural implication between the two tries every arm against every
+// conjunct.
+func armsRule(n int) string {
+	return "W2 | arms | Cipher : getInstance(X) ∧ (" + strings.Repeat("X=AES ∨ ", n-1) + "X=DES)"
+}
+
+func longRule(n int) string {
+	return "L1 | long | Cipher : getInstance(X)" + strings.Repeat(" ∧ X≠AES", n)
+}
+
 // TestPackLoadScalesLinearly times ParsePack + Lint on one wide rule with
-// n and 2n arms: doubling the rule must not quadruple the time.
+// n arms, then on a pack of two wide rules, one with n arms and one with
+// n/2 conjuncts, and on each again at 2n: doubling the rules must not
+// quadruple the time. The subsumption pass compares the two rules within
+// a fixed step budget.
 func TestPackLoadScalesLinearly(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
 	}
+	for _, pack := range []struct {
+		name string
+		src  func(n int) string
+	}{
+		{"one wide rule", func(n int) string { return wideRule(n) + "\n" }},
+		{"two wide rules", func(n int) string { return armsRule(n) + "\n" + longRule(n/2) + "\n" }},
+	} {
+		t.Run(pack.name, func(t *testing.T) { scalesLinearly(t, pack.src) })
+	}
+}
+
+func scalesLinearly(t *testing.T, gen func(n int) string) {
 	load := func(n int) time.Duration {
-		src := wideRule(n) + "\n"
+		src := gen(n)
 		best := time.Duration(1 << 62)
 		for i := 0; i < 3; i++ {
 			start := time.Now()
@@ -90,4 +118,31 @@ func TestPackLoadScalesLinearly(t *testing.T) {
 	if ratio := float64(t2) / float64(t1); ratio >= 3 {
 		t.Errorf("ParsePack+Lint: %d arms %v, %d arms %v (ratio %.1f, want < 3)", n, t1, 2*n, t2, ratio)
 	}
+}
+
+// TestSubsumptionBudget checks that subsumption is still found between
+// rules whose comparison fits the step budget, and that a pair past the
+// budget gets no finding. In both packs the first rule implies the
+// second, but proving it takes about n·n implies steps: each arm of the
+// second rule's disjunction is tried against every conjunct of the first.
+func TestSubsumptionBudget(t *testing.T) {
+	pack := func(n int) string {
+		var a, b strings.Builder
+		a.WriteString("A1 | a | Cipher : getInstance(X) ∧ X=ZZZ")
+		b.WriteString("B1 | b | Cipher : getInstance(X) ∧ (")
+		for i := 0; i < n; i++ {
+			fmt.Fprintf(&a, " ∧ X≠F%d", i)
+			fmt.Fprintf(&b, "X=G%d ∨ ", i)
+		}
+		b.WriteString("X=ZZZ)")
+		return a.String() + "\n" + b.String() + "\n"
+	}
+	if got := codes(lintSrc(t, "small.rules", pack(100)), "RL3"); got != CodeSubsumed {
+		t.Errorf("100-wide pair: subsumption codes = %q, want %s", got, CodeSubsumed)
+	}
+	start := time.Now()
+	if got := codes(lintSrc(t, "large.rules", pack(1000)), "RL3"); got != "" {
+		t.Errorf("1000-wide pair: subsumption codes = %q, want none (budget spent)", got)
+	}
+	t.Logf("1000-wide pair linted in %v", time.Since(start))
 }

@@ -159,7 +159,7 @@ func TestImplication(t *testing.T) {
 		if err != nil {
 			t.Fatalf("parse %q: %v", c.b, err)
 		}
-		if got := ruleImplies(sa, sb); got != c.want {
+		if got, _, decided := compare(newTrigger(sa), newTrigger(sb)); !decided || got != c.want {
 			t.Errorf("implies(%q, %q) = %t, want %t", c.a, c.b, got, c.want)
 		}
 	}

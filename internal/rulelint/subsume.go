@@ -77,6 +77,12 @@ func (l *linter) lintCollisions(uni []ruleAt, reserved []*rules.Rule) {
 // lintSubsumption reports RL301/RL302 for pack rules whose trigger
 // duplicates or implies another rule's in the universe.
 func (l *linter) lintSubsumption(uni []ruleAt) {
+	trig := make([]trigger, len(uni))
+	for i, r := range uni {
+		if r.syntax != nil {
+			trig[i] = newTrigger(r.syntax)
+		}
+	}
 	for i, a := range uni {
 		if a.pr == nil || a.syntax == nil {
 			continue // findings only anchor at parseable pack rules
@@ -88,9 +94,10 @@ func (l *linter) lintSubsumption(uni []ruleAt) {
 			if b.pr != nil && j > i {
 				continue // pack/pack pairs report at the later rule only
 			}
-			ab := ruleImplies(a.syntax, b.syntax)
-			ba := ruleImplies(b.syntax, a.syntax)
+			ab, ba, decided := compare(trig[i], trig[j])
 			switch {
+			case !decided:
+				// Too large to compare within the budget: no finding.
 			case ab && ba:
 				l.add(a.pack, a.pr, a.syntax.Clauses[0].Pos, CodeDuplicate, SevWarn,
 					"duplicate of %s: identical trigger", b.describe())
@@ -105,22 +112,82 @@ func (l *linter) lintSubsumption(uni []ruleAt) {
 	}
 }
 
+// impliesBudget bounds the implies steps spent on one rule pair, both
+// directions together. Structural implication between an n-arm and an
+// m-arm formula can take n·m steps; past the budget the pair gets no
+// finding (a false negative, never a false positive).
+const impliesBudget = 1 << 16
+
+// compare decides whether trigger a implies b and b implies a. decided is
+// false when the step budget ran out before both answers were known.
+func compare(a, b trigger) (ab, ba, decided bool) {
+	p := prover{left: impliesBudget}
+	ab = p.ruleImplies(a, b)
+	ba = p.ruleImplies(b, a)
+	return ab, ba, p.left >= 0
+}
+
+// trigger is a rule's clauses with their formulas canonicalised.
+type trigger []clause
+
+type clause struct {
+	class   string
+	negated bool
+	f       *cform
+}
+
+func newTrigger(s *ruledsl.Syntax) trigger {
+	t := make(trigger, len(s.Clauses))
+	for i, c := range s.Clauses {
+		t[i] = clause{class: c.Class, negated: c.Negated, f: newCform(c.Formula)}
+	}
+	return t
+}
+
+// cform is a formula node together with its canonical string (canonAtom,
+// canonKids), computed once per node; kids are the operands of a
+// conjunction or disjunction.
+type cform struct {
+	f     ruledsl.Formula
+	canon string
+	kids  []*cform
+}
+
+func newCform(f ruledsl.Formula) *cform {
+	c := &cform{f: f}
+	switch x := f.(type) {
+	case ruledsl.AndExpr:
+		c.kids, c.canon = canonKids("and", x.Kids)
+	case ruledsl.OrExpr:
+		c.kids, c.canon = canonKids("or", x.Kids)
+	case ruledsl.NotExpr:
+		c.canon = "not(" + newCform(x.Kid).canon + ")"
+	default:
+		c.canon = canonAtom(f)
+	}
+	return c
+}
+
+// prover decides implications, spending one step of its budget per
+// implies call; once the budget is spent every answer is false.
+type prover struct{ left int }
+
 // ruleImplies reports whether rule A's trigger implies rule B's: whenever
 // A matches, B matches. Conservative and purely syntactic — false
 // negatives are fine (no finding), false positives are not.
-func ruleImplies(a, b *ruledsl.Syntax) bool {
-	for _, bc := range b.Clauses {
+func (p *prover) ruleImplies(a, b trigger) bool {
+	for _, bc := range b {
 		ok := false
-		for _, ac := range a.Clauses {
-			if ac.Negated != bc.Negated || ac.Class != bc.Class {
+		for _, ac := range a {
+			if ac.negated != bc.negated || ac.class != bc.class {
 				continue
 			}
-			if !bc.Negated && implies(ac.Formula, bc.Formula) {
+			if !bc.negated && p.implies(ac.f, bc.f) {
 				ok = true
 				break
 			}
 			// ¬f_a ⇒ ¬f_b iff f_b ⇒ f_a.
-			if bc.Negated && implies(bc.Formula, ac.Formula) {
+			if bc.negated && p.implies(bc.f, ac.f) {
 				ok = true
 				break
 			}
@@ -135,21 +202,24 @@ func ruleImplies(a, b *ruledsl.Syntax) bool {
 // implies reports a ⇒ b for clause formulas, by structural rules:
 // conjunctions are stronger than their parts, disjunctions weaker, plus
 // atom-level implication for calls, comparisons, and prefixes.
-func implies(a, b ruledsl.Formula) bool {
-	if canon(a) == canon(b) {
+func (p *prover) implies(a, b *cform) bool {
+	if p.left--; p.left < 0 {
+		return false
+	}
+	if a.canon == b.canon {
 		return true
 	}
-	switch bb := b.(type) {
+	switch b.f.(type) {
 	case ruledsl.OrExpr:
-		for _, k := range bb.Kids {
-			if implies(a, k) {
+		for _, k := range b.kids {
+			if p.implies(a, k) {
 				return true
 			}
 		}
 	case ruledsl.AndExpr:
 		all := true
-		for _, k := range bb.Kids {
-			if !implies(a, k) {
+		for _, k := range b.kids {
+			if !p.implies(a, k) {
 				all = false
 				break
 			}
@@ -158,17 +228,17 @@ func implies(a, b ruledsl.Formula) bool {
 			return true
 		}
 	}
-	switch aa := a.(type) {
+	switch a.f.(type) {
 	case ruledsl.AndExpr:
-		for _, k := range aa.Kids {
-			if implies(k, b) {
+		for _, k := range a.kids {
+			if p.implies(k, b) {
 				return true
 			}
 		}
 	case ruledsl.OrExpr:
-		all := len(aa.Kids) > 0
-		for _, k := range aa.Kids {
-			if !implies(k, b) {
+		all := len(a.kids) > 0
+		for _, k := range a.kids {
+			if !p.implies(k, b) {
 				all = false
 				break
 			}
@@ -177,7 +247,7 @@ func implies(a, b ruledsl.Formula) bool {
 			return true
 		}
 	}
-	return atomImplies(a, b)
+	return atomImplies(a.f, b.f)
 }
 
 // atomImplies covers implication between single atoms.
@@ -287,17 +357,12 @@ func parseNum(s string) (int64, bool) {
 	return n, err == nil
 }
 
-// canon renders a formula to a canonical string: normalized literals,
-// sorted AND/OR operand lists. Equal canons ⇒ equivalent formulas (the
-// converse does not hold, which is fine for a conservative check).
-func canon(f ruledsl.Formula) string {
+// canonAtom renders an atom to a canonical string with normalized
+// literals; canonKids renders a conjunction or disjunction with sorted
+// operands. Equal canons ⇒ equivalent formulas (the converse does not
+// hold, which is fine for a conservative check).
+func canonAtom(f ruledsl.Formula) string {
 	switch x := f.(type) {
-	case ruledsl.AndExpr:
-		return "and(" + canonKids(x.Kids) + ")"
-	case ruledsl.OrExpr:
-		return "or(" + canonKids(x.Kids) + ")"
-	case ruledsl.NotExpr:
-		return "not(" + canon(x.Kid) + ")"
 	case ruledsl.CallAtom:
 		if !x.HasArgs {
 			return "call(" + x.Method + ")"
@@ -327,11 +392,13 @@ func canon(f ruledsl.Formula) string {
 	return "?"
 }
 
-func canonKids(kids []ruledsl.Formula) string {
+func canonKids(op string, kids []ruledsl.Formula) ([]*cform, string) {
+	cs := make([]*cform, len(kids))
 	parts := make([]string, len(kids))
 	for i, k := range kids {
-		parts[i] = canon(k)
+		cs[i] = newCform(k)
+		parts[i] = cs[i].canon
 	}
 	sort.Strings(parts)
-	return strings.Join(parts, ",")
+	return cs, op + "(" + strings.Join(parts, ",") + ")"
 }

@@ -11,7 +11,8 @@
 package usage
 
 import (
-	"fmt"
+	"slices"
+	"strconv"
 	"strings"
 
 	"repro/internal/absdom"
@@ -21,7 +22,10 @@ import (
 // DefaultDepth is the expansion bound n of the paper (§3.4: "we set n=5").
 const DefaultDepth = 5
 
-// Graph is a rooted DAG over content-identified nodes.
+// Graph is a rooted DAG over content-identified nodes. Nodes are numbered
+// in creation order (the root is 0): ids maps a node key to its number,
+// and keys, labels and kids are indexed by it. kids lists each node's
+// children in insertion order.
 type Graph struct {
 	// Root is the key of the root node ("T|<type>").
 	Root string
@@ -31,63 +35,64 @@ type Graph struct {
 	// graphs used during pairing).
 	Obj *absdom.AObj
 
-	nodes  map[string]bool
-	labels map[string]string   // node key → path-element label
-	edges  map[string][]string // parent key → ordered child keys
-	edgeIn map[string]map[string]bool
+	ids    map[string]int32
+	keys   []string
+	labels []string // path-element label of each node
+	kids   [][]int32
 }
 
 // NewRootOnly returns the padding graph G = ({r}, ∅, r) whose root is
 // labeled with the type t (paper §3.5, pairing versions with unequal DAG
 // counts).
-func NewRootOnly(typ string) *Graph {
-	g := newGraph(typ)
-	return g
-}
+func NewRootOnly(typ string) *Graph { return newGraph(typ, 1) }
 
-func newGraph(typ string) *Graph {
+// newGraph returns a root-only graph with room for size nodes.
+func newGraph(typ string, size int) *Graph {
 	g := &Graph{
 		Root:   "T|" + typ,
 		Type:   typ,
-		nodes:  map[string]bool{},
-		labels: map[string]string{},
-		edges:  map[string][]string{},
-		edgeIn: map[string]map[string]bool{},
+		ids:    make(map[string]int32, size),
+		keys:   make([]string, 0, size),
+		labels: make([]string, 0, size),
+		kids:   make([][]int32, 0, size),
 	}
 	g.addNode(g.Root, typ)
 	return g
 }
 
-func (g *Graph) addNode(key, label string) {
-	if !g.nodes[key] {
-		g.nodes[key] = true
-		g.labels[key] = label
-	}
+// addNode appends a node with a key not yet in the graph and returns its
+// number.
+func (g *Graph) addNode(key, label string) int32 {
+	n := int32(len(g.keys))
+	g.ids[key] = n
+	g.keys = append(g.keys, key)
+	g.labels = append(g.labels, label)
+	g.kids = append(g.kids, nil)
+	return n
 }
 
-func (g *Graph) addEdge(from, to string) {
-	in := g.edgeIn[from]
-	if in == nil {
-		in = map[string]bool{}
-		g.edgeIn[from] = in
+// addEdge appends the edge from → to unless it exists or would close a
+// cycle (paper §3.4 step 2). A node created in the same step (fresh) has
+// no children yet, so it cannot reach from and the cycle check is skipped.
+func (g *Graph) addEdge(from, to int32, fresh bool) {
+	for _, c := range g.kids[from] {
+		if c == to {
+			return
+		}
 	}
-	if in[to] {
+	if !fresh && g.reaches(to, from) {
 		return
 	}
-	if g.reaches(to, from) {
-		return // would introduce a cycle (paper §3.4 step 2)
-	}
-	in[to] = true
-	g.edges[from] = append(g.edges[from], to)
+	g.kids[from] = append(g.kids[from], to)
 }
 
 // reaches reports whether a path from → ... → to exists.
-func (g *Graph) reaches(from, to string) bool {
+func (g *Graph) reaches(from, to int32) bool {
 	if from == to {
 		return true
 	}
-	seen := map[string]bool{}
-	stack := []string{from}
+	seen := make([]bool, len(g.keys))
+	stack := []int32{from}
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -98,22 +103,77 @@ func (g *Graph) reaches(from, to string) bool {
 			continue
 		}
 		seen[n] = true
-		stack = append(stack, g.edges[n]...)
+		stack = append(stack, g.kids[n]...)
 	}
 	return false
 }
 
 // NodeCount returns the number of nodes.
-func (g *Graph) NodeCount() int { return len(g.nodes) }
+func (g *Graph) NodeCount() int { return len(g.keys) }
 
-// NodeSet returns the set of node keys.
-func (g *Graph) NodeSet() map[string]bool { return g.nodes }
+// NodeSet returns a fresh set of the node keys.
+func (g *Graph) NodeSet() map[string]bool {
+	out := make(map[string]bool, len(g.keys))
+	for _, k := range g.keys {
+		out[k] = true
+	}
+	return out
+}
 
 // Children returns the ordered child keys of a node.
-func (g *Graph) Children(key string) []string { return g.edges[key] }
+func (g *Graph) Children(key string) []string {
+	n, ok := g.ids[key]
+	if !ok || len(g.kids[n]) == 0 {
+		return nil
+	}
+	out := make([]string, len(g.kids[n]))
+	for i, c := range g.kids[n] {
+		out[i] = g.keys[c]
+	}
+	return out
+}
 
 // Label returns the path-element label of a node key.
-func (g *Graph) Label(key string) string { return g.labels[key] }
+func (g *Graph) Label(key string) string {
+	if n, ok := g.ids[key]; ok {
+		return g.labels[n]
+	}
+	return ""
+}
+
+// SameShape reports whether two graphs have the same node keys, the same
+// label per key and the same child set per node. Child order may differ;
+// such graphs have equal path sets.
+func SameShape(g1, g2 *Graph) bool {
+	if len(g1.keys) != len(g2.keys) {
+		return false
+	}
+	var small [64]int32
+	to2 := small[:0] // node number in g1 → node number in g2
+	if len(g1.keys) > len(small) {
+		to2 = make([]int32, 0, len(g1.keys))
+	}
+	for n1, k := range g1.keys {
+		n2, ok := g2.ids[k]
+		if !ok || g1.labels[n1] != g2.labels[n2] || len(g1.kids[n1]) != len(g2.kids[n2]) {
+			return false
+		}
+		to2 = append(to2, n2)
+	}
+	for n1, kids := range g1.kids {
+		kids2 := g2.kids[to2[n1]]
+	next:
+		for _, c := range kids {
+			for _, c2 := range kids2 {
+				if c2 == to2[c] {
+					continue next
+				}
+			}
+			return false
+		}
+	}
+	return true
+}
 
 // Build constructs the usage DAG for abstract object obj from the analysis
 // result, expanding object-valued arguments breadth-first to maxDepth.
@@ -121,16 +181,17 @@ func Build(res *analysis.Result, obj *absdom.AObj, maxDepth int) *Graph {
 	if maxDepth <= 0 {
 		maxDepth = DefaultDepth
 	}
-	g := newGraph(obj.Type)
+	g := newGraph(obj.Type, 8)
 	g.Obj = obj
 
 	type work struct {
-		nodeKey string
-		obj     *absdom.AObj
-		depth   int
-		chain   map[int]bool // object IDs on the expansion chain
+		node  int32
+		obj   *absdom.AObj
+		depth int
+		chain []int // object IDs on the expansion chain
 	}
-	queue := []work{{nodeKey: g.Root, obj: obj, depth: 0, chain: map[int]bool{obj.ID: true}}}
+	var key []byte // node key of the current lookup, reused
+	queue := []work{{node: 0, obj: obj, depth: 0, chain: []int{obj.ID}}}
 	for len(queue) > 0 {
 		w := queue[0]
 		queue = queue[1:]
@@ -138,25 +199,28 @@ func Build(res *analysis.Result, obj *absdom.AObj, maxDepth int) *Graph {
 			continue
 		}
 		for _, ev := range res.Uses[w.obj] {
-			mKey := "M|" + ev.Sig.Class + "." + ev.Sig.Name
-			g.addNode(mKey, ev.Sig.Name)
-			g.addEdge(w.nodeKey, mKey)
+			key = append(append(append(append(key[:0], "M|"...), ev.Sig.Class...), '.'), ev.Sig.Name...)
+			m, ok := g.ids[string(key)]
+			if !ok {
+				m = g.addNode(string(key), ev.Sig.Name)
+			}
+			g.addEdge(w.node, m, !ok)
 			if w.depth+2 > maxDepth {
 				continue
 			}
 			for i, a := range ev.Args {
-				lbl := argLabel(i+1, a)
-				aKey := "A|" + fmt.Sprint(i+1) + "|" + argValueLabel(a)
-				g.addNode(aKey, lbl)
-				g.addEdge(mKey, aKey)
+				val := argValueLabel(a)
+				key = strconv.AppendInt(append(key[:0], "A|"...), int64(i+1), 10)
+				key = append(append(key, '|'), val...)
+				n, ok := g.ids[string(key)]
+				if !ok { // label e.g. `arg1:"AES"` or `arg3:IvParameterSpec`
+					n = g.addNode(string(key), "arg"+strconv.Itoa(i+1)+":"+val)
+				}
+				g.addEdge(m, n, !ok)
 				// Recursively expand known abstract objects (not ⊤obj).
-				if a.Kind == absdom.KObj && !w.chain[a.Obj.ID] {
-					chain := map[int]bool{}
-					for id := range w.chain {
-						chain[id] = true
-					}
-					chain[a.Obj.ID] = true
-					queue = append(queue, work{nodeKey: aKey, obj: a.Obj,
+				if a.Kind == absdom.KObj && !slices.Contains(w.chain, a.Obj.ID) {
+					chain := append(slices.Clip(w.chain), a.Obj.ID)
+					queue = append(queue, work{node: n, obj: a.Obj,
 						depth: w.depth + 2, chain: chain})
 				}
 			}
@@ -188,12 +252,6 @@ func argValueLabel(a absdom.Value) string {
 	default:
 		return a.Label()
 	}
-}
-
-// argLabel renders an argument node's path-element label, e.g.
-// `arg1:"AES"` or `arg3:IvParameterSpec`.
-func argLabel(i int, a absdom.Value) string {
-	return fmt.Sprintf("arg%d:%s", i, argValueLabel(a))
 }
 
 // ---------------------------------------------------------------------------
@@ -251,22 +309,32 @@ func (p Path) IsPrefixOf(q Path) bool {
 }
 
 // Paths enumerates every root-originating path of the graph (to every node,
-// not only maximal ones), deduplicated, in deterministic order.
+// not only maximal ones), deduplicated, in deterministic order: depth-first
+// from the root, children in insertion order, each path at its first visit.
 func (g *Graph) Paths() []Path {
 	var out []Path
-	seen := map[string]bool{}
-	var walk func(key string, cur Path)
-	walk = func(key string, cur Path) {
-		next := append(append(Path{}, cur...), g.labels[key])
-		if k := next.Key(); !seen[k] {
-			seen[k] = true
-			out = append(out, next)
+	seen := map[string]struct{}{}
+	var cur Path   // labels from the root to the visited node
+	var key []byte // cur.AppendKey, grown and cut along the walk
+	var walk func(n int32)
+	walk = func(n int32) {
+		mark := len(key)
+		if len(cur) > 0 {
+			key = append(key, 0)
 		}
-		for _, c := range g.edges[key] {
-			walk(c, next)
+		key = append(key, g.labels[n]...)
+		cur = append(cur, g.labels[n])
+		if _, dup := seen[string(key)]; !dup {
+			seen[string(key)] = struct{}{}
+			out = append(out, slices.Clone(cur))
 		}
+		for _, c := range g.kids[n] {
+			walk(c)
+		}
+		cur = cur[:len(cur)-1]
+		key = key[:mark]
 	}
-	walk(g.Root, nil)
+	walk(0)
 	return out
 }
 
@@ -278,12 +346,12 @@ func (g *Graph) Paths() []Path {
 // dist(G1, G2) = 1 − |N1 ∩ N2| / |N1 ∪ N2|.
 func Dist(g1, g2 *Graph) float64 {
 	inter := 0
-	for k := range g1.nodes {
-		if g2.nodes[k] {
+	for _, k := range g1.keys {
+		if _, ok := g2.ids[k]; ok {
 			inter++
 		}
 	}
-	union := len(g1.nodes) + len(g2.nodes) - inter
+	union := len(g1.keys) + len(g2.keys) - inter
 	if union == 0 {
 		return 0
 	}

@@ -2,6 +2,7 @@ package usage
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -335,5 +336,98 @@ func TestDOTExport(t *testing.T) {
 	// Deterministic output.
 	if g.DOT("enc") != dot {
 		t.Error("DOT rendering not deterministic")
+	}
+}
+
+// graphOf builds a graph under root "T|C" from edges between keys, each
+// node labeled with its own key.
+func graphOf(edges ...[2]string) *Graph {
+	g := NewRootOnly("C")
+	node := func(k string) (int32, bool) {
+		if n, ok := g.ids[k]; ok {
+			return n, false
+		}
+		return g.addNode(k, k), true
+	}
+	for _, e := range edges {
+		from, _ := node(e[0])
+		to, fresh := node(e[1])
+		g.addEdge(from, to, fresh)
+	}
+	return g
+}
+
+func TestSameShapeIgnoresChildOrder(t *testing.T) {
+	g1 := graphOf([2]string{"T|C", "M|a"}, [2]string{"T|C", "M|b"}, [2]string{"M|a", "A|x"}, [2]string{"M|a", "A|y"})
+	g2 := graphOf([2]string{"T|C", "M|b"}, [2]string{"T|C", "M|a"}, [2]string{"M|a", "A|y"}, [2]string{"M|a", "A|x"})
+	if !SameShape(g1, g2) || !SameShape(g2, g1) {
+		t.Error("graphs with reordered children are not SameShape")
+	}
+	if renderPaths(g1) == renderPaths(g2) {
+		t.Error("path order should follow child order")
+	}
+	if !SameShape(g1, g1) {
+		t.Error("graph is not SameShape with itself")
+	}
+}
+
+func TestSameShapeSeesEdgesAndLabels(t *testing.T) {
+	base := [][2]string{{"T|C", "M|a"}, {"T|C", "M|b"}, {"M|a", "A|x"}, {"M|b", "A|y"}}
+	moved := [][2]string{{"T|C", "M|a"}, {"T|C", "M|b"}, {"M|a", "A|y"}, {"M|b", "A|x"}}
+	g1, g2 := graphOf(base...), graphOf(moved...)
+	if !reflect.DeepEqual(g1.NodeSet(), g2.NodeSet()) {
+		t.Fatal("node sets differ")
+	}
+	if SameShape(g1, g2) || SameShape(g2, g1) {
+		t.Error("graphs with moved edges are SameShape")
+	}
+	relabeled := graphOf(base...)
+	relabeled.labels[relabeled.ids["A|x"]] = "other"
+	if SameShape(g1, relabeled) {
+		t.Error("graphs with different labels are SameShape")
+	}
+	if SameShape(g1, graphOf(base[:3]...)) {
+		t.Error("graphs with different node counts are SameShape")
+	}
+}
+
+// TestCycleRejected checks that an edge closing a cycle is not added: in
+// the built DAG the argument node of m2 expands into m2's own uses, whose
+// verify method is already on the path above it.
+func TestCycleRejected(t *testing.T) {
+	g := graphOf([2]string{"T|C", "M|a"}, [2]string{"M|a", "A|x"}, [2]string{"A|x", "M|a"}, [2]string{"A|x", "T|C"})
+	if got := g.Children("A|x"); got != nil {
+		t.Errorf("A|x children = %v, want none (both edges close a cycle)", got)
+	}
+
+	res := analysis.AnalyzeSource(`
+class A {
+    void m() throws Exception {
+        Mac m1 = Mac.getInstance("HmacSHA256");
+        Mac m2 = Mac.getInstance("HmacSHA1");
+        m1.verify(m2);
+        m2.verify(m1);
+    }
+}
+`, analysis.Options{})
+	built := Build(res, res.ObjsOfType(cryptoapi.Mac)[0], DefaultDepth)
+	if got := built.Children("M|Mac.verify"); !reflect.DeepEqual(got, []string{"A|1|Mac"}) {
+		t.Fatalf("verify children = %v, want [A|1|Mac]", got)
+	}
+	if got := built.Children("A|1|Mac"); !reflect.DeepEqual(got, []string{"M|Mac.getInstance"}) {
+		t.Errorf("A|1|Mac children = %v, want [M|Mac.getInstance] (A|1|Mac → verify closes a cycle)", got)
+	}
+}
+
+func TestNodeSetIsACopy(t *testing.T) {
+	g := buildOne(t, newSrc)
+	s := g.NodeSet()
+	delete(s, g.Root)
+	s["X|extra"] = true
+	if g.NodeCount() != 9 || !g.NodeSet()[g.Root] || g.NodeSet()["X|extra"] {
+		t.Errorf("mutating NodeSet's result changed the graph: %v", keys(g))
+	}
+	if Dist(g, buildOne(t, newSrc)) != 0 {
+		t.Error("mutating NodeSet's result changed Dist")
 	}
 }

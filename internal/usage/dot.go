@@ -13,15 +13,16 @@ func (g *Graph) DOT(name string) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "digraph %q {\n", name)
 	sb.WriteString("  rankdir=TB;\n  node [fontname=\"Helvetica\"];\n")
-	ids := map[string]string{}
-	keys := make([]string, 0, len(g.nodes))
-	for k := range g.nodes {
-		keys = append(keys, k)
+	// Nodes print as n0, n1, ... in key order.
+	order := make([]int32, len(g.keys))
+	for i := range order {
+		order[i] = int32(i)
 	}
-	sort.Strings(keys)
-	for i, k := range keys {
-		id := fmt.Sprintf("n%d", i)
-		ids[k] = id
+	sort.Slice(order, func(i, j int) bool { return g.keys[order[i]] < g.keys[order[j]] })
+	id := make([]int, len(g.keys))
+	for i, n := range order {
+		id[n] = i
+		k := g.keys[n]
 		shape := "plaintext"
 		switch {
 		case strings.HasPrefix(k, "T|"):
@@ -29,11 +30,11 @@ func (g *Graph) DOT(name string) string {
 		case strings.HasPrefix(k, "M|"):
 			shape = "box"
 		}
-		fmt.Fprintf(&sb, "  %s [label=%q, shape=%s];\n", id, g.labels[k], shape)
+		fmt.Fprintf(&sb, "  n%d [label=%q, shape=%s];\n", i, g.labels[n], shape)
 	}
-	for _, from := range keys {
-		for _, to := range g.edges[from] {
-			fmt.Fprintf(&sb, "  %s -> %s;\n", ids[from], ids[to])
+	for _, from := range order {
+		for _, to := range g.kids[from] {
+			fmt.Fprintf(&sb, "  n%d -> n%d;\n", id[from], id[to])
 		}
 	}
 	sb.WriteString("}\n")

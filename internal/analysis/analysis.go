@@ -150,7 +150,10 @@ func (e Event) Key() string {
 	return k
 }
 
-// Result holds the abstract usages of one program version.
+// Result holds the abstract usages of one program version. A result is
+// read-only once Analyze returns: a mining batch hands one version's result
+// to every change that carries the same source text, so neither Objs, Uses,
+// nor the objects and events they hold may be modified by a consumer.
 type Result struct {
 	// Objs lists all abstract objects in allocation-discovery order.
 	Objs []*absdom.AObj

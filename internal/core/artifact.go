@@ -67,9 +67,10 @@ func rulesFingerprint(ruleSet []*rules.Rule) string {
 	return sb.String()
 }
 
-// phaseError carries the pipeline phase of a failed analysis through the
-// store's single-flight layer (waiters of a shared failing compute still
-// ledger the right phase).
+// phaseError carries the pipeline phase of a failed analysis out of an
+// enclosing Guard (a live fallback's parse inside the analyze guard) and
+// through the store's single-flight layer (waiters of a shared failing
+// compute still ledger the right phase).
 type phaseError struct {
 	phase resilience.Phase
 	err   error
@@ -130,15 +131,16 @@ func (art *changeArtifact) instantiate(class string, meta change.Meta) []change.
 // uncacheable (ok=false) rather than a poisoned artifact: the live results
 // stay on the AnalyzedChange and RunClass reproduces — and ledgers — the
 // extraction failure exactly as the storeless pipeline would.
-func (d *DiffCode) buildChangeArtifact(a *AnalyzedChange, cc mining.CodeChange) (*changeArtifact, bool) {
+func (d *DiffCode) buildChangeArtifact(r *versionRun, cc mining.CodeChange) (*changeArtifact, bool) {
 	art := &changeArtifact{Classes: map[string][]usagePaths{}}
+	usesOld, usesNew := r.usesOf(0, cc.Old), r.usesOf(1, cc.New)
 	for _, class := range cryptoapi.TargetClasses {
-		if !mining.UsesClass(cc.Old, class) && !mining.UsesClass(cc.New, class) {
+		if !usesOld[class] && !usesNew[class] {
 			continue
 		}
 		class := class
 		err := resilience.Guard("artifact "+class, func() error {
-			ucs := change.Extract(a.Old, a.New, class, d.opts.Depth, change.Meta{})
+			ucs := change.Extract(r.res[0], r.res[1], class, d.opts.Depth, change.Meta{})
 			ps := make([]usagePaths, len(ucs))
 			for i, uc := range ucs {
 				ps[i] = usagePaths{Rem: uc.Removed, Add: uc.Added}
@@ -163,23 +165,33 @@ type changeOutcome struct {
 }
 
 // analyzedOutcome resolves one change through the artifact store: warm hits
-// return the artifact, misses run the live analysis under per-key
-// single-flight (a duplicate-heavy batch analyzes each distinct content
-// hash once at any worker count) and cache the extraction.
-func (d *DiffCode) analyzedOutcome(ctx context.Context, cc mining.CodeChange) (*changeOutcome, resilience.Phase, error) {
+// return the artifact, misses run the live analysis (sharing the batch's
+// version table, so a cold run analyses each distinct version once) under
+// per-key single-flight and cache the extraction. A warm-hit leader
+// publishes no result for its versions at once, so their followers stop
+// waiting and run live on a miss of their own.
+func (d *DiffCode) analyzedOutcome(ctx context.Context, r *versionRun, cc mining.CodeChange) (*changeOutcome, resilience.Phase, error) {
 	st := d.opts.Artifacts
 	k := artifact.NewKey(artifact.KindAnalysis, d.optFP, cc.Old, cc.New)
+	if !r.leadsAny() {
+		// A change that leads nothing waits for its leaders before it may
+		// own a flight. A flight's owner then never waits on a leader that
+		// is itself queued on that flight: a leader's pair is new to the
+		// batch, so only later changes can share its key, and they wait here
+		// until the leader, the flight's owner, has published.
+		r.await()
+	}
 	v, err := st.Do(artifact.KindAnalysis, k, func() (any, error) {
 		if av, ok := st.Get(artifact.KindAnalysis, k, decodeChangeArtifact); ok {
+			r.release()
 			return &changeOutcome{art: av.(*changeArtifact)}, nil
 		}
 		d.opts.Metrics.Counter("artifact.analysis.computes").Inc()
-		a, phase, err := d.analyzeChangeLive(ctx, cc)
-		if err != nil {
+		if phase, err := d.analyzeChangeLive(ctx, r, cc); err != nil {
 			return nil, &phaseError{phase: phase, err: err}
 		}
-		oc := &changeOutcome{old: a.Old, new: a.New}
-		if art, ok := d.buildChangeArtifact(a, cc); ok {
+		oc := &changeOutcome{old: r.res[0], new: r.res[1]}
+		if art, ok := d.buildChangeArtifact(r, cc); ok {
 			oc.art = art
 			st.Put(artifact.KindAnalysis, k, art, func() ([]byte, error) { return json.Marshal(art) })
 		}

@@ -17,7 +17,6 @@ import (
 	"repro/internal/change"
 	"repro/internal/cluster"
 	"repro/internal/corpus"
-	"repro/internal/cryptoapi"
 	"repro/internal/distcache"
 	"repro/internal/mining"
 	"repro/internal/obs"
@@ -138,7 +137,9 @@ func (d *DiffCode) Metrics() *obs.Registry { return d.opts.Metrics }
 
 // AnalyzedChange is a mined code change with both versions analyzed. The
 // raw sources are retained so the concrete patch behind a usage change can
-// be inspected (the paper's manual elicitation step).
+// be inspected (the paper's manual elicitation step). Changes of one batch
+// that carry the same source text share that version's Old/New result and
+// Uses map, so all of them are read-only.
 type AnalyzedChange struct {
 	Meta   change.Meta
 	Kind   corpus.CommitKind
@@ -190,97 +191,129 @@ func (d *DiffCode) AnalyzeChange(cc mining.CodeChange) (*AnalyzedChange, error) 
 func (d *DiffCode) AnalyzeChangeCtx(ctx context.Context, cc mining.CodeChange) (*AnalyzedChange, error) {
 	ctx, sp := trace.Stage(ctx, d.opts.Metrics, "change")
 	defer sp.End()
-	a, _, err := d.analyzeChange(ctx, cc)
+	a, _, err := d.analyzeChange(ctx, newVersionTable([]mining.CodeChange{cc}).run(0), cc)
 	return a, err
 }
 
 // analyzeChange is AnalyzeChange plus the pipeline phase a failure belongs
-// to (parse vs analyze) for ledger bookkeeping. ctx's span, when there is
-// one, is the change's own span (AnalyzeChangeCtx's "change", a batch's
-// "change[i]"): it is labeled with the change as its task, the parse and
-// the two interpreter runs appear as its children, and a failure annotates
-// it with its ledger category. With an artifact
-// store configured the change resolves through analyzedOutcome — a warm
-// hit skips parse and interpretation entirely (and so creates none of
-// their spans) while producing an identical AnalyzedChange downstream.
-func (d *DiffCode) analyzeChange(ctx context.Context, cc mining.CodeChange) (*AnalyzedChange, resilience.Phase, error) {
+// to (parse vs analyze) for ledger bookkeeping. r is the change's view of
+// its batch's version table (a single change is a batch of one). ctx's
+// span, when there is one, is the change's own span (AnalyzeChangeCtx's
+// "change", a batch's "change[i]"): it is labeled with the change as its
+// task, the parse and interpreter runs of the versions the change analyses
+// itself appear as its children, and a failure annotates it with its
+// ledger category. With an artifact store configured the change resolves
+// through analyzedOutcome — a warm hit skips parse and interpretation
+// entirely (and so creates none of their spans) while producing an
+// identical AnalyzedChange downstream.
+func (d *DiffCode) analyzeChange(ctx context.Context, r *versionRun, cc mining.CodeChange) (*AnalyzedChange, resilience.Phase, error) {
 	if sp := trace.FromContext(ctx); sp != nil {
 		sp.SetTask(taskName(cc))
 	}
-	var a *AnalyzedChange
-	if d.opts.Artifacts == nil {
-		var phase resilience.Phase
-		var err error
-		a, phase, err = d.analyzeChangeLive(ctx, cc)
-		if err != nil {
-			trace.FromContext(ctx).Annotate(string(resilience.Categorize(err)))
-			return nil, phase, err
-		}
-	} else {
-		oc, phase, err := d.analyzedOutcome(ctx, cc)
-		if err != nil {
-			trace.FromContext(ctx).Annotate(string(resilience.Categorize(err)))
-			return nil, phase, err
-		}
-		a = &AnalyzedChange{
-			Meta:   cc.Meta,
-			Kind:   cc.Kind,
-			OldSrc: cc.Old,
-			NewSrc: cc.New,
-			Old:    oc.old,
-			New:    oc.new,
-			art:    oc.art,
-		}
-	}
-	d.opts.Metrics.Counter("analysis.changes_analyzed").Inc()
-	a.UsesOld, a.UsesNew = map[string]bool{}, map[string]bool{}
-	for _, c := range cryptoapi.TargetClasses {
-		a.UsesOld[c] = mining.UsesClass(cc.Old, c)
-		a.UsesNew[c] = mining.UsesClass(cc.New, c)
-	}
-	return a, "", nil
-}
-
-// analyzeChangeLive parses and interprets both versions of one change —
-// the storeless pipeline body, also run (under single-flight) on an
-// artifact miss. Callers fill the Uses maps and count changes_analyzed.
-func (d *DiffCode) analyzeChangeLive(ctx context.Context, cc mining.CodeChange) (*AnalyzedChange, resilience.Phase, error) {
-	task := taskName(cc)
-	reg := d.opts.Metrics
-	var progOld, progNew *analysis.Program
-	err := resilience.Guard(task+" [parse]", func() error {
-		progOld = analysis.ParseProgramPoolCtx(ctx, map[string]string{"Main.java": cc.Old}, reg, nil)
-		progNew = analysis.ParseProgramPoolCtx(ctx, map[string]string{"Main.java": cc.New}, reg, nil)
-		return nil
-	})
-	if err != nil {
-		return nil, resilience.PhaseParse, err
-	}
+	defer r.release()
 	a := &AnalyzedChange{
 		Meta:   cc.Meta,
 		Kind:   cc.Kind,
 		OldSrc: cc.Old,
 		NewSrc: cc.New,
 	}
-	err = resilience.Guard(task, func() error {
-		// Both versions share one budget: the unit of skipping is the change.
-		aopts := d.opts.Analysis
-		aopts.Budget = resilience.NewBudgetContext(ctx, d.opts.BudgetSteps, d.opts.BudgetWall)
-		old, err := analysis.AnalyzeBudgetedCtx(ctx, progOld, aopts)
-		if err != nil {
-			return err
+	var phase resilience.Phase
+	var err error
+	if d.opts.Artifacts == nil {
+		phase, err = d.analyzeChangeLive(ctx, r, cc)
+		a.Old, a.New = r.res[0], r.res[1]
+	} else {
+		var oc *changeOutcome
+		if oc, phase, err = d.analyzedOutcome(ctx, r, cc); err == nil {
+			a.Old, a.New, a.art = oc.old, oc.new, oc.art
 		}
-		nw, err := analysis.AnalyzeBudgetedCtx(ctx, progNew, aopts)
-		if err != nil {
-			return err
+	}
+	if err != nil {
+		trace.FromContext(ctx).Annotate(string(resilience.Categorize(err)))
+		return nil, phase, err
+	}
+	d.opts.Metrics.Counter("analysis.changes_analyzed").Inc()
+	a.UsesOld, a.UsesNew = r.usesOf(0, cc.Old), r.usesOf(1, cc.New)
+	return a, "", nil
+}
+
+// analyzeChangeLive resolves both versions of one change into r.res — the
+// storeless pipeline body, also run on an artifact miss. The change parses
+// and interprets the versions it leads, publishing each as soon as its
+// interpretation ends; only then does it wait for the versions earlier
+// changes lead, taking their results (or, when a leader published none,
+// analysing the version live). Both versions share one budget — the unit
+// of skipping is the change — and a taken version charges it the steps it
+// cost its leader, so a change trips its budget exactly when analysing
+// both versions itself would.
+func (d *DiffCode) analyzeChangeLive(ctx context.Context, r *versionRun, cc mining.CodeChange) (resilience.Phase, error) {
+	task := taskName(cc)
+	reg := d.opts.Metrics
+	srcs := [2]string{cc.Old, cc.New}
+	parse := func(k int) *analysis.Program {
+		return analysis.ParseProgramPoolCtx(ctx, map[string]string{"Main.java": srcs[k]}, reg, nil)
+	}
+	var progs [2]*analysis.Program
+	err := resilience.Guard(task+" [parse]", func() error {
+		for k := range srcs {
+			if r.leads(k) {
+				progs[k] = parse(k)
+			}
 		}
-		a.Old, a.New = old, nw
 		return nil
 	})
 	if err != nil {
-		return nil, resilience.PhaseAnalyze, err
+		return resilience.PhaseParse, err
 	}
-	return a, "", nil
+	err = resilience.Guard(task, func() error {
+		aopts := d.opts.Analysis
+		aopts.Budget = resilience.NewBudgetContext(ctx, d.opts.BudgetSteps, d.opts.BudgetWall)
+		// Every change of a batch builds its budget from the same options
+		// and context kind, so a leader's budget is nil exactly when its
+		// followers' are, and the Used delta is the version's step count
+		// wherever a charge can matter.
+		for k, prog := range progs {
+			if prog == nil {
+				continue
+			}
+			before := aopts.Budget.Used()
+			res, err := analysis.AnalyzeBudgetedCtx(ctx, prog, aopts)
+			if err != nil {
+				return err
+			}
+			r.publish(k, res, aopts.Budget.Used()-before, srcs[k])
+		}
+		for k := range srcs {
+			if r.res[k] != nil {
+				continue
+			}
+			if ok, err := r.take(k, aopts.Budget); ok {
+				reg.Counter("analysis.versions_shared").Inc()
+				if err != nil {
+					return err
+				}
+				continue
+			}
+			var prog *analysis.Program
+			if err := resilience.Guard(task+" [parse]", func() error { prog = parse(k); return nil }); err != nil {
+				return &phaseError{phase: resilience.PhaseParse, err: err}
+			}
+			res, err := analysis.AnalyzeBudgetedCtx(ctx, prog, aopts)
+			if err != nil {
+				return err
+			}
+			r.res[k] = res
+		}
+		return nil
+	})
+	if err != nil {
+		var pe *phaseError
+		if errors.As(err, &pe) {
+			return pe.phase, pe.err
+		}
+		return resilience.PhaseAnalyze, err
+	}
+	return "", nil
 }
 
 // record files a failure for a mined change in the ledger.
@@ -296,11 +329,14 @@ func (d *DiffCode) record(cc mining.CodeChange, phase resilience.Phase, err erro
 
 // AnalyzeAll analyzes a batch of code changes on the pipeline's worker
 // pool, preserving input order (slot i holds change i — the pool's ordered
-// fan-in). Failing changes are skipped and recorded in the ledger, leaving
-// a nil slot at their index; Options.FailFast and Options.MaxErrors abort
-// the remainder of the batch via cooperative cancellation (no new change is
-// dispatched once the failure threshold is reached; in-flight changes
-// finish and keep their slots). Workers == 1 runs the exact serial path.
+// fan-in). Each distinct source version is analysed once per batch: the
+// first change carrying it leads, and later changes carrying the same text
+// take its result (versions.go). Failing changes are skipped and recorded
+// in the ledger in input order, leaving a nil slot at their index;
+// Options.FailFast and Options.MaxErrors abort the remainder of the batch
+// via cooperative cancellation (no new change is dispatched once the
+// failure threshold is reached; in-flight changes finish and keep their
+// slots). Workers == 1 runs the exact serial path.
 func (d *DiffCode) AnalyzeAll(ccs []mining.CodeChange) []*AnalyzedChange {
 	return d.AnalyzeAllCtx(context.Background(), ccs)
 }
@@ -317,8 +353,14 @@ func (d *DiffCode) AnalyzeAllCtx(tctx context.Context, ccs []mining.CodeChange) 
 	out := make([]*AnalyzedChange, len(ccs))
 	_, bsp := trace.Stage(tctx, d.opts.Metrics, "analyze")
 	defer bsp.End()
+	vt := newVersionTable(ccs)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	type failure struct {
+		phase resilience.Phase
+		err   error
+	}
+	fails := make([]failure, len(ccs))
 	var failures atomic.Int64
 	// Budgets inside the batch deliberately stay unbound from the cancel
 	// context: fail-fast/max-errors stop dispatching new changes, but
@@ -328,9 +370,9 @@ func (d *DiffCode) AnalyzeAllCtx(tctx context.Context, ccs []mining.CodeChange) 
 	d.opts.pool().ForEach(ctx, len(ccs), func(i int) {
 		sp := bsp.Task("change", i)
 		defer sp.End()
-		a, phase, err := d.analyzeChange(trace.NewContext(context.Background(), sp), ccs[i])
+		a, phase, err := d.analyzeChange(trace.NewContext(context.Background(), sp), vt.run(i), ccs[i])
 		if err != nil {
-			d.record(ccs[i], phase, err)
+			fails[i] = failure{phase, err}
 			n := failures.Add(1)
 			if d.opts.FailFast || (d.opts.MaxErrors > 0 && n >= int64(d.opts.MaxErrors)) {
 				cancel()
@@ -339,6 +381,12 @@ func (d *DiffCode) AnalyzeAllCtx(tctx context.Context, ccs []mining.CodeChange) 
 		}
 		out[i] = a
 	})
+	// Workers finish in any order; the ledger lists failures by input index.
+	for i, f := range fails {
+		if f.err != nil {
+			d.record(ccs[i], f.phase, f.err)
+		}
+	}
 	return out
 }
 

@@ -51,9 +51,11 @@ func twoChanges() []mining.CodeChange {
 // fixed two-change run and asserts the stderr summary table verbatim
 // (deterministic thanks to the tick clock and a single worker). The stage
 // rows are the span names: the analyze batch, one change span per change
-// (labeled with the change), and the parse and interpret spans of both
-// versions of each change. The pool's per-file spans are tree-only and
-// report no row.
+// (labeled with the change), and the parse and interpret spans of the
+// versions each change analyses itself. Both changes carry the same old and
+// new versions, so the first change leads both and the second takes them
+// (analysis.versions_shared = 2): two parse and interpret runs, not four.
+// The pool's per-file spans are tree-only and report no row.
 func TestPipelineMetricsTwoChanges(t *testing.T) {
 	clock := &tickClock{}
 	reg := obs.NewRegistryClock(clock.now)
@@ -71,22 +73,23 @@ func TestPipelineMetricsTwoChanges(t *testing.T) {
 
 	want := strings.Join([]string{
 		"stage            runs      total       mean        p50        p90        max  slowest",
-		"analyze             1       21ms       21ms   32.768ms   32.768ms       21ms  ",
-		"change              2       18ms        9ms   16.384ms   16.384ms        9ms  change p@c1:A.java",
+		"analyze             1       13ms       13ms   16.384ms   16.384ms       13ms  ",
+		"change              2       10ms        5ms    1.024ms    1.024ms        9ms  change p@c1:A.java",
 		"extract             1        1ms        1ms    1.024ms    1.024ms        1ms  Cipher",
 		"filter              1        1ms        1ms    1.024ms    1.024ms        1ms  Cipher",
-		"interpret           4        4ms        1ms    1.024ms    1.024ms        1ms  change p@c1:A.java",
-		"parse               4        4ms        1ms    1.024ms    1.024ms        1ms  change p@c1:A.java",
+		"interpret           2        2ms        1ms    1.024ms    1.024ms        1ms  change p@c1:A.java",
+		"parse               2        2ms        1ms    1.024ms    1.024ms        1ms  change p@c1:A.java",
 		"counters",
 		"  analysis.changes_analyzed                         2",
-		"  analysis.runs                                     4",
-		"  analysis.steps                                   32",
+		"  analysis.runs                                     2",
+		"  analysis.steps                                   16",
+		"  analysis.versions_shared                          2",
 		"  extract.usage_changes                             2",
 		"  filter.survivors                                  1",
 		"  filter.usage_changes                              2",
-		"  parse.bytes                                     602",
+		"  parse.bytes                                     301",
 		"  parse.errors                                      0",
-		"  parse.files                                       4",
+		"  parse.files                                       2",
 		// The summary.* counters register eagerly when the table is built
 		// (so a Prometheus scrape carries the series from the start); this
 		// workload has no helper calls, so all five stay zero.
@@ -98,7 +101,7 @@ func TestPipelineMetricsTwoChanges(t *testing.T) {
 		"gauges",
 		"  pipeline.workers                                  1",
 		"distributions",
-		"  analysis.steps_per_run                 n=4 sum=32 min=8 p50=8 p90=8 max=8",
+		"  analysis.steps_per_run                 n=2 sum=16 min=8 p50=8 p90=8 max=8",
 		"",
 	}, "\n")
 	if got := reg.Summary(); got != want {

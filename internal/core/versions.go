@@ -1,0 +1,152 @@
+package core
+
+import (
+	"repro/internal/analysis"
+	"repro/internal/cryptoapi"
+	"repro/internal/mining"
+	"repro/internal/resilience"
+)
+
+// This file holds a mining batch's version table (DESIGN.md §8). In a
+// commit history one change's new file is usually the next change's old
+// file, so about half the versions of a corpus batch repeat an earlier
+// one byte for byte. The table gives each distinct source text one
+// leader: the first change, in input order, that carries it. Only the
+// leader parses and interprets the text; every later change carrying it
+// takes the leader's result.
+//
+// Three rules keep the sharing deadlock-free, parallel and deterministic:
+//
+//   - A change first analyses the versions it leads, and only then waits
+//     for versions led by earlier changes. The pool dispatches changes in
+//     increasing index order, so a leader is always running or done when a
+//     follower waits on it, and a leader never waits before it publishes.
+//   - A leader publishes each version as soon as its interpretation ends,
+//     not when its whole task ends (artifact encoding and disk writes come
+//     later). A leader that fails, is skipped, or resolves from the warm
+//     artifact store publishes no result, and its followers run live.
+//   - Leaders are fixed by input order in a serial pre-pass, never elected
+//     by whichever goroutine arrives first, so span trees and trace
+//     fingerprints are the same at any worker count.
+
+// version is one distinct source text of a batch.
+type version struct {
+	// leader is the index of the first change carrying the text.
+	leader int
+	// done is closed once the leader has published. The fields below are
+	// written by the leader before done closes and are read-only after.
+	done chan struct{}
+	// res is nil when the leader published no result.
+	res   *analysis.Result
+	uses  map[string]bool
+	steps int64
+	// published is touched only by the leader's goroutine.
+	published bool
+}
+
+// versionTable maps each change of a batch to the two versions it carries
+// (one and the same version when the change's Old equals its New).
+type versionTable [][2]*version
+
+// newVersionTable is the batch's serial pre-pass: it maps each version's
+// content to the first change that carries it.
+func newVersionTable(ccs []mining.CodeChange) versionTable {
+	byText := make(map[string]*version, len(ccs)+1)
+	at := func(src string, i int) *version {
+		v := byText[src]
+		if v == nil {
+			v = &version{leader: i, done: make(chan struct{})}
+			byText[src] = v
+		}
+		return v
+	}
+	t := make(versionTable, len(ccs))
+	for i, cc := range ccs {
+		t[i] = [2]*version{at(cc.Old, i), at(cc.New, i)}
+	}
+	return t
+}
+
+// run returns change i's view of the table.
+func (t versionTable) run(i int) *versionRun {
+	return &versionRun{i: i, vers: t[i]}
+}
+
+// versionRun is one change's view of the version table: its two versions
+// (0 = old, 1 = new) and what it has resolved of them so far.
+type versionRun struct {
+	i    int
+	vers [2]*version
+	res  [2]*analysis.Result
+	uses [2]map[string]bool
+}
+
+// leads reports whether the change analyses slot k itself: it leads the
+// version, and slot k is not the repeat of its own old version (a change
+// whose Old equals its New analyses that version once).
+func (r *versionRun) leads(k int) bool {
+	return r.vers[k].leader == r.i && (k == 0 || r.vers[1] != r.vers[0])
+}
+
+// leadsAny reports whether the change leads either of its versions.
+func (r *versionRun) leadsAny() bool { return r.leads(0) || r.leads(1) }
+
+// publish records the leader's analysis of slot k — res, the step count it
+// cost, and the classes the source mentions — and releases its followers.
+func (r *versionRun) publish(k int, res *analysis.Result, steps int64, src string) {
+	v := r.vers[k]
+	r.res[k], r.uses[k] = res, classUses(src)
+	v.res, v.uses, v.steps = res, r.uses[k], steps
+	v.published = true
+	close(v.done)
+}
+
+// release publishes "no result" for every version the change leads but has
+// not published, so its followers run live. It is deferred around the
+// change's whole task and covers every failure and skip path.
+func (r *versionRun) release() {
+	for k := range r.vers {
+		if v := r.vers[k]; r.leads(k) && !v.published {
+			v.published = true
+			close(v.done)
+		}
+	}
+}
+
+// await blocks until the leaders of both versions have published.
+func (r *versionRun) await() {
+	for _, v := range r.vers {
+		<-v.done
+	}
+}
+
+// take fills slot k from its leader's published result, charging the
+// recorded step count to the change's budget so budgets stay exact. It
+// reports false when the leader published no result.
+func (r *versionRun) take(k int, budget *resilience.Budget) (bool, error) {
+	v := r.vers[k]
+	<-v.done
+	if v.res == nil {
+		return false, nil
+	}
+	r.res[k], r.uses[k] = v.res, v.uses
+	return true, budget.StepN(v.steps)
+}
+
+// usesOf returns the classes the source of slot k mentions, computing them
+// when no analysis of the version has been resolved.
+func (r *versionRun) usesOf(k int, src string) map[string]bool {
+	if r.uses[k] == nil {
+		r.uses[k] = classUses(src)
+	}
+	return r.uses[k]
+}
+
+// classUses records which target classes a source mentions.
+func classUses(src string) map[string]bool {
+	m := make(map[string]bool, len(cryptoapi.TargetClasses))
+	for _, c := range cryptoapi.TargetClasses {
+		m[c] = mining.UsesClass(src, c)
+	}
+	return m
+}

@@ -19,7 +19,6 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/parallel"
 	"repro/internal/rules"
 	"repro/internal/usage"
 )
@@ -274,85 +273,6 @@ func BenchmarkClusteringAgglomerate(b *testing.B) {
 		if cluster.AgglomerateMatrix(d, cluster.Complete) == nil {
 			b.Fatal("no dendrogram")
 		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Parallel pipeline (DESIGN.md §8): worker sweeps over the three pooled hot
-// paths. Each sweep runs the identical workload at 1, 2, 4, and 8 workers —
-// the -workers 1 sub-benchmark IS the serial pipeline (exact serial path),
-// so the ratio between sub-benchmarks is the pool's speedup.
-// ---------------------------------------------------------------------------
-
-var workerSweep = []int{1, 2, 4, 8}
-
-// benchMineCorpusAt mines the shared bench corpus end to end (parse +
-// analyze both versions of every change) at a fixed worker count.
-func benchMineCorpusAt(workers int) func(*testing.B) {
-	return func(b *testing.B) {
-		c := benchCorpus()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			d := New(Options{Workers: workers})
-			if len(d.MineCorpus(c)) == 0 {
-				b.Fatal("no changes mined")
-			}
-		}
-	}
-}
-
-// benchDistMatrixAt computes the pairwise distance matrix over every
-// class's survivors at a fixed worker count.
-func benchDistMatrixAt(workers int) func(*testing.B) {
-	return func(b *testing.B) {
-		all := benchSurvivors(b)
-		p := parallel.New(workers, nil)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if len(cluster.DistMatrixPool(all, nil, p)) != len(all) {
-				b.Fatal("bad matrix")
-			}
-		}
-	}
-}
-
-// benchCheckCorpusAt runs CryptoChecker over every project snapshot at a
-// fixed worker count.
-func benchCheckCorpusAt(workers int) func(*testing.B) {
-	return func(b *testing.B) {
-		c := benchCorpus()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			res := core.CheckCorpus(c, Options{Workers: workers})
-			if res.Projects == 0 {
-				b.Fatal("no projects checked")
-			}
-		}
-	}
-}
-
-// BenchmarkMineCorpusWorkers sweeps corpus mining — the pipeline's dominant
-// cost — across worker counts.
-func BenchmarkMineCorpusWorkers(b *testing.B) {
-	for _, w := range workerSweep {
-		b.Run(fmt.Sprintf("workers%d", w), benchMineCorpusAt(w))
-	}
-}
-
-// BenchmarkClusteringDistMatrixWorkers sweeps the O(n²) distance matrix.
-func BenchmarkClusteringDistMatrixWorkers(b *testing.B) {
-	for _, w := range workerSweep {
-		b.Run(fmt.Sprintf("workers%d", w), benchDistMatrixAt(w))
-	}
-}
-
-// BenchmarkCheckCorpusWorkers sweeps the held-out checker evaluation.
-func BenchmarkCheckCorpusWorkers(b *testing.B) {
-	for _, w := range workerSweep {
-		b.Run(fmt.Sprintf("workers%d", w), benchCheckCorpusAt(w))
 	}
 }
 

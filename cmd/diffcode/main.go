@@ -41,14 +41,10 @@ func main() {
 		budget    = flag.Int64("budget", 0, "max abstract-interpretation steps per change (0 = unlimited)")
 		maxErrors = flag.Int("max-errors", 0, "abort mining after this many skipped changes (0 = unlimited)")
 		failFast  = flag.Bool("fail-fast", false, "abort mining at the first skipped change")
-		shards    = flag.Int("shards", 1, "analyze and filter the mined corpus in N contiguous shards (map-reduce over a shared -cache-dir; output is identical at any N)")
 		std       = cliutil.StandardFlags("diffcode")
 	)
 	std.Parse()
 	why := std.Why()
-	if *shards < 1 {
-		cliutil.UsageError("diffcode", "-shards must be at least 1 (got %d)", *shards)
-	}
 
 	// run.Ctx carries the run's root span through every stage; each exit
 	// path reports it (-trace tree, -v table, -metrics snapshot) once.
@@ -82,7 +78,7 @@ func main() {
 		if why.On() {
 			cliutil.UsageError("diffcode", "-why applies to single-change mode (-old/-new) only")
 		}
-		runCorpus(run, *corpusDir, classes, opts, *shards)
+		runCorpus(run, *corpusDir, classes, opts)
 	default:
 		cliutil.UsageError("diffcode", "need either -old/-new or -corpus")
 	}
@@ -203,7 +199,7 @@ func countRules(ts []witness.Trace) int {
 	return len(seen)
 }
 
-func runCorpus(run *cliutil.Run, dir string, classes []string, opts core.Options, shards int) {
+func runCorpus(run *cliutil.Run, dir string, classes []string, opts core.Options) {
 	// One ledger spans the whole run: corpus loading and mining both record
 	// the work they skipped into it.
 	ledger := resilience.NewLedger()
@@ -218,32 +214,11 @@ func runCorpus(run *cliutil.Run, dir string, classes []string, opts core.Options
 		run.Fatal(ledger, err)
 	}
 	d := core.New(opts)
-	// -shards N analyzes and class-filters the mined corpus in N contiguous
-	// shards, merging per-class results (core.MergeClassResults) into exactly
-	// the monolithic output; -shards 1 is the classic single-pass path.
-	var analyzed []*core.AnalyzedChange
-	var shardAnalyzed [][]*core.AnalyzedChange
-	if shards > 1 {
-		shardAnalyzed = d.MineCorpusShardsCtx(run.Ctx, c, shards)
-		for _, sh := range shardAnalyzed {
-			analyzed = append(analyzed, sh...)
-		}
-	} else {
-		analyzed = d.MineCorpusCtx(run.Ctx, c)
-	}
+	analyzed := d.MineCorpusCtx(run.Ctx, c)
 	fmt.Printf("mined %d code changes from %d training projects\n\n",
 		len(analyzed), len(c.TrainingProjects()))
 	for _, cls := range classes {
-		var r core.ClassPipelineResult
-		if shards > 1 {
-			parts := make([]core.ClassPipelineResult, len(shardAnalyzed))
-			for i, sh := range shardAnalyzed {
-				parts[i] = d.RunClassCtx(run.Ctx, sh, cls)
-			}
-			r = core.MergeClassResults(cls, parts...)
-		} else {
-			r = d.RunClassCtx(run.Ctx, analyzed, cls)
-		}
+		r := d.RunClassCtx(run.Ctx, analyzed, cls)
 		s := r.Stats
 		fmt.Printf("%s: %d usage changes → fsame %d → fadd %d → frem %d → fdup %d\n",
 			cls, s.Total, s.AfterSame, s.AfterAdd, s.AfterRem, s.AfterDup)

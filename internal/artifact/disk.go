@@ -14,7 +14,7 @@ import (
 //
 // so no single directory accumulates an unbounded entry count and shards of
 // the corpus artifact space can be synced, pruned, or distributed
-// independently (the map-reduce shard format of DESIGN.md §13).
+// independently.
 //
 // Every entry is self-validating:
 //

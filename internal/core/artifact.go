@@ -179,7 +179,7 @@ func (d *DiffCode) analyzedOutcome(ctx context.Context, r *versionRun, cc mining
 		// is itself queued on that flight: a leader's pair is new to the
 		// batch, so only later changes can share its key, and they wait here
 		// until the leader, the flight's owner, has published.
-		r.await()
+		r.await(d.opts.Metrics)
 	}
 	v, err := st.Do(artifact.KindAnalysis, k, func() (any, error) {
 		if av, ok := st.Get(artifact.KindAnalysis, k, decodeChangeArtifact); ok {

@@ -287,7 +287,7 @@ func (d *DiffCode) analyzeChangeLive(ctx context.Context, r *versionRun, cc mini
 			if r.res[k] != nil {
 				continue
 			}
-			if ok, err := r.take(k, aopts.Budget); ok {
+			if ok, err := r.take(k, aopts.Budget, reg); ok {
 				reg.Counter("analysis.versions_shared").Inc()
 				if err != nil {
 					return err
@@ -348,6 +348,13 @@ func (d *DiffCode) AnalyzeAll(ccs []mining.CodeChange) []*AnalyzedChange {
 // change and annotated with its ledger failure category when the change is
 // skipped. Only the span propagates from tctx — the batch keeps its own
 // cancellation lifecycle, exactly as before.
+//
+// With more than one worker the pool dispatches changes by version level,
+// then by input index (versions.go), so the followers along a history run
+// a whole level after their leaders instead of waiting on them; one worker
+// dispatches in input order, so fail-fast there stops at the first failing
+// change. Only the dispatch order changes: leaders, output slots, the
+// ledger and the change[i] spans all stay keyed by input index.
 func (d *DiffCode) AnalyzeAllCtx(tctx context.Context, ccs []mining.CodeChange) []*AnalyzedChange {
 	d.opts.Metrics.Gauge("pipeline.workers").Set(int64(d.opts.Workers))
 	out := make([]*AnalyzedChange, len(ccs))
@@ -367,7 +374,10 @@ func (d *DiffCode) AnalyzeAllCtx(tctx context.Context, ccs []mining.CodeChange) 
 	// in-flight changes finish and keep their slots (the documented abort
 	// semantics, and what keeps aborted-run output deterministic). A change
 	// therefore runs under a fresh context carrying only its span.
-	d.opts.pool().ForEach(ctx, len(ccs), func(i int) {
+	pool := d.opts.pool()
+	order := vt.order(pool.Workers())
+	pool.ForEach(ctx, len(ccs), func(j int) {
+		i := order[j]
 		sp := bsp.Task("change", i)
 		defer sp.End()
 		a, phase, err := d.analyzeChange(trace.NewContext(context.Background(), sp), vt.run(i), ccs[i])

@@ -191,78 +191,6 @@ func TestDeterminismArtifactCacheOnOff(t *testing.T) {
 	}
 }
 
-// shardFingerprint runs the sharded map-reduce pipeline (MineCorpusShards +
-// per-shard RunClass + MergeClassResults) and serializes the same observable
-// surface as pipelineFingerprint.
-func shardFingerprint(t *testing.T, c *corpus.Corpus, opts Options, shards int) string {
-	t.Helper()
-	var sb strings.Builder
-	d := New(opts)
-	parts := d.MineCorpusShards(c, shards)
-	var analyzed []*AnalyzedChange
-	for _, sh := range parts {
-		analyzed = append(analyzed, sh...)
-	}
-	fmt.Fprintf(&sb, "analyzed=%d\n", len(analyzed))
-	for i, a := range analyzed {
-		fmt.Fprintf(&sb, "[%d] %s@%s:%s kind=%v old=%s new=%s\n",
-			i, a.Meta.Project, a.Meta.Commit, a.Meta.File, a.Kind,
-			sortedKeys(a.UsesOld), sortedKeys(a.UsesNew))
-	}
-	for _, class := range cryptoapi.TargetClasses {
-		results := make([]ClassPipelineResult, len(parts))
-		for i, sh := range parts {
-			results[i] = d.RunClass(sh, class)
-		}
-		r := MergeClassResults(class, results...)
-		fmt.Fprintf(&sb, "%s stats=%+v\n", class, r.Stats)
-		for _, uc := range r.Survivors {
-			fmt.Fprintf(&sb, "  survivor [%s %s] %s\n", uc.Meta.Project, uc.Meta.Commit, uc.String())
-		}
-		if len(r.Survivors) > 1 {
-			root := d.ClusterChanges(r.Survivors)
-			sb.WriteString(cluster.Render(root, func(i int) string {
-				return r.Survivors[i].Meta.Commit
-			}))
-		}
-	}
-	fmt.Fprintf(&sb, "ledger=%d\n", d.Ledger().Len())
-	return sb.String()
-}
-
-// TestDeterminismShardEquivalence asserts the -shards map-reduce path is
-// observationally identical to the monolithic pipeline: the flattened mined
-// changes, the merged per-class stats, the survivor lists, and the
-// dendrograms all match byte-for-byte at 1, 2, and 4 shards, and the shard
-// count composes with the worker count.
-func TestDeterminismShardEquivalence(t *testing.T) {
-	// Seed 3 at scale 0.5: multi-survivor classes, so the merge has real
-	// dedup work and real dendrograms on both sides (see
-	// TestDeterminismDistCacheOnOff).
-	c := corpus.Generate(corpus.Config{Seed: 3, Scale: 0.5, Projects: 60, ExtraProjects: 3})
-	want := pipelineFingerprint(t, c, Options{Workers: 1})
-	if !strings.Contains(want, "survivor") {
-		t.Fatalf("corpus produced no survivors; fingerprint exercises too little")
-	}
-	for _, k := range []int{1, 2, 4} {
-		for _, w := range []int{1, 4} {
-			if got := shardFingerprint(t, c, Options{Workers: w}, k); got != want {
-				t.Errorf("shards=%d workers=%d: sharded fingerprint differs from monolithic\ngot:\n%.800s\nwant:\n%.800s", k, w, got, want)
-			}
-		}
-	}
-	// Shards sharing one artifact directory — the map-reduce deployment
-	// shape: each shard warms the store the next run reuses.
-	dir := t.TempDir()
-	for _, k := range []int{2, 4} {
-		got := shardFingerprint(t, c, Options{Workers: 2,
-			Artifacts: artifact.New(artifact.Config{Dir: dir})}, k)
-		if got != want {
-			t.Errorf("shards=%d (shared artifact dir): fingerprint differs from monolithic", k)
-		}
-	}
-}
-
 // mustCheck runs one CheckRequest under ctx; any error fails the test.
 func mustCheck(t testing.TB, ctx context.Context, c *CryptoChecker, sources map[string]string, rctx rules.Context, why bool) *CheckOutcome {
 	t.Helper()

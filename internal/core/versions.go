@@ -4,6 +4,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/cryptoapi"
 	"repro/internal/mining"
+	"repro/internal/obs"
 	"repro/internal/resilience"
 )
 
@@ -18,16 +19,22 @@ import (
 // Three rules keep the sharing deadlock-free, parallel and deterministic:
 //
 //   - A change first analyses the versions it leads, and only then waits
-//     for versions led by earlier changes. The pool dispatches changes in
-//     increasing index order, so a leader is always running or done when a
-//     follower waits on it, and a leader never waits before it publishes.
+//     for versions led by earlier changes. A change's level is 0 when it
+//     leads both its versions, and otherwise one more than the highest
+//     level among the leaders it follows. A pool of several workers
+//     dispatches changes by level, then by input index, so a leader is
+//     always running or done when a follower waits on it, a leader never
+//     waits before it publishes, and a history's neighbours run a whole
+//     level apart instead of waiting on each other in lockstep. One worker
+//     keeps input order: it can never wait, and fail-fast then stops at the
+//     first failing change in input order.
 //   - A leader publishes each version as soon as its interpretation ends,
 //     not when its whole task ends (artifact encoding and disk writes come
 //     later). A leader that fails, is skipped, or resolves from the warm
 //     artifact store publishes no result, and its followers run live.
 //   - Leaders are fixed by input order in a serial pre-pass, never elected
 //     by whichever goroutine arrives first, so span trees and trace
-//     fingerprints are the same at any worker count.
+//     fingerprints are the same at any worker count and dispatch order.
 
 // version is one distinct source text of a batch.
 type version struct {
@@ -45,11 +52,17 @@ type version struct {
 }
 
 // versionTable maps each change of a batch to the two versions it carries
-// (one and the same version when the change's Old equals its New).
-type versionTable [][2]*version
+// (one and the same version when the change's Old equals its New) and to
+// its dispatch level.
+type versionTable struct {
+	vers  [][2]*version
+	level []int
+}
 
 // newVersionTable is the batch's serial pre-pass: it maps each version's
-// content to the first change that carries it.
+// content to the first change that carries it, and gives each change its
+// level. A leader precedes its followers in input order, so its level is
+// known when a follower's is computed.
 func newVersionTable(ccs []mining.CodeChange) versionTable {
 	byText := make(map[string]*version, len(ccs)+1)
 	at := func(src string, i int) *version {
@@ -60,16 +73,48 @@ func newVersionTable(ccs []mining.CodeChange) versionTable {
 		}
 		return v
 	}
-	t := make(versionTable, len(ccs))
+	t := versionTable{vers: make([][2]*version, len(ccs)), level: make([]int, len(ccs))}
 	for i, cc := range ccs {
-		t[i] = [2]*version{at(cc.Old, i), at(cc.New, i)}
+		t.vers[i] = [2]*version{at(cc.Old, i), at(cc.New, i)}
+		for _, v := range t.vers[i] {
+			if v.leader != i {
+				t.level[i] = max(t.level[i], t.level[v.leader]+1)
+			}
+		}
 	}
 	return t
 }
 
+// order returns the batch's dispatch order for a pool of the given size:
+// slot j of the pool runs change order[j]. Several workers take changes by
+// level, then by input index, so every leader is dispatched before its
+// followers; one worker takes them in input order.
+func (t versionTable) order(workers int) []int {
+	order := make([]int, 0, len(t.vers))
+	if workers <= 1 {
+		for i := range t.vers {
+			order = append(order, i)
+		}
+		return order
+	}
+	// A change's level is at most one more than a level met earlier in
+	// input order (its leader's), so the buckets grow one level at a time.
+	var byLevel [][]int
+	for i, l := range t.level {
+		if l == len(byLevel) {
+			byLevel = append(byLevel, nil)
+		}
+		byLevel[l] = append(byLevel[l], i)
+	}
+	for _, is := range byLevel {
+		order = append(order, is...)
+	}
+	return order
+}
+
 // run returns change i's view of the table.
 func (t versionTable) run(i int) *versionRun {
-	return &versionRun{i: i, vers: t[i]}
+	return &versionRun{i: i, vers: t.vers[i]}
 }
 
 // versionRun is one change's view of the version table: its two versions
@@ -114,23 +159,38 @@ func (r *versionRun) release() {
 }
 
 // await blocks until the leaders of both versions have published.
-func (r *versionRun) await() {
+func (r *versionRun) await(reg *obs.Registry) {
 	for _, v := range r.vers {
-		<-v.done
+		v.wait(reg)
 	}
 }
 
 // take fills slot k from its leader's published result, charging the
 // recorded step count to the change's budget so budgets stay exact. It
 // reports false when the leader published no result.
-func (r *versionRun) take(k int, budget *resilience.Budget) (bool, error) {
+func (r *versionRun) take(k int, budget *resilience.Budget, reg *obs.Registry) (bool, error) {
 	v := r.vers[k]
-	<-v.done
+	v.wait(reg)
 	if v.res == nil {
 		return false, nil
 	}
 	r.res[k], r.uses[k] = v.res, v.uses
 	return true, budget.StepN(v.steps)
+}
+
+// wait blocks until v's leader has published. A wait that blocks bumps
+// analysis.version_waits and adds the time blocked to
+// analysis.version_wait_us; a version already published reads no clock.
+func (v *version) wait(reg *obs.Registry) {
+	select {
+	case <-v.done:
+		return
+	default:
+	}
+	start := reg.Now()
+	<-v.done
+	reg.Counter("analysis.version_waits").Inc()
+	reg.Counter("analysis.version_wait_us").Add(reg.Now().Sub(start).Microseconds())
 }
 
 // usesOf returns the classes the source of slot k mentions, computing them

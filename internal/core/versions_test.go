@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -89,11 +91,15 @@ func evalFingerprint(e *Evaluation) string {
 
 // TestDifferentialSharedVersions compares batches against unshared
 // per-change analysis on a generated corpus, then covers the edge cases:
-// a failing leader, fail-fast, and a change whose old and new are equal.
+// a failing leader, fail-fast and max-errors (on one history, and on
+// several where level order differs from input order), a follower that
+// waits on a held leader, and a change whose old and new are equal.
 func TestDifferentialSharedVersions(t *testing.T) {
 	t.Run("corpus", testSharedVersionsCorpus)
 	t.Run("leader_fails", testSharedVersionsLeaderFails)
 	t.Run("fail_fast", testSharedVersionsFailFast)
+	t.Run("abort_histories", testSharedVersionsAbortHistories)
+	t.Run("wait_counters", testSharedVersionsWaitCounters)
 	t.Run("old_equals_new", testSharedVersionsOldEqualsNew)
 	t.Run("store_duplicate_pair", testSharedVersionsStoreDuplicatePair)
 }
@@ -143,30 +149,33 @@ func testSharedVersionsCorpus(t *testing.T) {
 	}
 }
 
-// historyVersion is version i of one file's history.
-func historyVersion(i int) string {
+// historyVersion is version i of project p's history of H.java.
+func historyVersion(p string, i int) string {
 	return fmt.Sprintf(`class H {
   void m(java.security.Key k) throws Exception {
-    javax.crypto.Cipher c = javax.crypto.Cipher.getInstance("AES/CBC/V%d");
+    javax.crypto.Cipher c = javax.crypto.Cipher.getInstance("AES/CBC/%s%d");
     c.init(javax.crypto.Cipher.ENCRYPT_MODE, k);
   }
 }
-`, i)
+`, p, i)
 }
 
-// history is n changes over one file: change i takes version i to i+1, so
-// each change's old version is the previous change's new one.
-func history(n int) []mining.CodeChange {
+// historyOf is n changes over project p's H.java: change i takes version i
+// to i+1, so each change's old version is the previous change's new one.
+func historyOf(p string, n int) []mining.CodeChange {
 	ccs := make([]mining.CodeChange, n)
 	for i := range ccs {
 		ccs[i] = mining.CodeChange{
-			Meta: change.Meta{Project: "hist", Commit: fmt.Sprintf("c%02d", i), File: "H.java"},
-			Old:  historyVersion(i),
-			New:  historyVersion(i + 1),
+			Meta: change.Meta{Project: p, Commit: fmt.Sprintf("c%02d", i), File: "H.java"},
+			Old:  historyVersion(p, i),
+			New:  historyVersion(p, i+1),
 		}
 	}
 	return ccs
 }
+
+// history is n changes over one file's history.
+func history(n int) []mining.CodeChange { return historyOf("hist", n) }
 
 // analyzeWithin runs AnalyzeAll and fails the test if the batch does not
 // return in time (a follower waiting on a leader that never publishes).
@@ -268,6 +277,98 @@ func testSharedVersionsFailFast(t *testing.T) {
 	}
 }
 
+// testSharedVersionsAbortHistories: fail-fast and max-errors on a batch of
+// several histories, laid out one after the other as the miner collects
+// them, so level order differs from input order; one change copies
+// another history's pair and one another history's version. The batch
+// returns, and its ledger holds only the injected failures.
+func testSharedVersionsAbortHistories(t *testing.T) {
+	defer resilience.ClearFaultInjector()
+	var ccs []mining.CodeChange
+	for _, p := range []string{"ha", "hb", "hc"} {
+		ccs = append(ccs, historyOf(p, 12)...)
+	}
+	dup := ccs[3]
+	dup.Meta.Project = "copy"
+	cross := ccs[20]
+	cross.Meta.Project, cross.Old = "cross", historyVersion("hd", 0)
+	ccs = append(ccs, dup, cross)
+	ref := New(Options{})
+	want := unsharedBatch(ref, ccs)
+	// Two interpreter faults and one parse fault, each at a leader. The
+	// ledger names a failing change by its task, whatever the phase.
+	inject, faulty := map[string]bool{}, map[string]bool{}
+	for _, task := range []string{taskName(ccs[2]), taskName(ccs[15]) + " [parse]", taskName(ccs[27])} {
+		inject[task] = true
+		faulty[strings.TrimSuffix(task, " [parse]")] = true
+	}
+	resilience.SetFaultInjector(func(task string) error {
+		if inject[task] {
+			panic("injected abort fault")
+		}
+		return nil
+	})
+	for _, abort := range []Options{{FailFast: true}, {MaxErrors: 2}} {
+		least := max(abort.MaxErrors, 1)
+		for _, workers := range []int{2, 8} {
+			opts := abort
+			opts.Workers = workers
+			name := fmt.Sprintf("fail-fast=%t max-errors=%d workers=%d", opts.FailFast, opts.MaxErrors, workers)
+			d := New(opts)
+			out := analyzeWithin(t, d, ccs)
+			es := d.Ledger().Entries()
+			if len(es) < least || len(es) > len(faulty) {
+				t.Errorf("%s: %d failures, want %d to %d:\n%s", name, len(es), least, len(faulty), d.Ledger().Report())
+			}
+			for _, e := range es {
+				if !faulty[e.Task] {
+					t.Errorf("%s: ledger holds %q, which was not injected", name, e.Task)
+				}
+			}
+			for i, a := range out {
+				if a != nil && changeFingerprint(d, a) != changeFingerprint(ref, want[i]) {
+					t.Errorf("%s: change %d differs from its unshared analysis", name, i)
+				}
+			}
+		}
+	}
+}
+
+// testSharedVersionsWaitCounters holds a leader until its follower has
+// started, so the follower blocks taking the leader's version: both wait
+// counters move, and the output is unchanged.
+func testSharedVersionsWaitCounters(t *testing.T) {
+	defer resilience.ClearFaultInjector()
+	ccs := history(2)
+	ref := New(Options{})
+	want := unsharedBatch(ref, ccs)
+	started := make(chan struct{})
+	resilience.SetFaultInjector(func(task string) error {
+		switch task {
+		case taskName(ccs[1]):
+			close(started)
+		case taskName(ccs[0]):
+			<-started
+			time.Sleep(50 * time.Millisecond)
+		}
+		return nil
+	})
+	reg := obs.NewRegistry()
+	d := New(Options{Workers: 2, Metrics: reg})
+	out := analyzeWithin(t, d, ccs)
+	for i := range ccs {
+		if g, w := changeFingerprint(d, out[i]), changeFingerprint(ref, want[i]); g != w {
+			t.Errorf("change %d differs from its unshared analysis\ngot:\n%.600s\nwant:\n%.600s", i, g, w)
+		}
+	}
+	if n := reg.Counter("analysis.version_waits").Value(); n != 1 {
+		t.Errorf("analysis.version_waits = %d, want 1", n)
+	}
+	if us := reg.Counter("analysis.version_wait_us").Value(); us <= 0 {
+		t.Errorf("analysis.version_wait_us = %d, want > 0", us)
+	}
+}
+
 // testSharedVersionsOldEqualsNew: a change whose two versions
 // are the same text analyses it once, and still charges its budget for
 // both, exactly as analysing it twice would.
@@ -332,5 +433,88 @@ func testSharedVersionsStoreDuplicatePair(t *testing.T) {
 		case <-time.After(30 * time.Second):
 			t.Fatal("the leader and its duplicate-pair follower wait on each other")
 		}
+	}
+}
+
+// genVersionBatch generates the texts of a batch of interleaved histories:
+// each change continues one history, and some copy a text from another
+// history or keep their old text as their new one.
+func genVersionBatch(rng *rand.Rand) []mining.CodeChange {
+	cur := make([]string, 2+rng.Intn(5))
+	left := make([]int, len(cur))
+	total := 0
+	for h := range cur {
+		cur[h] = fmt.Sprintf("h%d v0", h)
+		left[h] = 1 + rng.Intn(10)
+		total += left[h]
+	}
+	var ccs []mining.CodeChange
+	for len(ccs) < total {
+		h := rng.Intn(len(cur))
+		if left[h] == 0 {
+			continue
+		}
+		left[h]--
+		next := fmt.Sprintf("h%d v%d", h, len(ccs)+1)
+		switch rng.Intn(6) {
+		case 0:
+			next = cur[h]
+		case 1:
+			next = cur[rng.Intn(len(cur))]
+		}
+		ccs = append(ccs, mining.CodeChange{Old: cur[h], New: next})
+		cur[h] = next
+	}
+	return ccs
+}
+
+// TestDifferentialDispatchOrder checks the batch's dispatch order on
+// generated tables: it is a permutation of the batch, every leader comes
+// before its followers, and one worker keeps input order. CI runs it under
+// -race at -cpu=1,4 (the name matches -run 'Differential').
+func TestDifferentialDispatchOrder(t *testing.T) {
+	reordered, copied, same := 0, 0, 0
+	for seed := int64(0); seed < 200; seed++ {
+		ccs := genVersionBatch(rand.New(rand.NewSource(seed)))
+		vt := newVersionTable(ccs)
+		for j, i := range vt.order(1) {
+			if i != j {
+				t.Fatalf("seed %d: one worker dispatches change %d at %d, want input order", seed, i, j)
+			}
+		}
+		for _, workers := range []int{2, 8} {
+			order := vt.order(workers)
+			pos := make([]int, len(ccs))
+			for i := range pos {
+				pos[i] = -1
+			}
+			for j, i := range order {
+				if i < 0 || i >= len(ccs) || pos[i] >= 0 {
+					t.Fatalf("seed %d workers %d: order %v is not a permutation of %d changes", seed, workers, order, len(ccs))
+				}
+				pos[i] = j
+			}
+			for i, vs := range vt.vers {
+				for _, v := range vs {
+					if v.leader != i && pos[v.leader] > pos[i] {
+						t.Fatalf("seed %d workers %d: change %d is dispatched at %d, before its leader %d at %d", seed, workers, i, pos[i], v.leader, pos[v.leader])
+					}
+				}
+			}
+			if !sort.IntsAreSorted(order) {
+				reordered++
+			}
+		}
+		for i, cc := range ccs {
+			if cc.Old == cc.New {
+				same++
+			}
+			if h := strings.Fields(cc.New)[0]; h != strings.Fields(cc.Old)[0] && vt.vers[i][1].leader != i {
+				copied++
+			}
+		}
+	}
+	if reordered == 0 || copied == 0 || same == 0 {
+		t.Fatalf("generated batches exercise too little: %d reordered, %d cross-history copies, %d with old == new", reordered, copied, same)
 	}
 }

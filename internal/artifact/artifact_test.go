@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -33,6 +34,32 @@ func TestKeyDerivation(t *testing.T) {
 	}
 	if got := len(NewKey(KindParse).String()); got != 64 {
 		t.Fatalf("key hex length = %d, want 64", got)
+	}
+}
+
+// TestNewKeyVectors pins key bytes: every artifact in a -cache-dir is
+// addressed by NewKey, so a warm cache stays valid across builds only if
+// the same parts keep hashing to the same key. The parts cover no part,
+// empty parts, part boundaries, multi-byte text, and parts longer than any
+// internal hashing buffer.
+func TestNewKeyVectors(t *testing.T) {
+	big := strings.Repeat("0123456789abcdef", 300) + "tail"
+	for _, c := range []struct {
+		kind  Kind
+		parts []string
+		want  string
+	}{
+		{KindParse, nil, "bd15e60b882731d969ea39e04aa879642d5b59eda8665c6cf9151f51a7295238"},
+		{KindParse, []string{""}, "e388ef6af486aa2c20a3390e4696eb48dfc1f5f5333420f2de59fe041b937fa1"},
+		{KindParse, []string{"class A {}"}, "a10c3efcea5b56e91f37dd294550a45ec387eb7e4691240169bf844e68b3745a"},
+		{KindSummary, []string{"ab", "c"}, "0c1381f5a6697b79fdda765b37f1c66aa333f742576e3c4a11b516a676a73314"},
+		{KindSummary, []string{"a", "bc"}, "6a9be4810644ebe03e5e9b058a0623c8156f9692dc2856b774bf1db3378a9803"},
+		{KindCheck, []string{big, "", "x"}, "e99dae91b25914185c3dada58db99542e2d68ff2954c760788744e9f191935ef"},
+		{KindAnalysis, []string{strings.Repeat("é", 700), big[:511], big[:512], big[:513]}, "8639ace337a5b156b381d26a09f26d0961757eb160719130ff224e68cbbe4452"},
+	} {
+		if got := NewKey(c.kind, c.parts...).String(); got != c.want {
+			t.Errorf("NewKey(%s, %d parts) = %s, want %s", c.kind, len(c.parts), got, c.want)
+		}
 	}
 }
 

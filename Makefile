@@ -29,9 +29,9 @@ bench:
 	bash bench/run.sh
 
 # Packages whose Go micro-benchmarks bench-short runs: the root package
-# (figures, ablations, named perf benchmarks), the Java front end, and usage
-# extraction (DAG build, diff, extract).
-BENCH_PKGS = . ./internal/javatok ./internal/javaparser ./internal/usage ./internal/change
+# (figures, ablations, named perf benchmarks), the Java front end, the
+# abstract interpreter, and usage extraction (DAG build, diff, extract).
+BENCH_PKGS = . ./internal/javatok ./internal/javaparser ./internal/analysis ./internal/usage ./internal/change
 
 # One iteration per micro-benchmark: a smoke pass cheap enough for CI.
 bench-short:

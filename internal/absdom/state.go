@@ -1,50 +1,141 @@
 package absdom
 
-import "sort"
+import (
+	"maps"
+	"slices"
+	"sort"
+)
 
 // State is an abstract program state σa = (objs, η, ∆): allocated abstract
 // objects, an abstract heap mapping object fields to values, and the local
-// variable store. States are cloned cheaply at branch forks (maps are
-// copied; AObj identities are shared, which is what the per-allocation-site
-// abstraction requires).
+// variable store. Locals live in slots: Slots numbers their names and Vars
+// holds their values by slot. States are cloned cheaply at branch forks
+// (the slot table is shared, the slot values and maps are copied; AObj
+// identities are shared, which is what the per-allocation-site abstraction
+// requires).
 type State struct {
-	Vars   map[string]Value           // ∆: locals and parameters
+	Slots  *Slots                     // slot numbers of the local names; shared by forks
+	Vars   []Local                    // ∆: locals and parameters, by slot
 	Fields map[string]Value           // η restricted to this-fields: name → value
 	Heap   map[*AObj]map[string]Value // η for other abstract objects
 }
 
-// NewState returns an empty abstract state.
-func NewState() *State {
+// Local is one local-variable slot. A local can be bound to an invalid
+// value (an undeclared name assigned a void call's result), so whether it
+// is bound is kept apart from Value.IsValid. Slots past the end of Vars are
+// unbound.
+type Local struct {
+	Value
+	Bound bool
+}
+
+// Slots numbers local names: each name added gets the next slot, and keeps
+// it. A table only ever grows, so the states sharing it — the forks of one
+// frame — agree on every slot number, and a state whose Vars is shorter
+// than the table simply has the later names unbound. A table is not safe
+// for concurrent use; the interpreter keeps one per method and analysis.
+type Slots struct {
+	names []string
+	// index maps names to slots once the table outgrows a linear scan.
+	// shared marks an index borrowed from NewSlots' caller, copied before
+	// the table first adds a name.
+	index  map[string]int
+	shared bool
+}
+
+// slotScanMax is the table size up to which Slot scans the names.
+const slotScanMax = 16
+
+// NewSlots returns a table whose first slots are names, which must be
+// distinct. index, if non-nil, must map each name to its position. The
+// table never writes to names' backing array or to index, so a shared,
+// read-only name list can seed many tables.
+func NewSlots(names []string, index map[string]int) *Slots {
+	t := &Slots{names: slices.Clip(names), index: index, shared: index != nil}
+	if index == nil && len(names) > slotScanMax {
+		t.buildIndex()
+	}
+	return t
+}
+
+func (t *Slots) buildIndex() {
+	t.index = make(map[string]int, 2*len(t.names))
+	for i, n := range t.names {
+		t.index[n] = i
+	}
+	t.shared = false
+}
+
+// Len returns the number of slots.
+func (t *Slots) Len() int { return len(t.names) }
+
+// Slot returns the slot number of name, or -1 if the table lacks it.
+func (t *Slots) Slot(name string) int {
+	if t.index != nil {
+		if i, ok := t.index[name]; ok {
+			return i
+		}
+		return -1
+	}
+	for i, n := range t.names {
+		if n == name {
+			return i
+		}
+	}
+	return -1
+}
+
+// Add returns the slot number of name, giving it the next slot if the
+// table lacks it.
+func (t *Slots) Add(name string) int {
+	if i := t.Slot(name); i >= 0 {
+		return i
+	}
+	t.names = append(t.names, name)
+	switch {
+	case t.shared || (t.index == nil && len(t.names) > slotScanMax):
+		t.buildIndex()
+	case t.index != nil:
+		t.index[name] = len(t.names) - 1
+	}
+	return len(t.names) - 1
+}
+
+// NewState returns an empty abstract state with a slot table of its own.
+func NewState() *State { return NewStateFor(&Slots{}, 0) }
+
+// NewStateFor returns an empty state whose locals take their slots from t,
+// with room for t's current names and for nFields this-fields.
+func NewStateFor(t *Slots, nFields int) *State {
 	return &State{
-		Vars:   map[string]Value{},
-		Fields: map[string]Value{},
+		Slots:  t,
+		Vars:   make([]Local, t.Len()),
+		Fields: make(map[string]Value, nFields),
 		Heap:   map[*AObj]map[string]Value{},
 	}
 }
 
-// Clone deep-copies the state's maps (object identities are shared).
+// Clone deep-copies the state's stores (object identities and the slot
+// table are shared).
 func (s *State) Clone() *State {
-	c := NewState()
-	for k, v := range s.Vars {
-		c.Vars[k] = v
-	}
-	for k, v := range s.Fields {
-		c.Fields[k] = v
+	c := &State{
+		Slots:  s.Slots,
+		Vars:   append([]Local(nil), s.Vars...),
+		Fields: maps.Clone(s.Fields),
+		Heap:   make(map[*AObj]map[string]Value, len(s.Heap)),
 	}
 	for o, fs := range s.Heap {
-		m := make(map[string]Value, len(fs))
-		for k, v := range fs {
-			m[k] = v
-		}
-		c.Heap[o] = m
+		c.Heap[o] = maps.Clone(fs)
 	}
 	return c
 }
 
-// LookupVar returns the abstract value of a local, or invalid if unbound.
+// LookupVar returns the abstract value of a local and whether it is bound.
 func (s *State) LookupVar(name string) (Value, bool) {
-	v, ok := s.Vars[name]
-	return v, ok
+	if i := s.Slots.Slot(name); i >= 0 && i < len(s.Vars) {
+		return s.Vars[i].Value, s.Vars[i].Bound
+	}
+	return Value{}, false
 }
 
 // LookupField returns the abstract value of a this-field.
@@ -53,8 +144,16 @@ func (s *State) LookupField(name string) (Value, bool) {
 	return v, ok
 }
 
-// SetVar binds a local variable.
-func (s *State) SetVar(name string, v Value) { s.Vars[name] = v }
+// SetVar binds a local variable, adding its name to the slot table if
+// needed.
+func (s *State) SetVar(name string, v Value) { s.setSlot(s.Slots.Add(name), v) }
+
+func (s *State) setSlot(i int, v Value) {
+	for len(s.Vars) <= i {
+		s.Vars = append(s.Vars, Local{})
+	}
+	s.Vars[i] = Local{Value: v, Bound: true}
+}
 
 // SetField binds a this-field.
 func (s *State) SetField(name string, v Value) { s.Fields[name] = v }
@@ -67,12 +166,22 @@ func (s *State) Join(o *State) { s.JoinIn(o, nil) }
 
 // JoinIn is Join with any new provenance join nodes drawn from ar (nil ar
 // falls back to the heap); the lattice result is identical to Join's.
+// States sharing a slot table join slot by slot; others match locals by
+// name.
 func (s *State) JoinIn(o *State, ar *ProvArena) {
-	for k, v := range o.Vars {
-		if cur, ok := s.Vars[k]; ok {
-			s.Vars[k] = JoinIn(ar, cur, v)
+	for i := range o.Vars {
+		l := &o.Vars[i]
+		if !l.Bound {
+			continue
+		}
+		j := i
+		if s.Slots != o.Slots {
+			j = s.Slots.Add(o.Slots.names[i])
+		}
+		if j < len(s.Vars) && s.Vars[j].Bound {
+			s.Vars[j].Value = JoinIn(ar, s.Vars[j].Value, l.Value)
 		} else {
-			s.Vars[k] = v
+			s.setSlot(j, l.Value)
 		}
 	}
 	for k, v := range o.Fields {
@@ -101,9 +210,11 @@ func (s *State) JoinIn(o *State, ar *ProvArena) {
 // VarNames returns the bound local names in sorted order (deterministic
 // iteration for tests and rendering).
 func (s *State) VarNames() []string {
-	names := make([]string, 0, len(s.Vars))
-	for k := range s.Vars {
-		names = append(names, k)
+	var names []string
+	for i, l := range s.Vars {
+		if l.Bound {
+			names = append(names, s.Slots.names[i])
+		}
 	}
 	sort.Strings(names)
 	return names

@@ -170,16 +170,16 @@ func literalValue(x *javaast.Literal) absdom.Value {
 // lookupField resolves an unqualified field name in the current class,
 // falling back to the declared-type ⊤ for unbound fields.
 func (an *analyzer) lookupField(ci *classInfo, name string, st *absdom.State) (absdom.Value, bool) {
-	fd, ok := ci.fields[name]
+	f, ok := ci.fields[name]
 	if !ok {
 		return absdom.Value{}, false
 	}
-	if v, bound := st.LookupField(ci.decl.Name + "." + name); bound {
+	if v, bound := st.LookupField(f.key); bound {
 		return v, true
 	}
-	v := absdom.TopOfType(fd.Type.Base(), fd.Type.Dims)
+	v := absdom.TopOfType(f.decl.Type.Base(), f.decl.Type.Dims)
 	if an.provOn {
-		v.Prov = an.prov0x(absdom.ProvField, fd, shFieldUnbound, ci.decl.Name, name)
+		v.Prov = an.prov0x(absdom.ProvField, f.decl, shFieldUnbound, ci.decl.Name, name)
 	}
 	return v, true
 }
@@ -201,8 +201,8 @@ func (an *analyzer) evalFieldAccess(x *javaast.FieldAccess, st *absdom.State, fr
 		base := lastSegment(qual)
 		// Static field of a program class: evaluate its initializer once.
 		if ci2, isClass := an.classes[base]; isClass && !an.isShadowed(base, st, fr) {
-			if fd, has := ci2.fields[x.Name]; has {
-				return an.staticFieldValue(ci2, fd)
+			if f, has := ci2.fields[x.Name]; has {
+				return an.staticFieldValue(ci2, f.decl)
 			}
 		}
 		// API-class or conventional ALL_CAPS constant: keep it symbolic.
@@ -254,7 +254,7 @@ func (an *analyzer) staticFieldValue(ci *classInfo, fd *javaast.FieldDecl) absdo
 	savedFile := an.curFile
 	an.curFile = ci.file
 	tmp := absdom.NewState()
-	tmpFr := &frame{an: an, ci: ci, varTypes: map[string]*javaast.TypeRef{}}
+	tmpFr := an.newFrame(ci, tmp)
 	v := refine(an.eval(fd.Init, tmp, tmpFr), fd.Type)
 	if an.provOn {
 		v.Prov = an.prov1x(absdom.ProvField, fd, shStaticField, ci.decl.Name, fd.Name, v.Prov)
@@ -489,14 +489,14 @@ func (an *analyzer) applyCallEffects(class string, c *javaast.Call, st *absdom.S
 	if n, ok := c.Args[0].(*javaast.Name); ok {
 		if _, isVar := st.LookupVar(n.Ident); isVar {
 			st.SetVar(n.Ident, absdom.TopByteArr())
-		} else if _, isField := fr.ci.fields[n.Ident]; isField {
-			st.SetField(fr.ci.decl.Name+"."+n.Ident, absdom.TopByteArr())
+		} else if f, isField := fr.ci.fields[n.Ident]; isField {
+			st.SetField(f.key, absdom.TopByteArr())
 		}
 	}
 	if fa, ok := c.Args[0].(*javaast.FieldAccess); ok {
 		if _, isThis := fa.X.(*javaast.This); isThis {
-			if _, isField := fr.ci.fields[fa.Name]; isField {
-				st.SetField(fr.ci.decl.Name+"."+fa.Name, absdom.TopByteArr())
+			if f, isField := fr.ci.fields[fa.Name]; isField {
+				st.SetField(f.key, absdom.TopByteArr())
 			}
 		}
 	}
@@ -552,11 +552,30 @@ func (an *analyzer) inlineLive(ci *classInfo, m *javaast.MethodDecl, args []absd
 
 	// Save the caller's locals; the callee gets a fresh local namespace over
 	// the same field/heap state.
-	saved := st.Vars
-	st.Vars = map[string]absdom.Value{}
+	savedSlots, savedVars := st.Slots, st.Vars
+	st.Slots = an.slotsOf(m)
+	st.Vars = an.takeLocals(st.Slots.Len())
 	ret := an.execMethod(ci, m, args, st)
-	st.Vars = saved
+	// Nothing outlives the call that refers to the callee's own slots
+	// (forks copy them), so they are recycled for the next call.
+	an.freeLocals = append(an.freeLocals, st.Vars)
+	st.Slots, st.Vars = savedSlots, savedVars
 	return ret
+}
+
+// takeLocals returns n cleared local slots, reusing the slots of a
+// finished call when they are large enough.
+func (an *analyzer) takeLocals(n int) []absdom.Local {
+	if k := len(an.freeLocals); k > 0 {
+		vs := an.freeLocals[k-1]
+		an.freeLocals = an.freeLocals[:k-1]
+		if cap(vs) >= n {
+			vs = vs[:n]
+			clear(vs)
+			return vs
+		}
+	}
+	return make([]absdom.Local, n)
 }
 
 func (an *analyzer) evalNew(x *javaast.New, st *absdom.State, fr *frame) absdom.Value {
@@ -644,14 +663,12 @@ func (an *analyzer) assignTo(lhs javaast.Expr, v absdom.Value, st *absdom.State,
 			v.Prov = an.prov1(absdom.ProvAssign, l, shAssigned, l.Ident, v.Prov)
 		}
 		if _, isVar := st.LookupVar(l.Ident); isVar {
-			if t, ok := fr.varTypes[l.Ident]; ok {
-				v = refine(v, t)
-			}
+			v = refine(v, fr.declaredType(l.Ident))
 			st.SetVar(l.Ident, v)
 			return
 		}
-		if fd, isField := fr.ci.fields[l.Ident]; isField {
-			st.SetField(fr.ci.decl.Name+"."+l.Ident, refine(v, fd.Type))
+		if f, isField := fr.ci.fields[l.Ident]; isField {
+			st.SetField(f.key, refine(v, f.decl.Type))
 			return
 		}
 		st.SetVar(l.Ident, v)
@@ -660,8 +677,8 @@ func (an *analyzer) assignTo(lhs javaast.Expr, v absdom.Value, st *absdom.State,
 			v.Prov = an.prov1(absdom.ProvAssign, l, shAssignedField, l.Name, v.Prov)
 		}
 		if _, isThis := l.X.(*javaast.This); isThis {
-			if fd, isField := fr.ci.fields[l.Name]; isField {
-				st.SetField(fr.ci.decl.Name+"."+l.Name, refine(v, fd.Type))
+			if f, isField := fr.ci.fields[l.Name]; isField {
+				st.SetField(f.key, refine(v, f.decl.Type))
 				return
 			}
 		}
@@ -681,8 +698,8 @@ func (an *analyzer) assignTo(lhs javaast.Expr, v absdom.Value, st *absdom.State,
 			if n, ok := l.X.(*javaast.Name); ok {
 				if _, isVar := st.LookupVar(n.Ident); isVar {
 					st.SetVar(n.Ident, absdom.TopByteArr())
-				} else if _, isField := fr.ci.fields[n.Ident]; isField {
-					st.SetField(fr.ci.decl.Name+"."+n.Ident, absdom.TopByteArr())
+				} else if f, isField := fr.ci.fields[n.Ident]; isField {
+					st.SetField(f.key, absdom.TopByteArr())
 				}
 			}
 		}

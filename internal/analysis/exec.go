@@ -6,13 +6,41 @@ import (
 )
 
 // frame holds the per-method-invocation execution context: declared types of
-// locals (for ⊤ refinement) and collected return values/states.
+// locals (for ⊤ refinement) and collected return values/states. Its states
+// share one slot table, and varTypes is indexed by the same slots.
 type frame struct {
 	an       *analyzer
 	ci       *classInfo
-	varTypes map[string]*javaast.TypeRef
+	slots    *absdom.Slots
+	varTypes []*javaast.TypeRef
 	retVals  []absdom.Value
 	finished []*absdom.State // states that hit a return/throw
+}
+
+// newFrame returns a frame executing over st's local namespace.
+func (an *analyzer) newFrame(ci *classInfo, st *absdom.State) *frame {
+	return &frame{an: an, ci: ci, slots: st.Slots}
+}
+
+// declare records a local's declared type, the last declaration executed
+// winning.
+func (f *frame) declare(name string, t *javaast.TypeRef) {
+	i := f.slots.Add(name)
+	if i >= len(f.varTypes) {
+		grown := make([]*javaast.TypeRef, max(f.slots.Len(), 2*len(f.varTypes)))
+		copy(grown, f.varTypes)
+		f.varTypes = grown
+	}
+	f.varTypes[i] = t
+}
+
+// declaredType returns a local's declared type in this frame, nil if the
+// frame declared no such local.
+func (f *frame) declaredType(name string) *javaast.TypeRef {
+	if i := f.slots.Slot(name); i >= 0 && i < len(f.varTypes) {
+		return f.varTypes[i]
+	}
+	return nil
 }
 
 // execStmts flows the state set through a statement sequence, forking at
@@ -47,7 +75,7 @@ func (f *frame) execStmt(s javaast.Stmt, states []*absdom.State) []*absdom.State
 		return f.execStmts(x.Stmts, states)
 
 	case *javaast.LocalVarDecl:
-		f.varTypes[x.Name] = x.Type
+		f.declare(x.Name, x.Type)
 		for _, st := range states {
 			var v absdom.Value
 			if x.Init != nil {
@@ -98,7 +126,7 @@ func (f *frame) execStmt(s javaast.Stmt, states []*absdom.State) []*absdom.State
 		states = f.execStmts(x.Init, states)
 		return f.execLoop(nil, x.Cond, x.Post, x.Body, states)
 	case *javaast.ForEachStmt:
-		f.varTypes[x.Var.Name] = x.Var.Type
+		f.declare(x.Var.Name, x.Var.Type)
 		for _, st := range states {
 			f.an.eval(x.Expr, st, f)
 			st.SetVar(x.Var.Name, absdom.TopOfType(x.Var.Type.Base(), x.Var.Type.Dims))
@@ -122,7 +150,7 @@ func (f *frame) execStmt(s javaast.Stmt, states []*absdom.State) []*absdom.State
 
 	case *javaast.TryStmt:
 		for _, r := range x.Resources {
-			f.varTypes[r.Name] = r.Type
+			f.declare(r.Name, r.Type)
 			for _, st := range states {
 				var v absdom.Value
 				if r.Init != nil {

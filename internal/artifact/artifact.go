@@ -29,7 +29,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"io"
+	"hash"
 	"sync"
 
 	"repro/internal/obs"
@@ -75,21 +75,94 @@ type Key [sha256.Size]byte
 // are length-prefixed before hashing, so ("ab","c") and ("a","bc") cannot
 // collide, and the kind and format version are mixed in first.
 func NewKey(kind Kind, parts ...string) Key {
-	h := sha256.New()
-	var lenBuf [8]byte
-	write := func(s string) {
-		binary.LittleEndian.PutUint64(lenBuf[:], uint64(len(s)))
-		h.Write(lenBuf[:])
-		io.WriteString(h, s)
-	}
-	write(string(kind))
-	binary.LittleEndian.PutUint64(lenBuf[:], FormatVersion)
-	h.Write(lenBuf[:])
+	h := NewKeyHasher(kind)
 	for _, p := range parts {
-		write(p)
+		h.String(p)
 	}
+	return h.Key()
+}
+
+// Hasher is SHA-256 over length-prefixed parts, the framing behind every
+// Key: each part is hashed as its length (8 bytes, little-endian), then its
+// bytes. Parts stream through a fixed buffer, so a part is never copied to
+// the heap whatever its size (the SHA-256 digest has no WriteString), and
+// hashers are pooled, so a key costs no digest allocation either. A Hasher
+// is single-use: Finish and Key release it.
+type Hasher struct {
+	d   hash.Hash
+	n   int // bytes pending in buf
+	buf [512]byte
+}
+
+var hashers = sync.Pool{New: func() any { return &Hasher{d: sha256.New()} }}
+
+// NewHasher returns an empty hasher.
+func NewHasher() *Hasher {
+	h := hashers.Get().(*Hasher)
+	h.d.Reset()
+	h.n = 0
+	return h
+}
+
+// NewKeyHasher returns a hasher primed as NewKey primes one: with the kind
+// and the format version. Adding NewKey's parts and calling Key yields the
+// same key.
+func NewKeyHasher(kind Kind) *Hasher {
+	h := NewHasher()
+	h.String(string(kind))
+	h.uint64(FormatVersion)
+	return h
+}
+
+// String adds a part.
+func (h *Hasher) String(s string) {
+	h.uint64(uint64(len(s)))
+	for len(s) > 0 {
+		if h.n == len(h.buf) {
+			h.flush()
+		}
+		c := copy(h.buf[h.n:], s)
+		h.n += c
+		s = s[c:]
+	}
+}
+
+// Bytes adds a part held as bytes; it hashes exactly as String(string(b)).
+func (h *Hasher) Bytes(b []byte) {
+	h.uint64(uint64(len(b)))
+	if h.n+len(b) > len(h.buf) {
+		h.flush()
+		h.d.Write(b)
+		return
+	}
+	h.n += copy(h.buf[h.n:], b)
+}
+
+func (h *Hasher) uint64(u uint64) {
+	if len(h.buf)-h.n < 8 {
+		h.flush()
+	}
+	binary.LittleEndian.PutUint64(h.buf[h.n:], u)
+	h.n += 8
+}
+
+func (h *Hasher) flush() {
+	h.d.Write(h.buf[:h.n])
+	h.n = 0
+}
+
+// Finish appends the digest to dst and releases the hasher.
+func (h *Hasher) Finish(dst []byte) []byte {
+	h.flush()
+	dst = append(dst, h.d.Sum(h.buf[:0])...)
+	hashers.Put(h)
+	return dst
+}
+
+// Key returns the digest as a Key and releases the hasher.
+func (h *Hasher) Key() Key {
 	var k Key
-	h.Sum(k[:0])
+	h.Finish(k[:0])
 	return k
 }
 

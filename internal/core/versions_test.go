@@ -125,12 +125,12 @@ func testSharedVersionsCorpus(t *testing.T) {
 			opts.Workers = workers
 			reg := obs.NewRegistry()
 			opts.Metrics = reg
-			e := NewEvaluation(c, opts)
+			e := within(t, "NewEvaluation", func() *Evaluation { return NewEvaluation(c, opts) })
 			d := e.DiffCode
 			if reg.Counter("analysis.versions_shared").Value() == 0 {
 				t.Fatalf("budget %d workers %d: no version was shared; the corpus exercises nothing", budget, workers)
 			}
-			got := d.AnalyzeAll(ccs)
+			got := analyzeWithin(t, d, ccs)
 			for i := range ccs {
 				if g, w := changeFingerprint(d, got[i]), changeFingerprint(ref, want[i]); g != w {
 					t.Fatalf("budget %d workers %d: change %d (%s) differs\ngot:\n%.600s\nwant:\n%.600s", budget, workers, i, taskName(ccs[i]), g, w)
@@ -177,19 +177,31 @@ func historyOf(p string, n int) []mining.CodeChange {
 // history is n changes over one file's history.
 func history(n int) []mining.CodeChange { return historyOf("hist", n) }
 
-// analyzeWithin runs AnalyzeAll and fails the test if the batch does not
-// return in time (a follower waiting on a leader that never publishes).
-func analyzeWithin(t *testing.T, d *DiffCode, ccs []mining.CodeChange) []*AnalyzedChange {
+// batchDeadline bounds every multi-worker batch in these tests. A dispatch
+// bug can leave a follower waiting on a leader that never publishes, and
+// the batch then hangs: the test must fail at the deadline, not at the test
+// binary's timeout.
+const batchDeadline = 60 * time.Second
+
+// within runs f and fails the test if it does not return within
+// batchDeadline.
+func within[T any](t *testing.T, what string, f func() T) T {
 	t.Helper()
-	done := make(chan []*AnalyzedChange, 1)
-	go func() { done <- d.AnalyzeAll(ccs) }()
+	done := make(chan T, 1)
+	go func() { done <- f() }()
 	select {
 	case out := <-done:
 		return out
-	case <-time.After(60 * time.Second):
-		t.Fatal("AnalyzeAll did not return: a follower is waiting on a leader that never published")
-		return nil
+	case <-time.After(batchDeadline):
+		t.Fatalf("%s did not return in %v: a follower is waiting on a leader that never published", what, batchDeadline)
+		panic("unreachable")
 	}
+}
+
+// analyzeWithin runs AnalyzeAll within batchDeadline.
+func analyzeWithin(t *testing.T, d *DiffCode, ccs []mining.CodeChange) []*AnalyzedChange {
+	t.Helper()
+	return within(t, "AnalyzeAll", func() []*AnalyzedChange { return d.AnalyzeAll(ccs) })
 }
 
 // testSharedVersionsLeaderFails: a leader that fails publishes
@@ -379,7 +391,7 @@ func testSharedVersionsOldEqualsNew(t *testing.T) {
 		d := New(Options{Workers: 2, Metrics: reg})
 		var a *AnalyzedChange
 		if batch {
-			a = d.AnalyzeAll([]mining.CodeChange{cc})[0]
+			a = analyzeWithin(t, d, []mining.CodeChange{cc})[0]
 		} else {
 			var err error
 			if a, err = d.AnalyzeChange(cc); err != nil {

@@ -95,6 +95,8 @@ type MethodDecl struct {
 	Body          *Block // nil for abstract/native methods
 	IsConstructor bool
 	P             javatok.Pos
+
+	locals localsCache // Locals, computed once
 }
 
 func (n *MethodDecl) Pos() javatok.Pos { return n.P }

@@ -1,0 +1,68 @@
+package javaparser
+
+import (
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/javatok"
+)
+
+// nestedParens is a method whose one statement nests its initializer n
+// parentheses deep: int x = ((…(1)…));
+func nestedParens(n int) string {
+	return "class A { void f() { int x = " + strings.Repeat("(", n) + "1" + strings.Repeat(")", n) + "; } }"
+}
+
+// TestParseDepthScalesLinearly times parsing at nesting depth n and 2n,
+// interleaving the two depths over several rounds and keeping each depth's
+// fastest run. The times are the process's CPU time where the platform
+// reports it, so test packages running alongside do not inflate either
+// side. A lambda lookahead that rescans to the matching ')' at every '('
+// makes parsing quadratic in the depth, a ratio near 4; linear parsing
+// stays well under the bound of 3.
+func TestParseDepthScalesLinearly(t *testing.T) {
+	const n, rounds = 10000, 7
+	parse := func(src string) time.Duration {
+		start := cpuTime()
+		res := Parse(src)
+		d := cpuTime() - start
+		if len(res.Errors) != 0 {
+			t.Fatalf("depth %d: %v", strings.Count(src, "("), res.Errors[0])
+		}
+		return d
+	}
+	src1, src2 := nestedParens(n), nestedParens(2*n)
+	t1, t2 := time.Duration(1<<62), time.Duration(1<<62)
+	for i := 0; i < rounds; i++ {
+		t1 = min(t1, parse(src1))
+		t2 = min(t2, parse(src2))
+	}
+	t.Logf("depth %d: %v, depth %d: %v", n, t1, 2*n, t2)
+	if ratio := float64(t2) / float64(t1); ratio >= 3 {
+		t.Errorf("Parse: depth %d %v, depth %d %v (ratio %.1f, want < 3)", n, t1, 2*n, t2, ratio)
+	}
+}
+
+// TestPairParens pins the pairing the lambda lookahead reads: a '(' pairs
+// with its matching ')' unless a ';', '{' or EOF comes first.
+func TestPairParens(t *testing.T) {
+	for _, c := range []struct {
+		src  string
+		want map[int]int32 // token index of each '(' → its pair
+	}{
+		{"( ( ) ) ->", map[int]int32{0: 3, 1: 2}},
+		{"( ; ( ) )", map[int]int32{0: -1, 2: 3}},
+		{"( a { ) )", map[int]int32{0: -1}},
+		{") ( ( )", map[int]int32{1: -1, 2: 3}},
+		{"( a , b ) -> ( c )", map[int]int32{0: 4, 6: 8}},
+	} {
+		toks := javatok.Tokenize(c.src)
+		got := pairParens(nil, toks)
+		for open, want := range c.want {
+			if got[open] != want {
+				t.Errorf("%q: '(' at %d pairs with %d, want %d", c.src, open, got[open], want)
+			}
+		}
+	}
+}

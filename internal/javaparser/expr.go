@@ -35,26 +35,13 @@ func (p *parser) tryParseLambda() javaast.Expr {
 		p.advance()
 		return p.finishLambda(pos, []string{name})
 	}
-	// ( [params] ) ->  — scan ahead for the arrow after a balanced paren run.
-	if p.cur().Kind != javatok.LParen {
+	// ( [params] ) ->  — look for the arrow after the balanced paren run
+	// (pairParens found its end once for the whole file).
+	if p.cur().Kind != javatok.LParen || len(p.parens) == 0 {
 		return nil
 	}
-	depth := 0
-	j := p.i
-	for ; j < len(p.toks); j++ {
-		k := p.toks[j].Kind
-		if k == javatok.LParen {
-			depth++
-		} else if k == javatok.RParen {
-			depth--
-			if depth == 0 {
-				break
-			}
-		} else if k == javatok.EOF || k == javatok.Semi || k == javatok.LBrace {
-			return nil
-		}
-	}
-	if j+1 >= len(p.toks) || p.toks[j+1].Kind != javatok.Arrow {
+	j := int(p.parens[p.i])
+	if j < 0 || j+1 >= len(p.toks) || p.toks[j+1].Kind != javatok.Arrow {
 		return nil
 	}
 	// Commit: consume params (identifiers, possibly typed — types skipped).

@@ -8,6 +8,7 @@ package javaparser
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -32,25 +33,63 @@ type Result struct {
 // Parse parses Java source text. It always returns a non-nil unit; syntax
 // errors are recovered and reported in Result.Errors.
 func Parse(src string) Result {
-	buf := tokenBufs.Get().(*[]javatok.Token)
-	p := &parser{toks: javatok.AppendTokens((*buf)[:0], src)}
-	unit := p.parseCompilationUnit()
-	// The AST holds token texts (strings), never the buffer itself, so the
-	// buffer can be reused once it no longer references src.
-	clear(p.toks)
-	if cap(p.toks) <= maxPooledTokens {
-		*buf = p.toks[:0]
-		tokenBufs.Put(buf)
+	p := parsers.Get().(*parser)
+	p.toks = javatok.AppendTokens(p.toks[:0], src)
+	// Only a parenthesized lambda needs the pairing, and a file without an
+	// arrow has none.
+	p.parens = p.parens[:0]
+	if slices.ContainsFunc(p.toks, func(t javatok.Token) bool { return t.Kind == javatok.Arrow }) {
+		p.parens = pairParens(p.parens, p.toks)
 	}
-	return Result{Unit: unit, Errors: p.errors}
+	res := Result{Unit: p.parseCompilationUnit(), Errors: p.errors}
+	// The AST holds token texts (strings), never the buffers themselves, so
+	// the parser and its buffers can be reused once they no longer
+	// reference src.
+	clear(p.toks)
+	clear(p.undo[:cap(p.undo)])
+	p.i, p.errors, p.undo = 0, nil, p.undo[:0]
+	if cap(p.toks) <= maxPooledTokens {
+		p.toks = p.toks[:0]
+		parsers.Put(p)
+	}
+	return res
 }
 
-// tokenBufs recycles token buffers across Parse calls.
-var tokenBufs = sync.Pool{New: func() any { return new([]javatok.Token) }}
+// parsers recycles parsers, with their token, paren-pairing and undo
+// buffers, across Parse calls.
+var parsers = sync.Pool{New: func() any { return new(parser) }}
 
 // maxPooledTokens caps the buffers kept for reuse, so one huge input does
 // not pin its token buffer (48 bytes per token) in the pool.
 const maxPooledTokens = 1 << 16
+
+// pairParens returns, for each '(' of toks, the index of its matching ')',
+// or -1 when a ';', '{' or EOF comes first: the tokens at which a
+// lookahead for the ')' gives up. Entries of other tokens are unspecified.
+// It is one stack pass, with the stack threaded through the result itself
+// (an open paren's entry links to the paren open below it), and it reuses
+// buf's memory.
+func pairParens(buf []int32, toks []javatok.Token) []int32 {
+	parens := slices.Grow(buf[:0], len(toks))[:len(toks)]
+	top := int32(-1)
+	for i, t := range toks {
+		switch t.Kind {
+		case javatok.LParen:
+			parens[i], top = top, int32(i)
+		case javatok.RParen:
+			if top >= 0 {
+				open := top
+				top, parens[open] = parens[open], int32(i)
+			}
+		case javatok.Semi, javatok.LBrace, javatok.EOF:
+			for top >= 0 {
+				open := top
+				top, parens[open] = parens[open], -1
+			}
+		}
+	}
+	return parens
+}
 
 // parseError is the panic payload used for error recovery.
 type parseError struct {
@@ -60,6 +99,8 @@ type parseError struct {
 
 type parser struct {
 	toks   []javatok.Token
+	parens []int32 // pairParens of toks; empty when toks hold no '->'
+
 	i      int
 	errors []Error
 	undo   []savedTok // tokens expectGt overwrote, oldest first

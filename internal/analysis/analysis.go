@@ -529,21 +529,15 @@ func (an *analyzer) isCalled(ci *classInfo, m *javaast.MethodDecl) bool {
 
 // runEntry performs a forward abstract execution of one entry method over a
 // fresh state with field initializers applied and parameters bound to ⊤
-// values of their declared types. Initializer blocks run on the same state,
-// so their locals share the entry method's namespace.
+// values of their declared types (execMethod binds them, given no
+// arguments). Initializer blocks run on the same state, so their locals
+// share the entry method's namespace.
 func (an *analyzer) runEntry(ci *classInfo, m *javaast.MethodDecl) {
 	an.curFile = ci.file
 	st := absdom.NewStateFor(an.slotsOf(m), len(ci.fieldOrder))
 	fr := an.newFrame(ci, st)
 	// Field initializers (and initializer blocks) run before the entry.
 	an.initFields(ci, st, fr)
-	for _, p := range m.Params {
-		v := absdom.TopOfType(p.Type.Base(), p.Type.Dims)
-		if an.provOn {
-			v.Prov = an.prov0x(absdom.ProvParam, p, shParamOf, p.Name, m.Name)
-		}
-		st.SetVar(p.Name, v)
-	}
 	an.execMethod(ci, m, nil, st)
 }
 

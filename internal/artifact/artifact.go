@@ -5,14 +5,16 @@
 // options fingerprint — so a warm run re-derives only what actually changed
 // and a second request for the same snippet is a lookup, not an analysis.
 //
-// The store has three tiers:
+// The store has three tiers; only a store with a disk tier encodes what it
+// is given:
 //
 //   - an object tier: decoded artifacts (shared read-only — *javaast
 //     CompilationUnits, analysis results) kept in memory, capped with
 //     reset-on-cap eviction like the distcache shards;
 //   - a byte tier: encoded payloads in memory, same cap discipline;
-//   - an optional disk tier (Config.Dir): versioned, self-validating
-//     entries in a 256-way sharded layout, written atomically.
+//   - an optional disk tier (Config.Dir): self-validating records appended
+//     to one segment file per store, found through an index the store
+//     builds from the segments present on its first disk access (disk.go).
 //
 // The store can only ever miss, never fail: a corrupt, truncated, stale, or
 // cross-linked disk entry is counted (artifact.corrupt) and treated as a
@@ -30,13 +32,14 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"hash"
+	"path/filepath"
 	"sync"
 
 	"repro/internal/obs"
 )
 
 // Kind names one artifact class. The kind participates in key derivation
-// (domain separation) and names the on-disk subdirectory.
+// (domain separation) and is echoed in every disk record.
 type Kind string
 
 // The artifact classes of the pipeline.
@@ -62,9 +65,9 @@ const (
 	KindSummary Kind = "summary"
 )
 
-// FormatVersion versions every entry (key derivation and disk format).
-// Bumping it orphans all previously written artifacts — they become stale
-// entries that read as misses, never as wrong answers.
+// FormatVersion versions key derivation. Bumping it orphans all previously
+// written artifacts — they become stale entries that read as misses, never
+// as wrong answers.
 const FormatVersion = 1
 
 // Key is a content address: sha256 over the kind, the format version, and
@@ -166,7 +169,7 @@ func (h *Hasher) Key() Key {
 	return k
 }
 
-// String renders the key as lowercase hex (the on-disk file name).
+// String renders the key as lowercase hex.
 func (k Key) String() string { return hex.EncodeToString(k[:]) }
 
 // Config configures a store.
@@ -196,6 +199,8 @@ type Store struct {
 
 	flightMu sync.Mutex
 	flight   map[mkey]*flightCall
+
+	disk disk
 }
 
 type mkey struct {
@@ -204,8 +209,9 @@ type mkey struct {
 }
 
 // New builds a store. A non-empty cfg.Dir enables the disk tier lazily: the
-// directory tree is created on first write, and any I/O failure downgrades
-// the store to memory-only behavior for that entry (counted, never fatal).
+// index is built on the first disk access and the store's segment is
+// created on its first write. Any I/O failure downgrades the store to
+// memory-only behavior (counted, never fatal).
 func New(cfg Config) *Store {
 	if cfg.MemEntries <= 0 {
 		cfg.MemEntries = 1 << 14
@@ -213,13 +219,17 @@ func New(cfg Config) *Store {
 	if cfg.ObjEntries <= 0 {
 		cfg.ObjEntries = 1 << 13
 	}
-	return &Store{
+	s := &Store{
 		cfg:    cfg,
 		reg:    cfg.Metrics,
 		bytes:  map[mkey][]byte{},
 		objs:   map[mkey]any{},
 		flight: map[mkey]*flightCall{},
 	}
+	if cfg.Dir != "" {
+		s.disk.dir = filepath.Join(cfg.Dir, segDir)
+	}
+	return s
 }
 
 // Dir returns the disk tier's root ("" for a memory-only store).
@@ -283,16 +293,18 @@ func (s *Store) Get(kind Kind, k Key, decode func([]byte) (any, error)) (any, bo
 	return v, true
 }
 
-// Put stores the decoded artifact, and — when encode is non-nil — its
-// serialized payload in the byte and disk tiers. An encode error skips the
-// byte tiers silently (the object tier still serves this process).
+// Put stores the decoded artifact, and — when the store has a disk tier and
+// encode is non-nil — its serialized payload in the byte and disk tiers. A
+// memory-only store never encodes: after an object-tier reset a lookup
+// misses and the caller recomputes the same artifact. An encode error skips
+// the byte tiers silently (the object tier still serves this process).
 func (s *Store) Put(kind Kind, k Key, v any, encode func() ([]byte, error)) {
 	if s == nil {
 		return
 	}
 	mk := mkey{kind, k}
 	capPut(s, &s.objs, s.cfg.ObjEntries, mk, v)
-	if encode == nil {
+	if encode == nil || s.cfg.Dir == "" {
 		return
 	}
 	payload, err := encode()

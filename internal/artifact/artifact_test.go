@@ -1,6 +1,7 @@
 package artifact
 
 import (
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"os"
@@ -65,7 +66,7 @@ func TestNewKeyVectors(t *testing.T) {
 
 // TestMemoryRoundTrip exercises the object and byte tiers of a memory-only
 // store, asserting the exact hit/miss accounting the invalidation oracle
-// depends on.
+// depends on, and that Put never encodes without a disk tier.
 func TestMemoryRoundTrip(t *testing.T) {
 	reg := obs.NewRegistry()
 	s := New(Config{Metrics: reg})
@@ -74,20 +75,27 @@ func TestMemoryRoundTrip(t *testing.T) {
 	if _, ok := s.Get(KindAnalysis, k, nil); ok {
 		t.Fatal("hit on empty store")
 	}
-	s.Put(KindAnalysis, k, "decoded", func() ([]byte, error) { return []byte("payload"), nil })
+	s.Put(KindAnalysis, k, "decoded", func() ([]byte, error) {
+		t.Error("Put encoded on a memory-only store")
+		return []byte("payload"), nil
+	})
 	v, ok := s.Get(KindAnalysis, k, nil)
 	if !ok || v.(string) != "decoded" {
 		t.Fatalf("object tier: got %v, %v", v, ok)
 	}
+	if _, ok := s.GetBytes(KindAnalysis, k); ok {
+		t.Fatal("Put left a byte-tier copy on a memory-only store")
+	}
+	s.PutBytes(KindAnalysis, k, []byte("payload"))
 	b, ok := s.GetBytes(KindAnalysis, k)
 	if !ok || string(b) != "payload" {
 		t.Fatalf("byte tier: got %q, %v", b, ok)
 	}
 	c := counters(reg)
-	if c["artifact.hits"] != 2 || c["artifact.misses"] != 1 {
+	if c["artifact.hits"] != 2 || c["artifact.misses"] != 2 {
 		t.Fatalf("hit/miss accounting: %v", c)
 	}
-	if c["artifact.analysis.hits"] != 2 || c["artifact.analysis.misses"] != 1 {
+	if c["artifact.analysis.hits"] != 2 || c["artifact.analysis.misses"] != 2 {
 		t.Fatalf("per-kind accounting: %v", c)
 	}
 }
@@ -122,6 +130,26 @@ func TestGetDecodesByteTier(t *testing.T) {
 	}
 }
 
+// segments lists the segment files under a store directory.
+func segments(t *testing.T, dir string) []string {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, segDir, "*"+segSuffix))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return paths
+}
+
+// onlySegment returns the path of the one segment under dir.
+func onlySegment(t *testing.T, dir string) string {
+	t.Helper()
+	segs := segments(t, dir)
+	if len(segs) != 1 {
+		t.Fatalf("segments = %v, want exactly one", segs)
+	}
+	return segs[0]
+}
+
 // TestDiskRoundTrip writes through one store and reads through a fresh one
 // rooted at the same directory — the warm-run scenario.
 func TestDiskRoundTrip(t *testing.T) {
@@ -129,6 +157,7 @@ func TestDiskRoundTrip(t *testing.T) {
 	k := NewKey(KindParse, "class A {}")
 	cold := New(Config{Dir: dir})
 	cold.PutBytes(KindParse, k, []byte("ast-bytes"))
+	cold.Put(KindParse, NewKey(KindParse, "class B {}"), "B", func() ([]byte, error) { return []byte("b-bytes"), nil })
 
 	reg := obs.NewRegistry()
 	warm := New(Config{Dir: dir, Metrics: reg})
@@ -147,80 +176,237 @@ func TestDiskRoundTrip(t *testing.T) {
 	if counters(reg)["artifact.mem_hits"] != 1 {
 		t.Fatalf("promotion telemetry: %v", counters(reg))
 	}
-	// Layout: v1/<kind>/<2-hex shard>/<hex>.
-	hex := k.String()
-	if _, err := os.Stat(filepath.Join(dir, "v1", "parse", hex[:2], hex)); err != nil {
-		t.Fatalf("sharded layout missing: %v", err)
+	if b, ok := warm.GetBytes(KindParse, NewKey(KindParse, "class B {}")); !ok || string(b) != "b-bytes" {
+		t.Fatalf("encoded Put: got %q, %v", b, ok)
+	}
+	// Layout: both records in one segment, and nothing else on disk.
+	seg := onlySegment(t, dir)
+	var files []string
+	filepath.WalkDir(dir, func(path string, e os.DirEntry, err error) error {
+		if err == nil && !e.IsDir() {
+			files = append(files, path)
+		}
+		return err
+	})
+	if len(files) != 1 || files[0] != seg {
+		t.Fatalf("files under the store = %v, want only the segment %s", files, seg)
 	}
 }
 
-// TestDiskSelfValidation corrupts entries every way the format defends
-// against; each defect must read as a counted miss, never an error or a
-// wrong payload.
-func TestDiskSelfValidation(t *testing.T) {
-	corruptions := []struct {
-		name   string
-		mangle func([]byte) []byte
-	}{
-		{"flipped payload byte", func(b []byte) []byte { b[len(b)-40] ^= 0x01; return b }},
-		{"truncated", func(b []byte) []byte { return b[:len(b)-1] }},
-		{"stale magic", func(b []byte) []byte { b[0] = 'X'; return b }},
-		{"flipped key byte", func(b []byte) []byte { b[10] ^= 0x01; return b }},
-		{"empty file", func([]byte) []byte { return nil }},
+// recordDefects are the ways the record format defends against damage; each
+// takes the segment bytes and the record's offset and length.
+var recordDefects = []struct {
+	name   string
+	mangle func(b []byte, off, n int) []byte
+}{
+	{"flipped payload byte", func(b []byte, off, n int) []byte { b[off+n-sha256.Size-1] ^= 0x01; return b }},
+	{"truncated", func(b []byte, off, n int) []byte { return append(b[:off+n-1], b[off+n:]...) }},
+	{"stale magic", func(b []byte, off, n int) []byte { b[off] = 'X'; return b }},
+	{"flipped key byte", func(b []byte, off, n int) []byte {
+		b[off+len(recMagic)+len(KindAnalysis)+1+3] ^= 0x01
+		return b
+	}},
+	{"cut inside the header", func(b []byte, off, n int) []byte { return append(b[:off+20], b[off+n:]...) }},
+}
+
+// mangleSegment rewrites the segment at path through a defect applied to
+// the record at [off, off+n).
+func mangleSegment(t *testing.T, path string, off, n int, mangle func([]byte, int, int) []byte) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range corruptions {
+	if err := os.WriteFile(path, mangle(raw, off, n), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDiskSelfValidation damages the one record of a segment every way the
+// format defends against; each defect must read as a counted miss, never
+// an error or a wrong payload.
+func TestDiskSelfValidation(t *testing.T) {
+	for _, tc := range recordDefects {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			k := NewKey(KindAnalysis, "v")
 			New(Config{Dir: dir}).PutBytes(KindAnalysis, k, []byte("payload"))
-			hex := k.String()
-			path := filepath.Join(dir, "v1", "analysis", hex[:2], hex)
-			raw, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(path, tc.mangle(raw), 0o644); err != nil {
-				t.Fatal(err)
-			}
+			n := len(encodeRecord(mkey{KindAnalysis, k}, []byte("payload")))
+			mangleSegment(t, onlySegment(t, dir), 0, n, tc.mangle)
 			reg := obs.NewRegistry()
 			s := New(Config{Dir: dir, Metrics: reg})
 			if _, ok := s.GetBytes(KindAnalysis, k); ok {
 				t.Fatal("corrupt entry served as a hit")
 			}
 			c := counters(reg)
-			if c["artifact.corrupt"] != 1 || c["artifact.misses"] != 1 {
+			if c["artifact.corrupt"] != 1 || c["artifact.misses"] != 1 || c["artifact.disk_errors"] != 0 {
 				t.Fatalf("corrupt entry accounting: %v", c)
 			}
 		})
 	}
 }
 
-// TestKindCrossLink ensures an entry cannot answer for a different kind
-// even if the file lands on the matching path (the header binds both kind
-// and key).
-func TestKindCrossLink(t *testing.T) {
+// TestDiskEmptySegment: a segment with no records is a plain miss that
+// counts nothing.
+func TestDiskEmptySegment(t *testing.T) {
 	dir := t.TempDir()
-	// The same parts under two kinds produce two different keys, so to
-	// simulate a cross-link, copy the parse entry onto the analysis path.
-	kp := NewKey(KindParse, "src")
-	ka := NewKey(KindAnalysis, "src")
-	s := New(Config{Dir: dir})
-	s.PutBytes(KindParse, kp, []byte("parse-payload"))
-	src := filepath.Join(dir, "v1", "parse", kp.String()[:2], kp.String())
-	dst := filepath.Join(dir, "v1", "analysis", ka.String()[:2], ka.String())
-	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
+	if err := os.MkdirAll(filepath.Join(dir, segDir), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	b, err := os.ReadFile(src)
+	if err := os.WriteFile(filepath.Join(dir, segDir, "empty"+segSuffix), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	if _, ok := New(Config{Dir: dir, Metrics: reg}).GetBytes(KindAnalysis, NewKey(KindAnalysis, "v")); ok {
+		t.Fatal("empty segment served a hit")
+	}
+	c := counters(reg)
+	if c["artifact.misses"] != 1 || c["artifact.corrupt"] != 0 || c["artifact.disk_errors"] != 0 {
+		t.Fatalf("empty segment accounting: %v", c)
+	}
+}
+
+// TestDiskDefectMidSegment damages the middle record of three: the record
+// before it always hits, the damaged one never does, and no key is ever
+// answered with another record's payload.
+func TestDiskDefectMidSegment(t *testing.T) {
+	for _, tc := range recordDefects {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			w := New(Config{Dir: dir})
+			var keys []Key
+			var offs []int
+			off := 0
+			for i := 0; i < 3; i++ {
+				k := NewKey(KindAnalysis, fmt.Sprint(i))
+				payload := []byte(fmt.Sprintf("payload-%d", i))
+				w.PutBytes(KindAnalysis, k, payload)
+				keys, offs = append(keys, k), append(offs, off)
+				off += len(encodeRecord(mkey{KindAnalysis, k}, payload))
+			}
+			mangleSegment(t, onlySegment(t, dir), offs[1], offs[2]-offs[1], tc.mangle)
+			reg := obs.NewRegistry()
+			s := New(Config{Dir: dir, Metrics: reg})
+			for i, k := range keys {
+				b, ok := s.GetBytes(KindAnalysis, k)
+				if ok && string(b) != fmt.Sprintf("payload-%d", i) {
+					t.Fatalf("record %d served payload %q", i, b)
+				}
+				if ok != (i == 0) && i != 2 {
+					t.Fatalf("record %d: hit = %v", i, ok)
+				}
+			}
+			if c := counters(reg); c["artifact.corrupt"] == 0 {
+				t.Fatalf("damaged record not counted: %v", c)
+			}
+		})
+	}
+}
+
+// TestKindCrossLink ensures a record cannot answer for a different kind or
+// key even if its header is rewritten to claim them: the checksum binds the
+// kind and key to the payload.
+func TestKindCrossLink(t *testing.T) {
+	dir := t.TempDir()
+	kp := NewKey(KindParse, "src")
+	ka := NewKey(KindAnalysis, "src")
+	New(Config{Dir: dir}).PutBytes(KindParse, kp, []byte("parse-payload"))
+	path := onlySegment(t, dir)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(dst, b, 0o644); err != nil {
+	// Relabel the parse record as the analysis record of the same source.
+	body := raw[len(recMagic)+len(KindParse)+1+len(kp):]
+	forged := append([]byte(string(recMagic)+string(KindAnalysis)+"\n"), ka[:]...)
+	forged = append(forged, body...)
+	if err := os.WriteFile(path, forged, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	fresh := New(Config{Dir: dir})
+	reg := obs.NewRegistry()
+	fresh := New(Config{Dir: dir, Metrics: reg})
 	if _, ok := fresh.GetBytes(KindAnalysis, ka); ok {
 		t.Fatal("cross-linked entry served under the wrong kind/key")
+	}
+	if _, ok := fresh.GetBytes(KindParse, kp); ok {
+		t.Fatal("relabelled record still served under its old key")
+	}
+	if c := counters(reg); c["artifact.corrupt"] != 1 {
+		t.Fatalf("relabelled record not counted as corrupt: %v", c)
+	}
+}
+
+// TestDiskConcurrentStores runs two stores appending concurrently to one
+// directory; a third store then hits every key either wrote.
+func TestDiskConcurrentStores(t *testing.T) {
+	dir := t.TempDir()
+	const perStore = 200
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			s := New(Config{Dir: dir})
+			var inner sync.WaitGroup
+			for g := 0; g < 4; g++ {
+				inner.Add(1)
+				go func(g int) {
+					defer inner.Done()
+					for i := g; i < perStore; i += 4 {
+						k := NewKey(KindSummary, fmt.Sprint(w), fmt.Sprint(i))
+						if _, ok := s.GetBytes(KindSummary, k); !ok {
+							s.PutBytes(KindSummary, k, []byte(fmt.Sprintf("%d/%d", w, i)))
+						}
+					}
+				}(g)
+			}
+			inner.Wait()
+		}(w)
+	}
+	wg.Wait()
+	if n := len(segments(t, dir)); n != 2 {
+		t.Fatalf("segments = %d, want one per writing store", n)
+	}
+	reg := obs.NewRegistry()
+	s := New(Config{Dir: dir, Metrics: reg})
+	for w := 0; w < 2; w++ {
+		for i := 0; i < perStore; i++ {
+			b, ok := s.GetBytes(KindSummary, NewKey(KindSummary, fmt.Sprint(w), fmt.Sprint(i)))
+			if !ok || string(b) != fmt.Sprintf("%d/%d", w, i) {
+				t.Fatalf("store %d key %d: got %q, %v", w, i, b, ok)
+			}
+		}
+	}
+	if c := counters(reg); c["artifact.disk_hits"] != 2*perStore || c["artifact.corrupt"] != 0 {
+		t.Fatalf("third store accounting: %v", c)
+	}
+}
+
+// TestDiskSegmentBound writes one record from each of 40 stores: no store
+// ever reads more than maxSegments segments, so the directory never holds
+// more than maxSegments+1, and a fresh store still hits all 40 keys.
+func TestDiskSegmentBound(t *testing.T) {
+	dir := t.TempDir()
+	const stores = 40
+	key := func(i int) Key { return NewKey(KindCheck, fmt.Sprint(i)) }
+	for i := 0; i < stores; i++ {
+		New(Config{Dir: dir}).PutBytes(KindCheck, key(i), []byte(fmt.Sprint(i)))
+		if n := len(segments(t, dir)); n > maxSegments+1 {
+			t.Fatalf("after store %d: %d segments, bound %d", i, n, maxSegments+1)
+		}
+	}
+	reg := obs.NewRegistry()
+	s := New(Config{Dir: dir, Metrics: reg})
+	for i := 0; i < stores; i++ {
+		if b, ok := s.GetBytes(KindCheck, key(i)); !ok || string(b) != fmt.Sprint(i) {
+			t.Fatalf("key %d: got %q, %v", i, b, ok)
+		}
+	}
+	if n := len(segments(t, dir)); n > maxSegments {
+		t.Fatalf("fresh store left %d segments, bound %d", n, maxSegments)
+	}
+	if c := counters(reg); c["artifact.corrupt"] != 0 || c["artifact.disk_errors"] != 0 {
+		t.Fatalf("merge accounting: %v", c)
 	}
 }
 

@@ -1,52 +1,304 @@
 package artifact
 
 import (
+	"bufio"
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"hash"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
+	"sync"
 )
 
-// Disk tier: one file per artifact under a 256-way sharded layout,
+// Disk tier: append-only segment files in one directory,
 //
-//	<dir>/v<FormatVersion>/<kind>/<hex[0:2]>/<hex>
+//	<dir>/seg-v1/<unique>.seg
 //
-// so no single directory accumulates an unbounded entry count and shards of
-// the corpus artifact space can be synced, pruned, or distributed
-// independently.
+// A store creates one segment of its own (a fresh name, opened O_EXCL) on
+// its first disk write and appends every record to it with one write, so a
+// record is in the file before Put returns and a store needs no Close. On
+// its first disk access the store builds an index: it reads the segments
+// present, verifies each record and maps (kind, key) to (segment, offset,
+// length). Payloads are hashed on the way past, never kept. A lookup reads
+// one record with ReadAt and validates it again.
 //
-// Every entry is self-validating:
+// Every record is self-validating:
 //
-//	magic "dcart1\n" | kind | '\n' | key (32 B) | payload len (8 B LE)
-//	| payload | sha256(payload) (32 B)
+//	magic "dcseg1\n" | kind | '\n' | key (32 B) | payload len (8 B LE)
+//	| payload | sha256(everything before it) (32 B)
 //
-// A reader rejects anything that does not check out — wrong magic (a stale
-// format), wrong kind or key (a cross-linked or renamed file), wrong length
-// (truncation), wrong checksum (corruption) — and treats it as a miss,
-// never an error. Writes go through a temp file + rename, so a crashed
-// writer leaves either the old entry or no entry, never a torn one.
+// The checksum covers the header too, so a damaged kind, key or length is
+// rejected rather than filed under a wrong key. A record that does not check
+// out — stale magic, wrong kind or key, wrong length, wrong checksum — is a
+// miss counted in artifact.corrupt, never an error or a wrong payload. A
+// framed record that fails its checksum is skipped and the scan goes on
+// past it; a record that cannot be framed (bad magic, a length past the end
+// of the file) ends the scan of its segment, so a torn tail costs only the
+// record it cuts. The first valid copy of a key in the scan wins; a store's
+// own later write of a key replaces it in that store's index.
+//
+// Processes can share a directory: each appends only to its own segment and
+// sees the segments present when it built its index plus its own writes, so
+// two processes on one directory at worst redo work. Open files and index
+// time stay bounded: a store that finds more than maxSegments segments
+// merges their valid records into its own segment and removes the inputs.
+//
+// Segments live in their own directory, so per-entry files that older
+// builds wrote under <dir>/v1 are neither read nor removed.
 
-var diskMagic = []byte("dcart1\n")
+var recMagic = []byte("dcseg1\n")
 
-// diskPath returns the entry path for a key.
-func (s *Store) diskPath(mk mkey) string {
-	hex := mk.key.String()
-	return filepath.Join(s.cfg.Dir, "v1", string(mk.kind), hex[:2], hex)
+const (
+	segDir    = "seg-v1"
+	segSuffix = ".seg"
+	// maxSegments bounds the segments a store reads at once. Above it the
+	// store merges them into its own segment.
+	maxSegments = 16
+)
+
+// recLoc locates one record: its segment, byte offset, and length.
+type recLoc struct {
+	seg    int
+	off, n int64
 }
 
-// diskRead loads and validates one entry; any defect is a miss.
-func (s *Store) diskRead(mk mkey) ([]byte, bool) {
-	b, err := os.ReadFile(s.diskPath(mk))
+// disk is a store's view of its segment directory. once builds the index;
+// mu guards everything after that.
+type disk struct {
+	dir  string
+	once sync.Once
+
+	mu      sync.RWMutex
+	segs    []*os.File
+	index   map[mkey]recLoc
+	own     int   // this store's segment in segs; -1 before the first write
+	ownOff  int64 // its length
+	noWrite bool  // a create or append failed: the disk takes no more writes
+}
+
+// diskIndex builds the index on the first disk access and returns the tier.
+func (s *Store) diskIndex() *disk {
+	s.disk.once.Do(s.loadIndex)
+	return &s.disk
+}
+
+func (s *Store) loadIndex() {
+	d := &s.disk
+	d.index = map[mkey]recLoc{}
+	d.own = -1
+	ents, err := os.ReadDir(d.dir)
 	if err != nil {
-		// Absent is the normal miss; any other read error means the disk
-		// tier is unhealthy for this entry — same answer either way.
 		if !os.IsNotExist(err) {
+			s.reg.Counter("artifact.disk_errors").Inc()
+		}
+		return
+	}
+	var names []string
+	for _, e := range ents {
+		if e.Type().IsRegular() && strings.HasSuffix(e.Name(), segSuffix) {
+			names = append(names, e.Name())
+		}
+	}
+	if len(names) > maxSegments {
+		if s.createSegment() {
+			s.merge(names)
+			return
+		}
+		names = names[:maxSegments] // a read-only directory: read what the bound allows
+	}
+	for _, name := range names {
+		f, err := os.Open(filepath.Join(d.dir, name))
+		if err != nil {
+			if !os.IsNotExist(err) { // else a concurrent merge took it
+				s.reg.Counter("artifact.disk_errors").Inc()
+			}
+			continue
+		}
+		seg := len(d.segs)
+		d.segs = append(d.segs, f)
+		s.scan(f, func(mk mkey, off, n int64) {
+			if _, dup := d.index[mk]; !dup {
+				d.index[mk] = recLoc{seg, off, n}
+			}
+		})
+	}
+}
+
+// merge copies the first valid copy of every key in the named segments into
+// this store's new segment, then removes the inputs. At an I/O error it
+// stops, removes nothing and writes no more to its segment: what it copied
+// stays indexed, and the records it did not reach are misses.
+func (s *Store) merge(names []string) {
+	d := &s.disk
+	w := bufio.NewWriterSize(d.segs[d.own], 64<<10)
+	var copies []recLoc // the current input's records to copy
+	var buf []byte
+	ok := true
+	for _, name := range names {
+		f, err := os.Open(filepath.Join(d.dir, name))
+		if os.IsNotExist(err) {
+			continue // a concurrent merge took it
+		}
+		if ok = err == nil; !ok {
+			break
+		}
+		copies = copies[:0]
+		ok = s.scan(f, func(mk mkey, off, n int64) {
+			if _, dup := d.index[mk]; !dup {
+				d.index[mk] = recLoc{d.own, d.ownOff, n}
+				d.ownOff += n
+				copies = append(copies, recLoc{off: off, n: n})
+			}
+		})
+		for _, c := range copies {
+			buf = slices.Grow(buf[:0], int(c.n))[:c.n]
+			if _, err := f.ReadAt(buf, c.off); err != nil {
+				ok = false
+				break
+			}
+			w.Write(buf)
+		}
+		f.Close()
+		if !ok {
+			break
+		}
+	}
+	if w.Flush() != nil || !ok {
+		s.reg.Counter("artifact.disk_errors").Inc()
+		d.noWrite = true
+		return
+	}
+	for _, name := range names {
+		os.Remove(filepath.Join(d.dir, name))
+	}
+}
+
+// createSegment opens this store's own segment. Called with d.mu held or
+// before the index is published.
+func (s *Store) createSegment() bool {
+	d := &s.disk
+	if d.noWrite {
+		return false
+	}
+	if err := os.MkdirAll(d.dir, 0o755); err == nil {
+		if f, err := os.CreateTemp(d.dir, "*"+segSuffix); err == nil {
+			d.own, d.ownOff = len(d.segs), 0
+			d.segs = append(d.segs, f)
+			return true
+		}
+	}
+	d.noWrite = true
+	return false
+}
+
+// scan walks the records of one segment in order and calls visit for each
+// one whose checksum verifies. Each defective record counts as corrupt: a
+// framed one is skipped, and one that cannot be framed ends the scan. It
+// reports false when the segment cannot be read at all.
+func (s *Store) scan(f *os.File, visit func(mk mkey, off, n int64)) bool {
+	fi, err := f.Stat()
+	if err != nil {
+		s.reg.Counter("artifact.disk_errors").Inc()
+		return false
+	}
+	sc := scanner{
+		r:     bufio.NewReaderSize(io.NewSectionReader(f, 0, fi.Size()), 64<<10),
+		h:     sha256.New(),
+		kinds: map[string]Kind{},
+	}
+	for off, size := int64(0), fi.Size(); off < size; {
+		mk, n, valid := sc.next(size - off)
+		if n == 0 || !valid {
+			s.reg.Counter("artifact.corrupt").Inc()
+		}
+		if n == 0 {
+			break
+		}
+		if valid {
+			visit(mk, off, n)
+		}
+		off += n
+	}
+	return true
+}
+
+// scanner reads records sequentially, hashing each on the way past; it
+// keeps no payload.
+type scanner struct {
+	r     *bufio.Reader
+	h     hash.Hash
+	kinds map[string]Kind // interned kind strings
+	hdr   [sha256.Size + 8]byte
+	sum   [2][sha256.Size]byte
+}
+
+// next reads the record at the reader's position, with rest bytes left in
+// the segment. It returns the record's identity, its length (0 when it
+// cannot be framed), and whether its checksum verifies.
+func (sc *scanner) next(rest int64) (mk mkey, n int64, valid bool) {
+	sc.h.Reset()
+	magic := sc.hdr[:len(recMagic)]
+	if _, err := io.ReadFull(sc.r, magic); err != nil || !bytes.Equal(magic, recMagic) {
+		return mk, 0, false
+	}
+	sc.h.Write(recMagic)
+	line, err := sc.r.ReadSlice('\n')
+	if err != nil {
+		return mk, 0, false
+	}
+	sc.h.Write(line)
+	kind, ok := sc.kinds[string(line)]
+	if !ok {
+		kind = Kind(line[:len(line)-1])
+		sc.kinds[string(line)] = kind
+	}
+	head := int64(len(recMagic) + len(line) + len(sc.hdr))
+	if _, err := io.ReadFull(sc.r, sc.hdr[:]); err != nil {
+		return mk, 0, false
+	}
+	sc.h.Write(sc.hdr[:])
+	plen := binary.LittleEndian.Uint64(sc.hdr[sha256.Size:])
+	if max := rest - head - sha256.Size; max < 0 || plen > uint64(max) {
+		return mk, 0, false
+	}
+	if _, err := io.CopyN(sc.h, sc.r, int64(plen)); err != nil {
+		return mk, 0, false
+	}
+	if _, err := io.ReadFull(sc.r, sc.sum[0][:]); err != nil {
+		return mk, 0, false
+	}
+	mk.kind = kind
+	copy(mk.key[:], sc.hdr[:sha256.Size])
+	return mk, head + int64(plen) + sha256.Size, sc.sum[0] == [sha256.Size]byte(sc.h.Sum(sc.sum[1][:0]))
+}
+
+// diskRead loads and validates one record; any defect is a miss.
+func (s *Store) diskRead(mk mkey) ([]byte, bool) {
+	d := s.diskIndex()
+	d.mu.RLock()
+	loc, ok := d.index[mk]
+	var f *os.File
+	if ok {
+		f = d.segs[loc.seg]
+	}
+	d.mu.RUnlock()
+	if !ok {
+		return nil, false
+	}
+	rec := make([]byte, loc.n)
+	if _, err := f.ReadAt(rec, loc.off); err != nil {
+		if err == io.EOF {
+			s.reg.Counter("artifact.corrupt").Inc()
+		} else {
 			s.reg.Counter("artifact.disk_errors").Inc()
 		}
 		return nil, false
 	}
-	payload, ok := decodeEntry(b, mk)
+	payload, ok := decodeRecord(rec, mk)
 	if !ok {
 		s.reg.Counter("artifact.corrupt").Inc()
 		return nil, false
@@ -54,79 +306,69 @@ func (s *Store) diskRead(mk mkey) ([]byte, bool) {
 	return payload, true
 }
 
-// decodeEntry validates the header, identity, length, and checksum of one
-// raw entry and returns its payload.
-func decodeEntry(b []byte, mk mkey) ([]byte, bool) {
-	if !bytes.HasPrefix(b, diskMagic) {
+// decodeRecord validates the magic, identity, length, and checksum of one
+// raw record and returns its payload.
+func decodeRecord(b []byte, mk mkey) ([]byte, bool) {
+	head := len(recMagic) + len(mk.kind) + 1 + len(mk.key) + 8
+	if len(b) < head+sha256.Size {
 		return nil, false
 	}
-	b = b[len(diskMagic):]
-	nl := bytes.IndexByte(b, '\n')
-	if nl < 0 || string(b[:nl]) != string(mk.kind) {
+	body, sum := b[:len(b)-sha256.Size], b[len(b)-sha256.Size:]
+	if !bytes.HasPrefix(body, recMagic) {
 		return nil, false
 	}
-	b = b[nl+1:]
-	if len(b) < len(mk.key)+8 {
+	h := body[len(recMagic):]
+	if string(h[:len(mk.kind)]) != string(mk.kind) || h[len(mk.kind)] != '\n' {
 		return nil, false
 	}
-	if !bytes.Equal(b[:len(mk.key)], mk.key[:]) {
+	h = h[len(mk.kind)+1:]
+	if !bytes.Equal(h[:len(mk.key)], mk.key[:]) {
 		return nil, false
 	}
-	b = b[len(mk.key):]
-	n := binary.LittleEndian.Uint64(b[:8])
-	b = b[8:]
-	if uint64(len(b)) != n+sha256.Size {
+	if binary.LittleEndian.Uint64(h[len(mk.key):]) != uint64(len(body)-head) {
 		return nil, false
 	}
-	payload, sum := b[:n], b[n:]
-	got := sha256.Sum256(payload)
-	if !bytes.Equal(got[:], sum) {
+	if got := sha256.Sum256(body); !bytes.Equal(got[:], sum) {
 		return nil, false
 	}
-	return payload, true
+	return body[head:], true
 }
 
-// encodeEntry renders the on-disk form of one entry.
-func encodeEntry(mk mkey, payload []byte) []byte {
-	sum := sha256.Sum256(payload)
-	var lenBuf [8]byte
-	binary.LittleEndian.PutUint64(lenBuf[:], uint64(len(payload)))
-	out := make([]byte, 0, len(diskMagic)+len(mk.kind)+1+len(mk.key)+8+len(payload)+len(sum))
-	out = append(out, diskMagic...)
+// encodeRecord renders the on-disk form of one record.
+func encodeRecord(mk mkey, payload []byte) []byte {
+	out := make([]byte, 0, len(recMagic)+len(mk.kind)+1+len(mk.key)+8+len(payload)+sha256.Size)
+	out = append(out, recMagic...)
 	out = append(out, mk.kind...)
 	out = append(out, '\n')
 	out = append(out, mk.key[:]...)
-	out = append(out, lenBuf[:]...)
+	out = binary.LittleEndian.AppendUint64(out, uint64(len(payload)))
 	out = append(out, payload...)
-	out = append(out, sum[:]...)
-	return out
+	sum := sha256.Sum256(out)
+	return append(out, sum[:]...)
 }
 
-// diskWrite persists one entry atomically; failures are counted and
-// swallowed (the memory tier still has the artifact).
+// diskWrite appends one record to this store's segment; failures are
+// counted and swallowed (the memory tier still has the artifact). A failed
+// append may leave a torn record, and records behind it would be lost to
+// every scan, so the segment then takes no more.
 func (s *Store) diskWrite(mk mkey, payload []byte) bool {
-	path := s.diskPath(mk)
-	dir := filepath.Dir(path)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	d := s.diskIndex()
+	rec := encodeRecord(mk, payload)
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.own < 0 && !d.noWrite {
+		s.createSegment()
+	}
+	if d.noWrite {
 		s.reg.Counter("artifact.disk_errors").Inc()
 		return false
 	}
-	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp*")
-	if err != nil {
+	if _, err := d.segs[d.own].Write(rec); err != nil {
+		d.noWrite = true
 		s.reg.Counter("artifact.disk_errors").Inc()
 		return false
 	}
-	_, werr := tmp.Write(encodeEntry(mk, payload))
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		s.reg.Counter("artifact.disk_errors").Inc()
-		return false
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		s.reg.Counter("artifact.disk_errors").Inc()
-		return false
-	}
+	d.index[mk] = recLoc{d.own, d.ownOff, int64(len(rec))}
+	d.ownOff += int64(len(rec))
 	return true
 }

@@ -2,8 +2,12 @@ package core
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -290,5 +294,67 @@ func TestCheckRequestPartialOnBudget(t *testing.T) {
 	}
 	if n := reg.Counter("checker.programs").Value(); n != 2 {
 		t.Errorf("checker.programs = %d, want 2 (partial checks are counted)", n)
+	}
+}
+
+// TestArtifactOldLayoutIgnored runs the pipeline over a cache directory in
+// the per-entry layout of older builds (<dir>/v1/<kind>/<xx>/<hex>, one
+// framed file per artifact) holding every analysis artifact of the run.
+// The run reads none of them and changes none of them: it computes every
+// change, counts no corrupt entry or disk error, and its output is the
+// storeless pipeline's.
+func TestArtifactOldLayoutIgnored(t *testing.T) {
+	c := determinismCorpus()
+	opts := Options{Workers: 2}
+	want := pipelineFingerprint(t, c, opts)
+
+	// Fill a cache of the current format, then file each analysis artifact
+	// it holds in the old layout.
+	cur := t.TempDir()
+	pipelineFingerprint(t, c, Options{Workers: 2, Artifacts: artifact.New(artifact.Config{Dir: cur})})
+	src := artifact.New(artifact.Config{Dir: cur})
+	d := New(opts)
+	old := t.TempDir()
+	files := map[string]string{}
+	for _, cc := range d.collect(context.Background(), c) {
+		k := artifact.NewKey(artifact.KindAnalysis, d.optFP, cc.Old, cc.New)
+		payload, ok := src.GetBytes(artifact.KindAnalysis, k)
+		if !ok {
+			continue
+		}
+		entry := append([]byte("dcart1\nanalysis\n"), k[:]...)
+		entry = binary.LittleEndian.AppendUint64(entry, uint64(len(payload)))
+		entry = append(entry, payload...)
+		sum := sha256.Sum256(payload)
+		entry = append(entry, sum[:]...)
+		hex := k.String()
+		path := filepath.Join(old, "v1", "analysis", hex[:2], hex)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, entry, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		files[path] = string(entry)
+	}
+	if len(files) == 0 {
+		t.Fatal("the cold run left no analysis artifacts to re-file")
+	}
+
+	reg := obs.NewRegistry()
+	got := pipelineFingerprint(t, c, Options{Workers: 2, Metrics: reg,
+		Artifacts: artifact.New(artifact.Config{Dir: old, Metrics: reg})})
+	if got != want {
+		t.Errorf("fingerprint over an old-layout cache differs from storeless\ngot:\n%.800s\nwant:\n%.800s", got, want)
+	}
+	cs := obs.TakeSnapshot(reg, false).Counters
+	if cs["artifact.analysis.hits"] != 0 || cs["artifact.disk_hits"] != 0 || cs["artifact.analysis.computes"] == 0 ||
+		cs["artifact.corrupt"] != 0 || cs["artifact.disk_errors"] != 0 {
+		t.Errorf("old-layout run accounting: %v", cs)
+	}
+	for path, entry := range files {
+		if b, err := os.ReadFile(path); err != nil || string(b) != entry {
+			t.Fatalf("old entry %s changed or removed: %v", path, err)
+		}
 	}
 }

@@ -1,10 +1,12 @@
 package javaparser
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/cputime"
 	"repro/internal/javatok"
 )
 
@@ -18,15 +20,22 @@ func nestedParens(n int) string {
 // interleaving the two depths over several rounds and keeping each depth's
 // fastest run. The times are the process's CPU time where the platform
 // reports it, so test packages running alongside do not inflate either
-// side. A lambda lookahead that rescans to the matching ')' at every '('
+// side. Each timed call follows a collection, so no call pays for the
+// garbage of the one before, and then an untimed parse of the same input,
+// so both depths run with a grown stack and a pooled parser: the
+// collection shrinks the stack and may empty the pool, and regrowing a
+// stack of tens of megabytes would otherwise weigh on the deeper side
+// only. A lambda lookahead that rescans to the matching ')' at every '('
 // makes parsing quadratic in the depth, a ratio near 4; linear parsing
 // stays well under the bound of 3.
 func TestParseDepthScalesLinearly(t *testing.T) {
 	const n, rounds = 10000, 7
 	parse := func(src string) time.Duration {
-		start := cpuTime()
+		runtime.GC()
+		Parse(src)
+		start := cputime.Process()
 		res := Parse(src)
-		d := cpuTime() - start
+		d := cputime.Process() - start
 		if len(res.Errors) != 0 {
 			t.Fatalf("depth %d: %v", strings.Count(src, "("), res.Errors[0])
 		}

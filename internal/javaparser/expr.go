@@ -165,6 +165,12 @@ func (p *parser) parseUnary() javaast.Expr {
 // tryParseCast speculatively parses "(Type) unary" casts, returning nil when
 // the parenthesized run is an ordinary expression.
 func (p *parser) tryParseCast() javaast.Expr {
+	// Only an identifier or a primitive keyword can start the type. Any other
+	// token after '(' is no cast, and the speculation would only format an
+	// error and panic to find that out.
+	if nt := p.peek(); nt.Kind != javatok.Ident && (nt.Kind != javatok.Keyword || !primitiveTypes[nt.Text]) {
+		return nil
+	}
 	m := p.mark()
 	pos := p.cur().Pos
 	c := func() (c javaast.Expr) {

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cputime"
 	"repro/internal/ruledsl"
 	"repro/internal/rules"
 )
@@ -99,16 +100,19 @@ func TestPackLoadScalesLinearly(t *testing.T) {
 }
 
 // scalesLinearly times the pack at n and at 2n, interleaving the two
-// sizes over several rounds and keeping each size's fastest run. Load from
-// other test packages then lands on both sides alike instead of skewing one
-// side's minimum.
+// sizes over several rounds and keeping each size's fastest run. The times
+// are the process's CPU time where the platform reports it, so test
+// packages running alongside do not inflate either side, and each call
+// starts after a collection, so no call pays for the garbage of the one
+// before.
 func scalesLinearly(t *testing.T, gen func(n int) string) {
 	const n, rounds = 5000, 7
 	load := func(src string) time.Duration {
-		start := time.Now()
+		runtime.GC()
+		start := cputime.Process()
 		pack := ruledsl.ParsePack("wide.rules", src)
 		Lint([]*ruledsl.Pack{pack}, Options{Builtins: rules.All(), Reserved: rules.CryptoLint()})
-		return time.Since(start)
+		return cputime.Process() - start
 	}
 	src1, src2 := gen(n), gen(2*n)
 	t1, t2 := time.Duration(1<<62), time.Duration(1<<62)

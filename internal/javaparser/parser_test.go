@@ -2,6 +2,7 @@ package javaparser
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -530,6 +531,25 @@ func BenchmarkParse(b *testing.B) {
 		var n int64
 		for _, s := range srcs {
 			n += int64(len(s))
+		}
+		b.ReportAllocs()
+		b.SetBytes(n)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, s := range srcs {
+				Parse(s)
+			}
+		}
+	})
+	// One op parses 20 programs shaped like the checker benchmark's
+	// helper-heavy inputs: long runs of string locals and helper calls.
+	b.Run("helper-chain", func(b *testing.B) {
+		r := rand.New(rand.NewSource(1))
+		srcs := make([]string, 20)
+		var n int64
+		for i := range srcs {
+			srcs[i] = genHelperChain(r, i)
+			n += int64(len(srcs[i]))
 		}
 		b.ReportAllocs()
 		b.SetBytes(n)

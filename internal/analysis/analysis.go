@@ -243,7 +243,7 @@ type classField struct {
 
 type siteKey struct {
 	file   int
-	offset int
+	offset int32
 }
 
 type analyzer struct {

@@ -40,7 +40,7 @@ func (an *analyzer) prov0(kind absdom.ProvKind, n javaast.Node, shape *absdom.La
 		return nil
 	}
 	p := n.Pos()
-	return an.provArena.NewShape(kind, an.filePtr(), p.Line, p.Col, shape, name, "", nil, nil)
+	return an.provArena.NewShape(kind, an.filePtr(), int(p.Line), int(p.Col), shape, name, "", nil, nil)
 }
 
 // prov1 records a definition step consuming one input value's history.
@@ -49,7 +49,7 @@ func (an *analyzer) prov1(kind absdom.ProvKind, n javaast.Node, shape *absdom.La
 		return nil
 	}
 	p := n.Pos()
-	return an.provArena.NewShape(kind, an.filePtr(), p.Line, p.Col, shape, name, "", prev, nil)
+	return an.provArena.NewShape(kind, an.filePtr(), int(p.Line), int(p.Col), shape, name, "", prev, nil)
 }
 
 // prov2 records a definition step consuming two input histories.
@@ -58,7 +58,7 @@ func (an *analyzer) prov2(kind absdom.ProvKind, n javaast.Node, shape *absdom.La
 		return nil
 	}
 	p := n.Pos()
-	return an.provArena.NewShape(kind, an.filePtr(), p.Line, p.Col, shape, name, "", p0, p1)
+	return an.provArena.NewShape(kind, an.filePtr(), int(p.Line), int(p.Col), shape, name, "", p0, p1)
 }
 
 // prov0x, prov1x, and prov2x are the two-name variants for labels like
@@ -68,7 +68,7 @@ func (an *analyzer) prov0x(kind absdom.ProvKind, n javaast.Node, shape *absdom.L
 		return nil
 	}
 	p := n.Pos()
-	return an.provArena.NewShape(kind, an.filePtr(), p.Line, p.Col, shape, n1, n2, nil, nil)
+	return an.provArena.NewShape(kind, an.filePtr(), int(p.Line), int(p.Col), shape, n1, n2, nil, nil)
 }
 
 func (an *analyzer) prov1x(kind absdom.ProvKind, n javaast.Node, shape *absdom.LabelShape, n1, n2 string, prev *absdom.Prov) *absdom.Prov {
@@ -76,7 +76,7 @@ func (an *analyzer) prov1x(kind absdom.ProvKind, n javaast.Node, shape *absdom.L
 		return nil
 	}
 	p := n.Pos()
-	return an.provArena.NewShape(kind, an.filePtr(), p.Line, p.Col, shape, n1, n2, prev, nil)
+	return an.provArena.NewShape(kind, an.filePtr(), int(p.Line), int(p.Col), shape, n1, n2, prev, nil)
 }
 
 func (an *analyzer) prov2x(kind absdom.ProvKind, n javaast.Node, shape *absdom.LabelShape, n1, n2 string, p0, p1 *absdom.Prov) *absdom.Prov {
@@ -84,7 +84,7 @@ func (an *analyzer) prov2x(kind absdom.ProvKind, n javaast.Node, shape *absdom.L
 		return nil
 	}
 	p := n.Pos()
-	return an.provArena.NewShape(kind, an.filePtr(), p.Line, p.Col, shape, n1, n2, p0, p1)
+	return an.provArena.NewShape(kind, an.filePtr(), int(p.Line), int(p.Col), shape, n1, n2, p0, p1)
 }
 
 // fileName resolves the analyzer's current file index to its source name.

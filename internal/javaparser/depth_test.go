@@ -1,6 +1,7 @@
 package javaparser
 
 import (
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -27,14 +28,19 @@ func nestedParens(n int) string {
 // stack of tens of megabytes would otherwise weigh on the deeper side
 // only. A lambda lookahead that rescans to the matching ')' at every '('
 // makes parsing quadratic in the depth, a ratio near 4; linear parsing
-// stays well under the bound of 3.
+// stays well under the bound of 3. The deeper input nests under maxDepth,
+// and each timed call parses its input several times so that it lasts
+// milliseconds.
 func TestParseDepthScalesLinearly(t *testing.T) {
-	const n, rounds = 10000, 7
+	const n, rounds, reps = 2000, 7, 8
 	parse := func(src string) time.Duration {
 		runtime.GC()
 		Parse(src)
 		start := cputime.Process()
-		res := Parse(src)
+		var res Result
+		for range reps {
+			res = Parse(src)
+		}
 		d := cputime.Process() - start
 		if len(res.Errors) != 0 {
 			t.Fatalf("depth %d: %v", strings.Count(src, "("), res.Errors[0])
@@ -73,5 +79,41 @@ func TestPairParens(t *testing.T) {
 				t.Errorf("%q: '(' at %d pairs with %d, want %d", c.src, open, got[open], want)
 			}
 		}
+	}
+}
+
+// TestParseNestingCap feeds inputs nested far past maxDepth, one for each
+// construct the parser recurses on. Each must come back in-process, with
+// one error that reports the cap, instead of overflowing the goroutine
+// stack; the parenthesized, block and unary inputs nest 800,000 levels,
+// 1.6 MB of source or more. An input nested just under the cap parses
+// cleanly.
+func TestParseNestingCap(t *testing.T) {
+	const deep, past = 800000, 2 * maxDepth
+	for _, c := range []struct{ name, src string }{
+		{"parens", nestedParens(deep)},
+		{"blocks", "class A { void f() { " + strings.Repeat("{", deep) + strings.Repeat("}", deep) + " } }"},
+		{"unclosed blocks", "class A { void f() { " + strings.Repeat("{", deep)},
+		{"unary minus", "class A { int x = " + strings.Repeat("- ", deep) + "1; }"},
+		{"ifs", "class A { void f() { " + strings.Repeat("if (x) ", past) + "; } }"},
+		{"labels", "class A { void f() { " + strings.Repeat("l: ", past) + "; } }"},
+		{"conditionals", "class A { int x = " + strings.Repeat("c ? a : ", past) + "1; }"},
+		{"assignments", "class A { void f() { " + strings.Repeat("a = ", past) + "1; } }"},
+		{"lambdas", "class A { Object x = " + strings.Repeat("x -> ", past) + "1; }"},
+		{"casts", "class A { void f() { x = " + strings.Repeat("(a) ", past) + "1; } }"},
+		{"calls", "class A { void f() { " + strings.Repeat("f(", past) + strings.Repeat(")", past) + "; } }"},
+		{"array initializers", "class A { int[] x = " + strings.Repeat("{", past) + strings.Repeat("}", past) + "; }"},
+		{"type arguments", "class A { void f() { A" + strings.Repeat("<A", past) + strings.Repeat(">", past) + " x; } }"},
+		{"nested classes", strings.Repeat("class A { ", past) + strings.Repeat("}", past)},
+		{"anonymous classes", "class A { Object x = " + strings.Repeat("new A() { Object x = ", past) + "; }"},
+	} {
+		res := Parse(c.src)
+		want := fmt.Sprintf("nesting deeper than %d levels", maxDepth)
+		if len(res.Errors) != 1 || res.Errors[0].Msg != want {
+			t.Errorf("%s: errors %v, want one %q", c.name, res.Errors, want)
+		}
+	}
+	if res := Parse(nestedParens(maxDepth - 8)); len(res.Errors) != 0 {
+		t.Errorf("depth %d: %v", maxDepth-8, res.Errors)
 	}
 }

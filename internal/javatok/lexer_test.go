@@ -185,7 +185,7 @@ func TestPositions(t *testing.T) {
 	toks := Tokenize(src)
 	checks := []struct {
 		idx       int
-		line, col int
+		line, col int32
 	}{
 		{0, 1, 1}, // int
 		{1, 1, 5}, // x
@@ -246,9 +246,9 @@ func TestQuickTokenizeTotal(t *testing.T) {
 		if len(toks) == 0 || toks[len(toks)-1].Kind != EOF {
 			return false
 		}
-		prev := -1
+		prev := int32(-1)
 		for _, tok := range toks {
-			if tok.Pos.Offset < prev || tok.Pos.Offset > len(s) {
+			if tok.Pos.Offset < prev || tok.Pos.Offset > int32(len(s)) {
 				return false
 			}
 			prev = tok.Pos.Offset
@@ -386,7 +386,9 @@ func refTokenize(src string) []Token {
 	}
 }
 
-func (lx *refLexer) pos() Pos { return Pos{Offset: lx.off, Line: lx.line, Col: lx.col} }
+func (lx *refLexer) pos() Pos {
+	return Pos{Offset: int32(lx.off), Line: int32(lx.line), Col: int32(lx.col)}
+}
 
 func (lx *refLexer) peek() rune {
 	if lx.off >= len(lx.src) {

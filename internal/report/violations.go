@@ -41,7 +41,7 @@ func violationLoc(v rules.Violation, res *analysis.Result) (file string, line, o
 		return "", 0, 0
 	}
 	o := v.Objs[0]
-	return objFile(o, res), o.Site.Line, o.ID
+	return objFile(o, res), int(o.Site.Line), o.ID
 }
 
 // objFile recovers the source file of an abstract object from its events

@@ -81,7 +81,7 @@ type Violation struct {
 // Object locates one witness object of a violation.
 type Object struct {
 	Label string `json:"label"`
-	Line  int    `json:"line"`
+	Line  int32  `json:"line"`
 }
 
 // AnalyzeRequest is the /v1/analyze request body: a batch of code changes

@@ -75,8 +75,8 @@ func ForViolation(v rules.Violation, res *analysis.Result, ctx rules.Context) []
 			tr.Steps = append(tr.Steps, Step{
 				Kind: "sink",
 				File: ev.File,
-				Line: ev.Pos.Line,
-				Col:  ev.Pos.Col,
+				Line: int(ev.Pos.Line),
+				Col:  int(ev.Pos.Col),
 				What: rules.FormatEvent(ev),
 			})
 			out = append(out, tr)

@@ -204,8 +204,7 @@ func runCorpus(run *cliutil.Run, dir string, classes []string, opts core.Options
 	// the work they skipped into it.
 	ledger := resilience.NewLedger()
 	opts.Ledger = ledger
-	loadOpts := []corpus.LoadOption{corpus.WithLedger(ledger), corpus.WithMetrics(run.Reg),
-		corpus.WithArtifacts(opts.Artifacts)}
+	loadOpts := []corpus.LoadOption{corpus.WithLedger(ledger), corpus.WithMetrics(run.Reg)}
 	if opts.FailFast {
 		loadOpts = append(loadOpts, corpus.Strict())
 	}

@@ -5,16 +5,18 @@
 // options fingerprint — so a warm run re-derives only what actually changed
 // and a second request for the same snippet is a lookup, not an analysis.
 //
-// The store has three tiers; only a store with a disk tier encodes what it
-// is given:
+// The store has two tiers, and it alone decides where an in-memory artifact
+// lives and how that memory is bounded:
 //
 //   - an object tier: decoded artifacts (shared read-only — *javaast
-//     CompilationUnits, analysis results) kept in memory, capped with
-//     reset-on-cap eviction like the distcache shards;
-//   - a byte tier: encoded payloads in memory, same cap discipline;
+//     CompilationUnits, analysis results, method summaries) kept in memory,
+//     capped at Config.ObjEntries with reset-on-cap eviction like the
+//     distcache shards;
 //   - an optional disk tier (Config.Dir): self-validating records appended
 //     to one segment file per store, found through an index the store
 //     builds from the segments present on its first disk access (disk.go).
+//     Only a store with a disk tier encodes what it is given, and a disk
+//     hit is decoded once and promoted to the object tier.
 //
 // The store can only ever miss, never fail: a corrupt, truncated, stale, or
 // cross-linked disk entry is counted (artifact.corrupt) and treated as a
@@ -54,9 +56,6 @@ const (
 	// KindCheck: whole check outcomes (violations + witness traces), keyed
 	// by sources, rule-set identity, rule context, and options.
 	KindCheck Kind = "check"
-	// KindManifest: per-project corpus manifests recorded at load time; a
-	// warm hit means the project's content is byte-identical to a prior run.
-	KindManifest Kind = "manifest"
 	// KindSummary: memoized per-method summaries of the abstract
 	// interpreter, keyed by the whole-program source fingerprint plus the
 	// callee's identity, abstract arguments, heap/field context, and the
@@ -179,11 +178,8 @@ type Config struct {
 	Dir string
 	// Metrics receives artifact.* telemetry; nil disables instrumentation.
 	Metrics *obs.Registry
-	// MemEntries caps the in-memory byte tier (entries, not bytes); at the
-	// cap the tier resets and the dropped entries count as evictions.
-	// Default 1<<14.
-	MemEntries int
-	// ObjEntries caps the decoded-object tier the same way. Default 1<<13.
+	// ObjEntries caps the object tier (entries, not bytes); at the cap the
+	// tier resets and the dropped entries count as evictions. Default 1<<13.
 	ObjEntries int
 }
 
@@ -193,9 +189,8 @@ type Store struct {
 	cfg Config
 	reg *obs.Registry
 
-	mu    sync.RWMutex
-	bytes map[mkey][]byte
-	objs  map[mkey]any
+	mu   sync.RWMutex
+	objs map[mkey]any
 
 	flightMu sync.Mutex
 	flight   map[mkey]*flightCall
@@ -213,16 +208,12 @@ type mkey struct {
 // created on its first write. Any I/O failure downgrades the store to
 // memory-only behavior (counted, never fatal).
 func New(cfg Config) *Store {
-	if cfg.MemEntries <= 0 {
-		cfg.MemEntries = 1 << 14
-	}
 	if cfg.ObjEntries <= 0 {
 		cfg.ObjEntries = 1 << 13
 	}
 	s := &Store{
 		cfg:    cfg,
 		reg:    cfg.Metrics,
-		bytes:  map[mkey][]byte{},
 		objs:   map[mkey]any{},
 		flight: map[mkey]*flightCall{},
 	}
@@ -232,33 +223,31 @@ func New(cfg Config) *Store {
 	return s
 }
 
-// Dir returns the disk tier's root ("" for a memory-only store).
-func (s *Store) Dir() string {
-	if s == nil {
-		return ""
-	}
-	return s.cfg.Dir
-}
-
-// hit/miss book one *logical* lookup: Get, GetBytes, and Do's cache consult
-// each count exactly once, which is what makes the counters usable as an
-// invalidation oracle (mutate one input, expect exactly one recompute).
+// hit/miss book one *logical* lookup: Get and Do's cache consult each count
+// exactly once, which is what makes the counters usable as an invalidation
+// oracle (mutate one input, expect exactly one recompute). Without a
+// registry they return before building any counter name.
 func (s *Store) hit(kind Kind, tier string) {
+	if s.reg == nil {
+		return
+	}
 	s.reg.Counter("artifact.hits").Inc()
 	s.reg.Counter("artifact." + string(kind) + ".hits").Inc()
 	s.reg.Counter("artifact." + tier + "_hits").Inc()
 }
 
 func (s *Store) miss(kind Kind) {
+	if s.reg == nil {
+		return
+	}
 	s.reg.Counter("artifact.misses").Inc()
 	s.reg.Counter("artifact." + string(kind) + ".misses").Inc()
 }
 
-// Get returns the decoded artifact for key: object tier first, then the
-// byte/disk tiers through decode (promoting the decoded value to the object
-// tier on the way up). A nil decode restricts the lookup to the object tier
-// (artifacts that cannot be serialized). Exactly one
-// hit or one miss is counted per call.
+// Get returns the artifact for key: the object tier first, then the disk
+// tier through decode, which runs once per disk hit; the decoded value is
+// promoted to the object tier. Exactly one hit or one miss is counted per
+// call.
 func (s *Store) Get(kind Kind, k Key, decode func([]byte) (any, error)) (any, bool) {
 	if s == nil {
 		return nil, false
@@ -271,40 +260,47 @@ func (s *Store) Get(kind Kind, k Key, decode func([]byte) (any, error)) (any, bo
 		s.hit(kind, "mem")
 		return v, true
 	}
-	if decode == nil {
-		s.miss(kind)
-		return nil, false
+	var payload []byte
+	if s.cfg.Dir != "" {
+		payload, ok = s.diskRead(mk)
 	}
-	payload, tier, ok := s.getBytesUncounted(mk)
 	if !ok {
 		s.miss(kind)
 		return nil, false
 	}
+	s.reg.Counter("artifact.bytes_read").Add(int64(len(payload)))
 	v, err := decode(payload)
 	if err != nil {
-		// A payload that fails to decode is as good as corrupt, whatever
-		// tier it came from: count it and miss.
+		// A record that fails to decode is as good as corrupt: count it and
+		// miss.
 		s.reg.Counter("artifact.corrupt").Inc()
 		s.miss(kind)
 		return nil, false
 	}
-	capPut(s, &s.objs, s.cfg.ObjEntries, mk, v)
-	s.hit(kind, tier)
+	v, _ = s.capPut(mk, v, keepPrior)
+	s.hit(kind, "disk")
 	return v, true
 }
 
-// Put stores the decoded artifact, and — when the store has a disk tier and
-// encode is non-nil — its serialized payload in the byte and disk tiers. A
-// memory-only store never encodes: after an object-tier reset a lookup
-// misses and the caller recomputes the same artifact. An encode error skips
-// the byte tiers silently (the object tier still serves this process).
+// Put stores the artifact in the object tier and, when the store has a disk
+// tier, appends its encoded record there. A memory-only store never
+// encodes: after an object-tier reset a lookup misses and the caller
+// recomputes the same artifact. An encode error skips the disk tier (the
+// object tier still serves this process).
 func (s *Store) Put(kind Kind, k Key, v any, encode func() ([]byte, error)) {
+	s.PutUnless(kind, k, v, nil, encode)
+}
+
+// PutUnless is Put, except that an object already in the object tier under
+// key stays when keep(prior) reports true; then nothing is stored or
+// written. The check and the store are one atomic step, and the check counts
+// no lookup. A nil keep always stores.
+func (s *Store) PutUnless(kind Kind, k Key, v any, keep func(prior any) bool, encode func() ([]byte, error)) {
 	if s == nil {
 		return
 	}
 	mk := mkey{kind, k}
-	capPut(s, &s.objs, s.cfg.ObjEntries, mk, v)
-	if encode == nil || s.cfg.Dir == "" {
+	if _, stored := s.capPut(mk, v, keep); !stored || s.cfg.Dir == "" {
 		return
 	}
 	payload, err := encode()
@@ -312,75 +308,32 @@ func (s *Store) Put(kind Kind, k Key, v any, encode func() ([]byte, error)) {
 		s.reg.Counter("artifact.encode_errors").Inc()
 		return
 	}
-	s.putBytes(mk, payload)
-}
-
-// GetBytes returns the raw payload for key from the byte or disk tier,
-// counting one hit or miss.
-func (s *Store) GetBytes(kind Kind, k Key) ([]byte, bool) {
-	if s == nil {
-		return nil, false
-	}
-	payload, tier, ok := s.getBytesUncounted(mkey{kind, k})
-	if !ok {
-		s.miss(kind)
-		return nil, false
-	}
-	s.hit(kind, tier)
-	return payload, true
-}
-
-// PutBytes stores a raw payload in the byte and disk tiers.
-func (s *Store) PutBytes(kind Kind, k Key, payload []byte) {
-	if s == nil {
-		return
-	}
-	s.putBytes(mkey{kind, k}, payload)
-}
-
-// getBytesUncounted consults the in-memory byte tier, then the disk tier
-// (promoting a disk hit into memory). It reports which tier answered and
-// performs no hit/miss accounting — callers count the logical lookup.
-func (s *Store) getBytesUncounted(mk mkey) (payload []byte, tier string, ok bool) {
-	s.mu.RLock()
-	payload, ok = s.bytes[mk]
-	s.mu.RUnlock()
-	if ok {
-		return payload, "mem", true
-	}
-	if s.cfg.Dir == "" {
-		return nil, "", false
-	}
-	payload, ok = s.diskRead(mk)
-	if !ok {
-		return nil, "", false
-	}
-	s.reg.Counter("artifact.bytes_read").Add(int64(len(payload)))
-	capPut(s, &s.bytes, s.cfg.MemEntries, mk, payload)
-	return payload, "disk", true
-}
-
-func (s *Store) putBytes(mk mkey, payload []byte) {
-	capPut(s, &s.bytes, s.cfg.MemEntries, mk, payload)
-	if s.cfg.Dir != "" {
-		if s.diskWrite(mk, payload) {
-			s.reg.Counter("artifact.bytes_written").Add(int64(len(payload)))
-		}
+	if s.diskWrite(mk, payload) {
+		s.reg.Counter("artifact.bytes_written").Add(int64(len(payload)))
 	}
 }
 
-// capPut inserts into one in-memory tier, resetting it at the cap (the
-// distcache eviction discipline: O(1) bookkeeping, dropped entries are
-// recomputed or re-read on demand).
-func capPut[V any](s *Store, tier *map[mkey]V, limit int, mk mkey, v V) {
+func keepPrior(any) bool { return true }
+
+// capPut stores v in the object tier unless keep(prior) keeps the object
+// already there. It returns the object the tier holds under mk and whether
+// that is v. At the cap
+// the tier resets first (the distcache eviction discipline: O(1)
+// bookkeeping, dropped entries are recomputed or re-read on demand).
+func (s *Store) capPut(mk mkey, v any, keep func(prior any) bool) (any, bool) {
 	s.mu.Lock()
-	if len(*tier) >= limit {
-		s.reg.Counter("artifact.evictions").Add(int64(len(*tier)))
-		s.reg.Counter("artifact.eviction.resets").Inc()
-		*tier = map[mkey]V{}
+	defer s.mu.Unlock()
+	if prior, ok := s.objs[mk]; ok && keep != nil && keep(prior) {
+		return prior, false
 	}
-	(*tier)[mk] = v
-	s.mu.Unlock()
+	if len(s.objs) >= s.cfg.ObjEntries {
+		s.reg.Counter("artifact.evictions").Add(int64(len(s.objs)))
+		s.reg.Counter("artifact.eviction.resets").Inc()
+		s.objs = map[mkey]any{}
+	}
+	s.objs[mk] = v
+	s.reg.Gauge("artifact.objects").Set(int64(len(s.objs)))
+	return v, true
 }
 
 // ---------------------------------------------------------------------------

@@ -18,6 +18,22 @@ func counters(reg *obs.Registry) map[string]int64 {
 	return obs.TakeSnapshot(reg, false).Counters
 }
 
+// put and get store and read a string artifact through identity codecs:
+// the object is the payload.
+func put(s *Store, kind Kind, k Key, payload string) {
+	s.Put(kind, k, payload, func() ([]byte, error) { return []byte(payload), nil })
+}
+
+func decodeRaw(b []byte) (any, error) { return string(b), nil }
+
+func get(s *Store, kind Kind, k Key) (string, bool) {
+	v, ok := s.Get(kind, k, decodeRaw)
+	if !ok {
+		return "", false
+	}
+	return v.(string), true
+}
+
 // TestKeyDerivation pins the properties the content addressing relies on:
 // determinism, kind/part sensitivity, and length-prefix non-collision.
 func TestKeyDerivation(t *testing.T) {
@@ -64,50 +80,49 @@ func TestNewKeyVectors(t *testing.T) {
 	}
 }
 
-// TestMemoryRoundTrip exercises the object and byte tiers of a memory-only
-// store, asserting the exact hit/miss accounting the invalidation oracle
-// depends on, and that Put never encodes without a disk tier.
+// TestMemoryRoundTrip exercises the object tier of a memory-only store,
+// asserting the exact hit/miss accounting the invalidation oracle depends
+// on, and that Put never encodes without a disk tier.
 func TestMemoryRoundTrip(t *testing.T) {
 	reg := obs.NewRegistry()
 	s := New(Config{Metrics: reg})
 	k := NewKey(KindAnalysis, "content")
 
-	if _, ok := s.Get(KindAnalysis, k, nil); ok {
+	if _, ok := get(s, KindAnalysis, k); ok {
 		t.Fatal("hit on empty store")
 	}
 	s.Put(KindAnalysis, k, "decoded", func() ([]byte, error) {
 		t.Error("Put encoded on a memory-only store")
 		return []byte("payload"), nil
 	})
-	v, ok := s.Get(KindAnalysis, k, nil)
+	v, ok := s.Get(KindAnalysis, k, func([]byte) (any, error) {
+		t.Error("Get decoded on a memory-only store")
+		return nil, nil
+	})
 	if !ok || v.(string) != "decoded" {
 		t.Fatalf("object tier: got %v, %v", v, ok)
 	}
-	if _, ok := s.GetBytes(KindAnalysis, k); ok {
-		t.Fatal("Put left a byte-tier copy on a memory-only store")
-	}
-	s.PutBytes(KindAnalysis, k, []byte("payload"))
-	b, ok := s.GetBytes(KindAnalysis, k)
-	if !ok || string(b) != "payload" {
-		t.Fatalf("byte tier: got %q, %v", b, ok)
-	}
 	c := counters(reg)
-	if c["artifact.hits"] != 2 || c["artifact.misses"] != 2 {
+	if c["artifact.hits"] != 1 || c["artifact.misses"] != 1 || c["artifact.mem_hits"] != 1 {
 		t.Fatalf("hit/miss accounting: %v", c)
 	}
-	if c["artifact.analysis.hits"] != 2 || c["artifact.analysis.misses"] != 2 {
+	if c["artifact.analysis.hits"] != 1 || c["artifact.analysis.misses"] != 1 {
 		t.Fatalf("per-kind accounting: %v", c)
 	}
 }
 
-// TestGetDecodesByteTier covers the promote path: an entry present only as
-// bytes decodes into the object tier on first Get and serves from the
+// TestGetPromotesDiskHit covers the promote path: an entry present only on
+// disk decodes into the object tier on its first Get and serves from the
 // object tier afterwards.
-func TestGetDecodesByteTier(t *testing.T) {
+func TestGetPromotesDiskHit(t *testing.T) {
+	dir := t.TempDir()
+	k, k2 := NewKey(KindAnalysis, "x"), NewKey(KindAnalysis, "y")
+	cold := New(Config{Dir: dir})
+	put(cold, KindAnalysis, k, "7")
+	put(cold, KindAnalysis, k2, "bad")
+
 	reg := obs.NewRegistry()
-	s := New(Config{Metrics: reg})
-	k := NewKey(KindAnalysis, "x")
-	s.PutBytes(KindAnalysis, k, []byte("7"))
+	s := New(Config{Dir: dir, Metrics: reg})
 	decodes := 0
 	decode := func(b []byte) (any, error) { decodes++; return string(b) + "!", nil }
 	for i := 0; i < 3; i++ {
@@ -119,14 +134,60 @@ func TestGetDecodesByteTier(t *testing.T) {
 	if decodes != 1 {
 		t.Fatalf("decode ran %d times, want 1 (promotion failed)", decodes)
 	}
+	if c := counters(reg); c["artifact.disk_hits"] != 1 || c["artifact.mem_hits"] != 2 {
+		t.Fatalf("promotion telemetry: %v", c)
+	}
 	// A decode error must read as a miss, not an error.
-	k2 := NewKey(KindAnalysis, "y")
-	s.PutBytes(KindAnalysis, k2, []byte("bad"))
 	if _, ok := s.Get(KindAnalysis, k2, func([]byte) (any, error) { return nil, errors.New("no") }); ok {
 		t.Fatal("decode error surfaced as a hit")
 	}
 	if counters(reg)["artifact.corrupt"] == 0 {
 		t.Fatal("decode error not counted as corrupt")
+	}
+}
+
+// TestGetUnmeteredAllocs: a lookup on a store without a registry builds no
+// counter names, so an object-tier hit allocates nothing.
+func TestGetUnmeteredAllocs(t *testing.T) {
+	s := New(Config{})
+	k := NewKey(KindSummary, "x")
+	put(s, KindSummary, k, "v")
+	if n := testing.AllocsPerRun(100, func() { s.Get(KindSummary, k, decodeRaw) }); n != 0 {
+		t.Fatalf("object-tier hit on an unmetered store: %v allocs, want 0", n)
+	}
+}
+
+// TestPutUnless pins the keep rule: a kept prior stays and nothing is
+// written, a rejected one is replaced and the replacement is written, and
+// the check is no lookup.
+func TestPutUnless(t *testing.T) {
+	reg := obs.NewRegistry()
+	s := New(Config{Dir: t.TempDir(), Metrics: reg})
+	k := NewKey(KindSummary, "x")
+	enc := func(p string) func() ([]byte, error) { return func() ([]byte, error) { return []byte(p), nil } }
+	keepFirst := func(prior any) bool { return prior.(string) == "first" }
+	s.PutUnless(KindSummary, k, "first", keepFirst, enc("first"))
+	s.PutUnless(KindSummary, k, "second", keepFirst, enc("second"))
+	if v, _ := get(s, KindSummary, k); v != "first" {
+		t.Fatalf("kept prior replaced: got %q", v)
+	}
+	if n := counters(reg)["artifact.bytes_written"]; n != int64(len("first")) {
+		t.Fatalf("bytes written = %d, want only the first record's %d", n, len("first"))
+	}
+	s.PutUnless(KindSummary, k, "third", keepFirst, enc("third"))
+	if v, _ := get(s, KindSummary, k); v != "first" {
+		t.Fatalf("kept prior replaced: got %q", v)
+	}
+	s.PutUnless(KindSummary, k, "fourth", func(any) bool { return false }, enc("fourth"))
+	if v, _ := get(s, KindSummary, k); v != "fourth" {
+		t.Fatalf("rejected prior kept: got %q", v)
+	}
+	c := counters(reg)
+	if c["artifact.bytes_written"] != int64(len("first")+len("fourth")) {
+		t.Fatalf("replacement not written through: %v", c)
+	}
+	if c["artifact.hits"] != 3 || c["artifact.misses"] != 0 {
+		t.Fatalf("PutUnless counted a lookup: %v", c)
 	}
 }
 
@@ -156,13 +217,13 @@ func TestDiskRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	k := NewKey(KindParse, "class A {}")
 	cold := New(Config{Dir: dir})
-	cold.PutBytes(KindParse, k, []byte("ast-bytes"))
+	put(cold, KindParse, k, "ast-bytes")
 	cold.Put(KindParse, NewKey(KindParse, "class B {}"), "B", func() ([]byte, error) { return []byte("b-bytes"), nil })
 
 	reg := obs.NewRegistry()
 	warm := New(Config{Dir: dir, Metrics: reg})
-	b, ok := warm.GetBytes(KindParse, k)
-	if !ok || string(b) != "ast-bytes" {
+	b, ok := get(warm, KindParse, k)
+	if !ok || b != "ast-bytes" {
 		t.Fatalf("warm read: got %q, %v", b, ok)
 	}
 	c := counters(reg)
@@ -170,13 +231,13 @@ func TestDiskRoundTrip(t *testing.T) {
 		t.Fatalf("disk telemetry: %v", c)
 	}
 	// Promotion: the second read serves from memory.
-	if _, ok := warm.GetBytes(KindParse, k); !ok {
+	if _, ok := get(warm, KindParse, k); !ok {
 		t.Fatal("promoted read missed")
 	}
 	if counters(reg)["artifact.mem_hits"] != 1 {
 		t.Fatalf("promotion telemetry: %v", counters(reg))
 	}
-	if b, ok := warm.GetBytes(KindParse, NewKey(KindParse, "class B {}")); !ok || string(b) != "b-bytes" {
+	if b, ok := get(warm, KindParse, NewKey(KindParse, "class B {}")); !ok || b != "b-bytes" {
 		t.Fatalf("encoded Put: got %q, %v", b, ok)
 	}
 	// Layout: both records in one segment, and nothing else on disk.
@@ -230,12 +291,12 @@ func TestDiskSelfValidation(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			k := NewKey(KindAnalysis, "v")
-			New(Config{Dir: dir}).PutBytes(KindAnalysis, k, []byte("payload"))
+			put(New(Config{Dir: dir}), KindAnalysis, k, "payload")
 			n := len(encodeRecord(mkey{KindAnalysis, k}, []byte("payload")))
 			mangleSegment(t, onlySegment(t, dir), 0, n, tc.mangle)
 			reg := obs.NewRegistry()
 			s := New(Config{Dir: dir, Metrics: reg})
-			if _, ok := s.GetBytes(KindAnalysis, k); ok {
+			if _, ok := get(s, KindAnalysis, k); ok {
 				t.Fatal("corrupt entry served as a hit")
 			}
 			c := counters(reg)
@@ -257,7 +318,7 @@ func TestDiskEmptySegment(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
-	if _, ok := New(Config{Dir: dir, Metrics: reg}).GetBytes(KindAnalysis, NewKey(KindAnalysis, "v")); ok {
+	if _, ok := get(New(Config{Dir: dir, Metrics: reg}), KindAnalysis, NewKey(KindAnalysis, "v")); ok {
 		t.Fatal("empty segment served a hit")
 	}
 	c := counters(reg)
@@ -279,17 +340,17 @@ func TestDiskDefectMidSegment(t *testing.T) {
 			off := 0
 			for i := 0; i < 3; i++ {
 				k := NewKey(KindAnalysis, fmt.Sprint(i))
-				payload := []byte(fmt.Sprintf("payload-%d", i))
-				w.PutBytes(KindAnalysis, k, payload)
+				payload := fmt.Sprintf("payload-%d", i)
+				put(w, KindAnalysis, k, payload)
 				keys, offs = append(keys, k), append(offs, off)
-				off += len(encodeRecord(mkey{KindAnalysis, k}, payload))
+				off += len(encodeRecord(mkey{KindAnalysis, k}, []byte(payload)))
 			}
 			mangleSegment(t, onlySegment(t, dir), offs[1], offs[2]-offs[1], tc.mangle)
 			reg := obs.NewRegistry()
 			s := New(Config{Dir: dir, Metrics: reg})
 			for i, k := range keys {
-				b, ok := s.GetBytes(KindAnalysis, k)
-				if ok && string(b) != fmt.Sprintf("payload-%d", i) {
+				b, ok := get(s, KindAnalysis, k)
+				if ok && b != fmt.Sprintf("payload-%d", i) {
 					t.Fatalf("record %d served payload %q", i, b)
 				}
 				if ok != (i == 0) && i != 2 {
@@ -310,7 +371,7 @@ func TestKindCrossLink(t *testing.T) {
 	dir := t.TempDir()
 	kp := NewKey(KindParse, "src")
 	ka := NewKey(KindAnalysis, "src")
-	New(Config{Dir: dir}).PutBytes(KindParse, kp, []byte("parse-payload"))
+	put(New(Config{Dir: dir}), KindParse, kp, "parse-payload")
 	path := onlySegment(t, dir)
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -325,10 +386,10 @@ func TestKindCrossLink(t *testing.T) {
 	}
 	reg := obs.NewRegistry()
 	fresh := New(Config{Dir: dir, Metrics: reg})
-	if _, ok := fresh.GetBytes(KindAnalysis, ka); ok {
+	if _, ok := get(fresh, KindAnalysis, ka); ok {
 		t.Fatal("cross-linked entry served under the wrong kind/key")
 	}
-	if _, ok := fresh.GetBytes(KindParse, kp); ok {
+	if _, ok := get(fresh, KindParse, kp); ok {
 		t.Fatal("relabelled record still served under its old key")
 	}
 	if c := counters(reg); c["artifact.corrupt"] != 1 {
@@ -354,8 +415,8 @@ func TestDiskConcurrentStores(t *testing.T) {
 					defer inner.Done()
 					for i := g; i < perStore; i += 4 {
 						k := NewKey(KindSummary, fmt.Sprint(w), fmt.Sprint(i))
-						if _, ok := s.GetBytes(KindSummary, k); !ok {
-							s.PutBytes(KindSummary, k, []byte(fmt.Sprintf("%d/%d", w, i)))
+						if _, ok := get(s, KindSummary, k); !ok {
+							put(s, KindSummary, k, fmt.Sprintf("%d/%d", w, i))
 						}
 					}
 				}(g)
@@ -371,8 +432,8 @@ func TestDiskConcurrentStores(t *testing.T) {
 	s := New(Config{Dir: dir, Metrics: reg})
 	for w := 0; w < 2; w++ {
 		for i := 0; i < perStore; i++ {
-			b, ok := s.GetBytes(KindSummary, NewKey(KindSummary, fmt.Sprint(w), fmt.Sprint(i)))
-			if !ok || string(b) != fmt.Sprintf("%d/%d", w, i) {
+			b, ok := get(s, KindSummary, NewKey(KindSummary, fmt.Sprint(w), fmt.Sprint(i)))
+			if !ok || b != fmt.Sprintf("%d/%d", w, i) {
 				t.Fatalf("store %d key %d: got %q, %v", w, i, b, ok)
 			}
 		}
@@ -390,7 +451,7 @@ func TestDiskSegmentBound(t *testing.T) {
 	const stores = 40
 	key := func(i int) Key { return NewKey(KindCheck, fmt.Sprint(i)) }
 	for i := 0; i < stores; i++ {
-		New(Config{Dir: dir}).PutBytes(KindCheck, key(i), []byte(fmt.Sprint(i)))
+		put(New(Config{Dir: dir}), KindCheck, key(i), fmt.Sprint(i))
 		if n := len(segments(t, dir)); n > maxSegments+1 {
 			t.Fatalf("after store %d: %d segments, bound %d", i, n, maxSegments+1)
 		}
@@ -398,7 +459,7 @@ func TestDiskSegmentBound(t *testing.T) {
 	reg := obs.NewRegistry()
 	s := New(Config{Dir: dir, Metrics: reg})
 	for i := 0; i < stores; i++ {
-		if b, ok := s.GetBytes(KindCheck, key(i)); !ok || string(b) != fmt.Sprint(i) {
+		if b, ok := get(s, KindCheck, key(i)); !ok || b != fmt.Sprint(i) {
 			t.Fatalf("key %d: got %q, %v", i, b, ok)
 		}
 	}
@@ -410,24 +471,25 @@ func TestDiskSegmentBound(t *testing.T) {
 	}
 }
 
-// TestEviction fills tiny tiers past their caps: lookups stay correct
-// (recompute-on-miss is the contract) and evictions are counted.
+// TestEviction fills a tiny object tier past its cap: lookups stay correct
+// (recompute-on-miss is the contract), evictions are counted, and the
+// artifact.objects gauge never exceeds the cap.
 func TestEviction(t *testing.T) {
 	reg := obs.NewRegistry()
-	s := New(Config{Metrics: reg, MemEntries: 4, ObjEntries: 4})
+	s := New(Config{Metrics: reg, ObjEntries: 4})
 	for i := 0; i < 20; i++ {
-		k := NewKey(KindParse, fmt.Sprint(i))
-		s.PutBytes(KindParse, k, []byte{byte(i)})
-		s.Put(KindParse, k, i, nil)
+		put(s, KindParse, NewKey(KindParse, fmt.Sprint(i)), fmt.Sprint(i))
+		if n := reg.Gauge("artifact.objects").Value(); n < 1 || n > 4 {
+			t.Fatalf("after put %d: artifact.objects = %d, want within [1, 4]", i, n)
+		}
 	}
 	c := counters(reg)
 	if c["artifact.evictions"] == 0 || c["artifact.eviction.resets"] == 0 {
 		t.Fatalf("no evictions counted at cap 4 over 20 entries: %v", c)
 	}
 	// The most recent entry survives the last reset.
-	k := NewKey(KindParse, "19")
-	if b, ok := s.GetBytes(KindParse, k); !ok || b[0] != 19 {
-		t.Fatalf("latest entry lost: %v, %v", b, ok)
+	if b, ok := get(s, KindParse, NewKey(KindParse, "19")); !ok || b != "19" {
+		t.Fatalf("latest entry lost: %q, %v", b, ok)
 	}
 }
 
@@ -448,7 +510,7 @@ func TestSingleFlight(t *testing.T) {
 			ki := c % keys
 			k := NewKey(KindAnalysis, fmt.Sprint(ki))
 			v, err := s.Do(KindAnalysis, k, func() (any, error) {
-				if v, ok := s.Get(KindAnalysis, k, nil); ok {
+				if v, ok := s.Get(KindAnalysis, k, decodeRaw); ok {
 					return v, nil
 				}
 				if inflight[ki].Add(1) > 1 {
@@ -497,17 +559,11 @@ func TestSingleFlightError(t *testing.T) {
 func TestNilStore(t *testing.T) {
 	var s *Store
 	k := NewKey(KindParse, "x")
-	if _, ok := s.Get(KindParse, k, nil); ok {
+	if _, ok := s.Get(KindParse, k, decodeRaw); ok {
 		t.Fatal("nil store hit")
 	}
-	if _, ok := s.GetBytes(KindParse, k); ok {
-		t.Fatal("nil store byte hit")
-	}
 	s.Put(KindParse, k, 1, nil)
-	s.PutBytes(KindParse, k, []byte("x"))
-	if s.Dir() != "" {
-		t.Fatal("nil store has a dir")
-	}
+	s.PutUnless(KindParse, k, 1, nil, nil)
 	v, err := s.Do(KindParse, k, func() (any, error) { return 42, nil })
 	if err != nil || v.(int) != 42 {
 		t.Fatalf("nil store Do: %v, %v", v, err)
@@ -526,11 +582,11 @@ func TestUnwritableDir(t *testing.T) {
 	reg := obs.NewRegistry()
 	s := New(Config{Dir: blocked, Metrics: reg})
 	k := NewKey(KindParse, "x")
-	s.PutBytes(KindParse, k, []byte("payload"))
+	put(s, KindParse, k, "payload")
 	if counters(reg)["artifact.disk_errors"] == 0 {
 		t.Fatalf("disk failure not counted: %v", counters(reg))
 	}
-	if b, ok := s.GetBytes(KindParse, k); !ok || string(b) != "payload" {
+	if b, ok := get(s, KindParse, k); !ok || b != "payload" {
 		t.Fatalf("memory tier lost the entry behind a broken disk: %q, %v", b, ok)
 	}
 }

@@ -318,10 +318,11 @@ func TestArtifactOldLayoutIgnored(t *testing.T) {
 	files := map[string]string{}
 	for _, cc := range d.collect(context.Background(), c) {
 		k := artifact.NewKey(artifact.KindAnalysis, d.optFP, cc.Old, cc.New)
-		payload, ok := src.GetBytes(artifact.KindAnalysis, k)
+		v, ok := src.Get(artifact.KindAnalysis, k, func(b []byte) (any, error) { return b, nil })
 		if !ok {
 			continue
 		}
+		payload := v.([]byte)
 		entry := append([]byte("dcart1\nanalysis\n"), k[:]...)
 		entry = binary.LittleEndian.AppendUint64(entry, uint64(len(payload)))
 		entry = append(entry, payload...)

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/analysis"
+	"repro/internal/artifact"
 	"repro/internal/obs"
 	"repro/internal/report"
 	"repro/internal/rules"
@@ -176,6 +177,10 @@ func TestDifferentialSummaryOracle(t *testing.T) {
 	r := rand.New(rand.NewSource(12))
 	warmReg := obs.NewRegistry()
 	warm := summary.NewTable(nil, warmReg)
+	// A table on a 16-entry object tier resets many times per program, so
+	// lookups miss and re-record entries other programs' recordings evicted.
+	tinyReg := obs.NewRegistry()
+	tiny := summary.NewTable(artifact.New(artifact.Config{ObjEntries: 16, Metrics: tinyReg}), nil)
 	checkers := map[int]*CryptoChecker{}
 	for _, w := range []int{1, 4} {
 		checkers[w] = NewChecker(nil, Options{Workers: w})
@@ -216,6 +221,8 @@ func TestDifferentialSummaryOracle(t *testing.T) {
 			{"provenance (fresh table)", analysis.Options{Summaries: summary.NewTable(nil, nil), Provenance: true}, false},
 			{"provenance (warm table, recording)", analysis.Options{Summaries: warm, Provenance: true}, false},
 			{"provenance (warm table, replaying)", analysis.Options{Summaries: warm, Provenance: true}, true},
+			{"memo (16-entry table)", analysis.Options{Summaries: tiny}, false},
+			{"provenance (16-entry table)", analysis.Options{Summaries: tiny, Provenance: true}, false},
 		}
 		for _, m := range modes {
 			hits := warmReg.Counter("summary.hits").Value()
@@ -251,5 +258,8 @@ func TestDifferentialSummaryOracle(t *testing.T) {
 	}
 	if maxDepth < 6 || recursive == 0 {
 		t.Fatalf("generator too tame: max depth %d, %d recursive programs", maxDepth, recursive)
+	}
+	if c := obs.TakeSnapshot(tinyReg, false).Counters; c["artifact.eviction.resets"] == 0 || c["artifact.summary.hits"] == 0 {
+		t.Fatalf("16-entry table: no resets or no replays: %v", c)
 	}
 }

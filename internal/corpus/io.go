@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/artifact"
 	"repro/internal/obs"
 	"repro/internal/resilience"
 )
@@ -63,10 +62,9 @@ func Save(c *Corpus, dir string) error {
 type LoadOption func(*loadConfig)
 
 type loadConfig struct {
-	strict    bool
-	ledger    *resilience.Ledger
-	metrics   *obs.Registry
-	artifacts *artifact.Store
+	strict  bool
+	ledger  *resilience.Ledger
+	metrics *obs.Registry
 }
 
 // WithLedger records the projects Load skipped (malformed directories,
@@ -125,7 +123,6 @@ func Load(dir string, opts ...LoadOption) (*Corpus, error) {
 			continue
 		}
 		c.Projects = append(c.Projects, p)
-		recordManifest(cfg.artifacts, p)
 		if reg := cfg.metrics; reg != nil {
 			reg.Counter("corpus.projects_loaded").Inc()
 			reg.Counter("corpus.commits_loaded").Add(int64(len(p.Commits)))

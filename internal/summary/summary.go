@@ -28,8 +28,9 @@
 // allocations, event attempts, and step cost as if the callee had run.
 // The same portable form serves three tiers — within-analyzer memoization,
 // cross-change sharing inside a mining run (duplicate snapshots are common
-// in the corpus), and disk persistence through internal/artifact as the
-// `summary` kind for warm re-runs.
+// in the corpus), and disk persistence for warm re-runs. A Table keeps its
+// entries in an internal/artifact store as the `summary` kind, so the
+// store's object-tier cap bounds them and its disk tier persists them.
 package summary
 
 import (

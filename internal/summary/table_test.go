@@ -2,6 +2,7 @@ package summary
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/artifact"
@@ -23,9 +24,6 @@ func TestTableInsertLookup(t *testing.T) {
 	got := tbl.Lookup(k)
 	if got != e {
 		t.Fatalf("lookup = %v, want the inserted entry", got)
-	}
-	if tbl.Len() != 1 {
-		t.Fatalf("len = %d, want 1", tbl.Len())
 	}
 }
 
@@ -82,17 +80,48 @@ func TestTableGuardFreeReplacesGuarded(t *testing.T) {
 		}
 	})
 	t.Run("replacementWritesThrough", func(t *testing.T) {
-		store := artifact.New(artifact.Config{Dir: t.TempDir()})
+		reg := obs.NewRegistry()
+		store := artifact.New(artifact.Config{Dir: t.TempDir(), Metrics: reg})
+		written := func() int64 { return reg.Counter("artifact.bytes_written").Value() }
 		k := testKey("prog", "C", "0")
 		NewTable(store, nil).Insert(k, guarded(1))
 		warm := NewTable(store, nil)
 		if got := warm.Lookup(k); got == nil || len(got.OuterGuard) != 1 {
 			t.Fatalf("warm lookup = %+v, want the persisted guarded entry", got)
 		}
+		before := written()
 		warm.Insert(k, free(2))
 		got := NewTable(store, nil).Lookup(k)
 		if got == nil || got.Steps != 2 || len(got.OuterGuard) != 0 {
 			t.Fatalf("persisted entry = %+v, want the guard-free replacement (steps=2)", got)
+		}
+		if written() == before {
+			t.Fatal("the replacement was not written to disk")
+		}
+	})
+	t.Run("concurrent", func(t *testing.T) {
+		// However the inserts interleave, the guard-free entry ends up in the
+		// table: the check and the store are one step.
+		for round := 0; round < 50; round++ {
+			tbl := NewTable(nil, nil)
+			k := testKey("prog", "C", "0")
+			f := free(0)
+			var wg sync.WaitGroup
+			for i := 0; i < 8; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					if i == 3 {
+						tbl.Insert(k, f)
+					} else {
+						tbl.Insert(k, guarded(int64(i)))
+					}
+				}(i)
+			}
+			wg.Wait()
+			if got := tbl.Lookup(k); got != f {
+				t.Fatalf("round %d: lookup = %+v, want the guard-free entry", round, got)
+			}
 		}
 	})
 }
@@ -104,8 +133,8 @@ func TestTableNilSafety(t *testing.T) {
 		t.Error("nil table lookup returned an entry")
 	}
 	tbl.Insert(k, &Entry{})
-	if tbl.Len() != 0 {
-		t.Error("nil table has nonzero length")
+	if tbl.Lookup(k) != nil {
+		t.Error("nil table kept an insert")
 	}
 	// Telemetry on a nil table must be a no-op, not a panic.
 	tbl.Hit()
@@ -115,7 +144,8 @@ func TestTableNilSafety(t *testing.T) {
 }
 
 func TestTableWriteThroughStore(t *testing.T) {
-	store := artifact.New(artifact.Config{Dir: t.TempDir()})
+	dir := t.TempDir()
+	store := artifact.New(artifact.Config{Dir: dir})
 	k := testKey("prog", "C", "1")
 	e := &Entry{
 		Sites:  []PSite{{File: 0, Type: "Cipher"}},
@@ -126,8 +156,9 @@ func TestTableWriteThroughStore(t *testing.T) {
 	}
 	NewTable(store, nil).Insert(k, e)
 
-	// A fresh table over the same store must decode the persisted entry.
-	warm := NewTable(store, nil)
+	// A fresh table over a fresh store on the same directory must decode the
+	// persisted entry.
+	warm := NewTable(artifact.New(artifact.Config{Dir: dir}), nil)
 	got := warm.Lookup(k)
 	if got == nil {
 		t.Fatal("persisted entry not found by a fresh table")
@@ -140,7 +171,33 @@ func TestTableWriteThroughStore(t *testing.T) {
 	}
 	// The disk hit is promoted: a second lookup returns the same pointer.
 	if again := warm.Lookup(k); again != got {
-		t.Error("disk hit was not promoted into the in-memory map")
+		t.Error("disk hit was not promoted into the object tier")
+	}
+}
+
+// TestTableOnStoreObjectTier: a table keeps its entries in the store's
+// object tier, Insert's own check counts no store lookup, and every Lookup
+// counts exactly one.
+func TestTableOnStoreObjectTier(t *testing.T) {
+	reg := obs.NewRegistry()
+	store := artifact.New(artifact.Config{Metrics: reg})
+	tbl := NewTable(store, nil)
+	k := testKey("prog", "C", "2")
+	e := &Entry{Steps: 3}
+	tbl.Insert(k, e)
+	tbl.Insert(k, &Entry{Steps: 4})
+	c := obs.TakeSnapshot(reg, false).Counters
+	if c["artifact.hits"] != 0 || c["artifact.misses"] != 0 {
+		t.Fatalf("Insert counted a store lookup: %v", c)
+	}
+	if v, ok := store.Get(artifact.KindSummary, k, decodeEntry); !ok || v != e {
+		t.Fatalf("object tier holds %v, %v; want the first insert", v, ok)
+	}
+	tbl.Lookup(k)
+	tbl.Lookup(testKey("absent"))
+	c = obs.TakeSnapshot(reg, false).Counters
+	if c["artifact.summary.hits"] != 2 || c["artifact.summary.misses"] != 1 {
+		t.Fatalf("lookup accounting: %v", c)
 	}
 }
 

@@ -117,3 +117,27 @@ func TestParseNestingCap(t *testing.T) {
 		t.Errorf("depth %d: %v", maxDepth-8, res.Errors)
 	}
 }
+
+// TestParseErrorCap: a megabyte of broken members would record an error
+// per member. The parse keeps maxErrors of them, halts with one more, and
+// its allocations stay bounded.
+func TestParseErrorCap(t *testing.T) {
+	src := "class A { " + strings.Repeat("int; ", 200000) + "}"
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	res := Parse(src)
+	runtime.ReadMemStats(&after)
+	if len(res.Errors) != maxErrors+1 {
+		t.Fatalf("%d errors, want %d", len(res.Errors), maxErrors+1)
+	}
+	if last, want := res.Errors[maxErrors].Msg, fmt.Sprintf("more than %d syntax errors", maxErrors); last != want {
+		t.Errorf("last error %q, want %q", last, want)
+	}
+	if mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20); mb >= 32 {
+		t.Errorf("parse allocated %.1f MB, want under 32", mb)
+	}
+	if res := Parse("class A { " + strings.Repeat("int; ", maxErrors-1) + "}"); len(res.Errors) != maxErrors-1 {
+		t.Errorf("%d broken members: %d errors", maxErrors-1, len(res.Errors))
+	}
+}

@@ -176,12 +176,20 @@ func (p *parser) enter() {
 	}
 }
 
-// tooDeep halts the parse: no speculation or recovery point recovers the
+// maxErrors caps the syntax errors one parse records. Recovery records one
+// per broken member or statement, so without the cap a source of junk costs
+// an Error every few bytes. The most any source of the parse golden
+// records is 20.
+const maxErrors = 1000
+
+func (p *parser) tooDeep() { p.halt(fmt.Sprintf("nesting deeper than %d levels", maxDepth)) }
+
+// halt ends the parse: no speculation or recovery point recovers the
 // failure (each returns at once when p.halted is set), so one panic unwinds
-// to parseCompilationUnit, which records it as the last error.
-func (p *parser) tooDeep() {
+// to parseCompilationUnit, which records msg as the last error.
+func (p *parser) halt(msg string) {
 	p.halted = true
-	p.fail(fmt.Sprintf("nesting deeper than %d levels", maxDepth))
+	p.fail(msg)
 }
 
 func (p *parser) cur() javatok.Token  { return p.toks[p.i] }
@@ -236,8 +244,13 @@ func (p *parser) fail(msg string) {
 	panic(parseError{pos: p.cur().Pos, msg: msg})
 }
 
+// record keeps the error a recovery point recovered from, and halts the
+// parse once maxErrors are kept.
 func (p *parser) record(pe parseError) {
 	p.errors = append(p.errors, Error{Pos: pe.pos, Msg: pe.msg})
+	if len(p.errors) == maxErrors {
+		p.halt(fmt.Sprintf("more than %d syntax errors", maxErrors))
+	}
 }
 
 // expectGt consumes a single '>' in a type-argument context, splitting shift
@@ -320,7 +333,7 @@ func (p *parser) parseCompilationUnit() (cu *javaast.CompilationUnit) {
 	defer func() {
 		if r := recover(); r != nil {
 			if pe, ok := r.(parseError); ok {
-				p.record(pe)
+				p.errors = append(p.errors, Error{Pos: pe.pos, Msg: pe.msg})
 				return
 			}
 			panic(r)

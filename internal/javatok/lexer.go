@@ -1,6 +1,7 @@
 package javatok
 
 import (
+	"slices"
 	"strings"
 	"unicode"
 	"unicode/utf8"
@@ -35,11 +36,19 @@ func Tokenize(src string) []Token {
 
 // AppendTokens scans all of src and appends its token stream, terminated by
 // an EOF token, to dst. It lets a caller reuse one token buffer across
-// inputs.
+// inputs. A full buffer grows to the token count that the density scanned
+// so far projects for all of src, plus an eighth, and at least doubles: a
+// large dense source then costs a grow or two, not append's long run of
+// 1.25x steps (five times the final buffer in all).
 func AppendTokens(dst []Token, src string) []Token {
 	lx := NewLexer(src)
 	for {
 		t := lx.Next()
+		if len(dst) == cap(dst) {
+			n := len(dst) + 1
+			proj := int(float64(n) * float64(len(src)+1) / float64(lx.off+1))
+			dst = slices.Grow(dst, max(proj+proj/8, 2*n)-len(dst))
+		}
 		dst = append(dst, t)
 		if t.Kind == EOF {
 			return dst

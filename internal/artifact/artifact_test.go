@@ -191,6 +191,37 @@ func TestPutUnless(t *testing.T) {
 	}
 }
 
+// TestDiskLastCopyWins writes a key, then a PutUnless replacement of it,
+// into one segment: a fresh store over the directory reads the replacement,
+// and so does one that merges the segments after they pass maxSegments.
+func TestDiskLastCopyWins(t *testing.T) {
+	dir := t.TempDir()
+	k := NewKey(KindSummary, "x")
+	enc := func(p string) func() ([]byte, error) { return func() ([]byte, error) { return []byte(p), nil } }
+	s := New(Config{Dir: dir})
+	s.PutUnless(KindSummary, k, "guarded", nil, enc("guarded"))
+	s.PutUnless(KindSummary, k, "guard-free", func(any) bool { return false }, enc("guard-free"))
+	if v, ok := get(New(Config{Dir: dir}), KindSummary, k); !ok || v != "guard-free" {
+		t.Fatalf("fresh store read %q, %v; want the replacement", v, ok)
+	}
+	for i := 0; len(segments(t, dir)) <= maxSegments; i++ {
+		put(New(Config{Dir: dir}), KindCheck, NewKey(KindCheck, fmt.Sprint(i)), fmt.Sprint(i))
+	}
+	reg := obs.NewRegistry()
+	if v, ok := get(New(Config{Dir: dir, Metrics: reg}), KindSummary, k); !ok || v != "guard-free" {
+		t.Fatalf("store after a merge read %q, %v; want the replacement", v, ok)
+	}
+	if n := len(segments(t, dir)); n != 1 {
+		t.Fatalf("%d segments after the merge, want 1", n)
+	}
+	if v, ok := get(New(Config{Dir: dir}), KindSummary, k); !ok || v != "guard-free" {
+		t.Fatalf("fresh store over the merged segment read %q, %v; want the replacement", v, ok)
+	}
+	if c := counters(reg); c["artifact.corrupt"] != 0 || c["artifact.disk_errors"] != 0 {
+		t.Fatalf("merge accounting: %v", c)
+	}
+}
+
 // segments lists the segment files under a store directory.
 func segments(t *testing.T, dir string) []string {
 	t.Helper()

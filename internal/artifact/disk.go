@@ -38,7 +38,9 @@ import (
 // framed record that fails its checksum is skipped and the scan goes on
 // past it; a record that cannot be framed (bad magic, a length past the end
 // of the file) ends the scan of its segment, so a torn tail costs only the
-// record it cuts. The first valid copy of a key in the scan wins; a store's
+// record it cuts. Within a segment the last valid copy of a key wins, since
+// a store appends a replacement (PutUnless) after the record it replaces;
+// across segments the first segment read that holds the key wins. A store's
 // own later write of a key replaces it in that store's index.
 //
 // Processes can share a directory: each appends only to its own segment and
@@ -121,21 +123,27 @@ func (s *Store) loadIndex() {
 		seg := len(d.segs)
 		d.segs = append(d.segs, f)
 		s.scan(f, func(mk mkey, off, n int64) {
-			if _, dup := d.index[mk]; !dup {
+			if loc, dup := d.index[mk]; !dup || loc.seg == seg {
 				d.index[mk] = recLoc{seg, off, n}
 			}
 		})
 	}
 }
 
-// merge copies the first valid copy of every key in the named segments into
-// this store's new segment, then removes the inputs. At an I/O error it
-// stops, removes nothing and writes no more to its segment: what it copied
-// stays indexed, and the records it did not reach are misses.
+// merge copies every key's winning record in the named segments (the last
+// valid copy within the first input that holds the key) into this store's
+// new segment, then removes the inputs. At an I/O error it stops, removes
+// nothing and writes no more to its segment: what it copied stays indexed,
+// and the records it did not reach are misses.
 func (s *Store) merge(names []string) {
 	d := &s.disk
 	w := bufio.NewWriterSize(d.segs[d.own], 64<<10)
-	var copies []recLoc // the current input's records to copy
+	type copyRec struct {
+		mk     mkey
+		off, n int64
+	}
+	var copies []copyRec // the current input's records to copy
+	at := map[mkey]int{} // key → its place in copies
 	var buf []byte
 	ok := true
 	for _, name := range names {
@@ -147,11 +155,13 @@ func (s *Store) merge(names []string) {
 			break
 		}
 		copies = copies[:0]
+		clear(at)
 		ok = s.scan(f, func(mk mkey, off, n int64) {
-			if _, dup := d.index[mk]; !dup {
-				d.index[mk] = recLoc{d.own, d.ownOff, n}
-				d.ownOff += n
-				copies = append(copies, recLoc{off: off, n: n})
+			if j, dup := at[mk]; dup {
+				copies[j] = copyRec{mk, off, n} // a later copy in this input
+			} else if _, dup := d.index[mk]; !dup {
+				at[mk] = len(copies)
+				copies = append(copies, copyRec{mk, off, n})
 			}
 		})
 		for _, c := range copies {
@@ -161,6 +171,8 @@ func (s *Store) merge(names []string) {
 				break
 			}
 			w.Write(buf)
+			d.index[c.mk] = recLoc{d.own, d.ownOff, c.n}
+			d.ownOff += c.n
 		}
 		f.Close()
 		if !ok {

@@ -132,8 +132,13 @@ func onlyIn(ps []usage.Path, keys, other []string) []usage.Path {
 // versions: build the DAGs of both versions, pair them by minimum summed
 // distance, and diff each pair (Figure 4).
 func Extract(oldRes, newRes *analysis.Result, class string, depth int, meta Meta) []UsageChange {
-	oldGs := usage.BuildAll(oldRes, class, depth)
-	newGs := usage.BuildAll(newRes, class, depth)
+	return ExtractGraphs(usage.BuildAll(oldRes, class, depth), usage.BuildAll(newRes, class, depth), class, meta)
+}
+
+// ExtractGraphs is Extract over DAGs already built: oldGs and newGs are
+// usage.BuildAll of the two versions for class. It only reads the graphs,
+// so a version's DAGs may be shared by every change that carries it.
+func ExtractGraphs(oldGs, newGs []*usage.Graph, class string, meta Meta) []UsageChange {
 	pairs := usage.Pair(oldGs, newGs, class)
 	out := make([]UsageChange, 0, len(pairs))
 	for _, pr := range pairs {

@@ -140,7 +140,12 @@ func (d *DiffCode) buildChangeArtifact(r *versionRun, cc mining.CodeChange) (*ch
 		}
 		class := class
 		err := resilience.Guard("artifact "+class, func() error {
-			ucs := change.Extract(r.res[0], r.res[1], class, d.opts.Depth, change.Meta{})
+			oldGs := usage.BuildAll(r.res[0], class, d.opts.Depth)
+			newGs := oldGs
+			if r.res[1] != r.res[0] {
+				newGs = usage.BuildAll(r.res[1], class, d.opts.Depth)
+			}
+			ucs := change.ExtractGraphs(oldGs, newGs, class, change.Meta{})
 			ps := make([]usagePaths, len(ucs))
 			for i, uc := range ucs {
 				ps[i] = usagePaths{Rem: uc.Removed, Add: uc.Added}

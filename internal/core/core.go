@@ -467,15 +467,27 @@ func (d *DiffCode) RunClassCtx(ctx context.Context, analyzed []*AnalyzedChange, 
 // extractRows is RunClassCtx's first step: it extracts the class's usage
 // changes under an "extract" stage span. rows[i] belongs to analyzed[i],
 // and is nil when that change does not use the class or its extraction
-// panicked; a panicking change is skipped and recorded in the ledger. The
-// loop stays serial: on the worker pool a paper-scale evaluation ran about
-// a tenth faster on 2 vCPUs, but its peak heap grew 13% with map-based
-// usage DAGs and 14% with the cheaper index-based ones (EXPERIMENTS.md).
+// panicked; a panicking change is skipped and recorded in the ledger.
+//
+// The version, not the change, is the unit of DAG building: changes that
+// carry the same source text share its *analysis.Result (versions.go), so
+// the pass builds each version's DAGs for the class once, on the first
+// change that needs them, and drops them after the last (dagMemo). A build
+// runs inside the change's guard and is kept only when it completes, so a
+// version whose build panics is built again, and ledgered, by every change
+// that carries it. extract.dags_built and extract.dags_shared count the
+// builds and the reuses of the pass.
+//
+// The loop stays serial: on the worker pool a paper-scale evaluation ran
+// about a tenth faster on 2 vCPUs, but its peak heap grew 13% with
+// map-based usage DAGs and 14% with the cheaper index-based ones
+// (EXPERIMENTS.md).
 func (d *DiffCode) extractRows(ctx context.Context, analyzed []*AnalyzedChange, class string) [][]change.UsageChange {
 	_, xsp := trace.Stage(ctx, d.opts.Metrics, "extract")
 	xsp.SetTask(class)
 	xsp.SetAttr("class", class)
 	rows := make([][]change.UsageChange, len(analyzed))
+	dags := newDAGMemo(analyzed, class, d.opts.Depth)
 	n := 0
 	for i, a := range analyzed {
 		if a == nil || !a.UsesClass(class) {
@@ -483,25 +495,90 @@ func (d *DiffCode) extractRows(ctx context.Context, analyzed []*AnalyzedChange, 
 		}
 		task := fmt.Sprintf("extract %s %s@%s:%s", class, a.Meta.Project, a.Meta.Commit, a.Meta.File)
 		err := resilience.Guard(task, func() error {
-			rows[i] = d.ExtractClass(a, class)
+			if a.art != nil {
+				rows[i] = a.art.instantiate(class, a.Meta)
+			} else {
+				rows[i] = change.ExtractGraphs(dags.get(a.Old), dags.get(a.New), class, a.Meta)
+			}
 			return nil
 		})
 		if err != nil {
 			d.ledger.Record(resilience.NewEntry(task, resilience.PhaseExtract, err))
 		}
+		dags.done(a, i)
 		n += len(rows[i])
 	}
 	xsp.SetAttr("usage_changes", fmt.Sprint(n))
 	xsp.End()
-	d.opts.Metrics.Counter("extract.usage_changes").Add(int64(n))
+	reg := d.opts.Metrics
+	reg.Counter("extract.usage_changes").Add(int64(n))
+	reg.Counter("extract.dags_built").Add(dags.built)
+	reg.Counter("extract.dags_shared").Add(dags.shared)
 	return rows
+}
+
+// dagMemo holds the usage DAGs of one class pass, one set per version.
+type dagMemo struct {
+	class string
+	depth int
+	sets  map[*analysis.Result]dagSet
+	// built and shared count the sets built and the lookups served by an
+	// earlier build.
+	built, shared int64
+}
+
+// dagSet is one version's DAGs for the pass's class.
+type dagSet struct {
+	gs    []*usage.Graph
+	built bool
+	last  int // the last change of the pass that reads the set
+}
+
+// newDAGMemo records, for each version the class pass reads, the last
+// change that reads it.
+func newDAGMemo(analyzed []*AnalyzedChange, class string, depth int) *dagMemo {
+	m := &dagMemo{class: class, depth: depth, sets: make(map[*analysis.Result]dagSet, len(analyzed))}
+	for i, a := range analyzed {
+		if a == nil || a.art != nil || !a.UsesClass(class) {
+			continue
+		}
+		m.sets[a.Old] = dagSet{last: i}
+		m.sets[a.New] = dagSet{last: i}
+	}
+	return m
+}
+
+// get returns the DAGs of the version res, building them on first use.
+func (m *dagMemo) get(res *analysis.Result) []*usage.Graph {
+	s := m.sets[res]
+	if s.built {
+		m.shared++
+		return s.gs
+	}
+	s.gs, s.built = usage.BuildAll(res, m.class, m.depth), true
+	m.sets[res] = s
+	m.built++
+	return s.gs
+}
+
+// done drops the sets that change i, the last to read them, has read.
+func (m *dagMemo) done(a *AnalyzedChange, i int) {
+	for _, res := range [2]*analysis.Result{a.Old, a.New} {
+		if s, ok := m.sets[res]; ok && s.last == i {
+			delete(m.sets, res)
+		}
+	}
 }
 
 // filterRows is RunClassCtx's second step: it flattens the rows in order
 // and runs the filters under a "filter" stage span.
 func (d *DiffCode) filterRows(ctx context.Context, rows [][]change.UsageChange, class string) ClassPipelineResult {
 	reg := d.opts.Metrics
-	var all []change.UsageChange
+	n := 0
+	for _, row := range rows {
+		n += len(row)
+	}
+	all := make([]change.UsageChange, 0, n)
 	for _, row := range rows {
 		all = append(all, row...)
 	}

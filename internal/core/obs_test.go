@@ -55,6 +55,8 @@ func twoChanges() []mining.CodeChange {
 // versions each change analyses itself. Both changes carry the same old and
 // new versions, so the first change leads both and the second takes them
 // (analysis.versions_shared = 2): two parse and interpret runs, not four.
+// Extraction likewise builds each version's Cipher DAGs once and the second
+// change reads them (extract.dags_built = extract.dags_shared = 2).
 // The pool's per-file spans are tree-only and report no row.
 func TestPipelineMetricsTwoChanges(t *testing.T) {
 	clock := &tickClock{}
@@ -84,6 +86,8 @@ func TestPipelineMetricsTwoChanges(t *testing.T) {
 		"  analysis.runs                                     2",
 		"  analysis.steps                                   16",
 		"  analysis.versions_shared                          2",
+		"  extract.dags_built                                2",
+		"  extract.dags_shared                               2",
 		"  extract.usage_changes                             2",
 		"  filter.survivors                                  1",
 		"  filter.usage_changes                              2",

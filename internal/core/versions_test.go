@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/artifact"
 	"repro/internal/change"
+	"repro/internal/corpus"
 	"repro/internal/cryptoapi"
 	"repro/internal/mining"
 	"repro/internal/obs"
@@ -528,5 +529,17 @@ func TestDifferentialDispatchOrder(t *testing.T) {
 	}
 	if reordered == 0 || copied == 0 || same == 0 {
 		t.Fatalf("generated batches exercise too little: %d reordered, %d cross-history copies, %d with old == new", reordered, copied, same)
+	}
+}
+
+// BenchmarkVersionTable times a mining batch's serial pre-pass over the
+// seed-1 paper-scale corpus: 13,168 changes carrying 13,894 distinct
+// versions.
+func BenchmarkVersionTable(b *testing.B) {
+	ccs := New(Options{}).collect(context.Background(), corpus.Generate(corpus.Default()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		newVersionTable(ccs)
 	}
 }

@@ -123,7 +123,13 @@ func Collect(c *corpus.Corpus, opts Options) []CodeChange {
 	}
 	reg.Counter("mining.projects_scanned").Add(int64(len(projects)))
 	reg.Counter("mining.forks_deduped").Add(int64(before - len(projects)))
-	var out []CodeChange
+	commits := 0
+	for _, p := range projects {
+		if len(p.Commits) >= opts.MinCommits {
+			commits += len(p.Commits)
+		}
+	}
+	out := make([]CodeChange, 0, commits) // every kept commit at most
 	for _, p := range projects {
 		if len(p.Commits) < opts.MinCommits {
 			reg.Counter("mining.projects_skipped_min_commits").Inc()

@@ -23,9 +23,10 @@ import (
 const DefaultDepth = 5
 
 // Graph is a rooted DAG over content-identified nodes. Nodes are numbered
-// in creation order (the root is 0): ids maps a node key to its number,
-// and keys, labels and kids are indexed by it. kids lists each node's
-// children in insertion order.
+// in creation order (the root is 0); keys, labels and kids are indexed by
+// that number, and kids lists each node's children in insertion order.
+// A key is looked up by scanning keys until the graph reaches
+// indexThreshold nodes; from then on ids maps each key to its number.
 type Graph struct {
 	// Root is the key of the root node ("T|<type>").
 	Root string
@@ -35,11 +36,16 @@ type Graph struct {
 	// graphs used during pairing).
 	Obj *absdom.AObj
 
-	ids    map[string]int32
+	ids    map[string]int32 // nil below indexThreshold nodes
 	keys   []string
 	labels []string // path-element label of each node
 	kids   [][]int32
 }
+
+// indexThreshold is the node count from which a graph keeps its key → node
+// map. Paper-scale graphs have 3–14 nodes, where scanning the keys costs
+// less than building and hashing into a map.
+const indexThreshold = 16
 
 // NewRootOnly returns the padding graph G = ({r}, ∅, r) whose root is
 // labeled with the type t (paper §3.5, pairing versions with unequal DAG
@@ -51,7 +57,6 @@ func newGraph(typ string, size int) *Graph {
 	g := &Graph{
 		Root:   "T|" + typ,
 		Type:   typ,
-		ids:    make(map[string]int32, size),
 		keys:   make([]string, 0, size),
 		labels: make([]string, 0, size),
 		kids:   make([][]int32, 0, size),
@@ -64,11 +69,47 @@ func newGraph(typ string, size int) *Graph {
 // number.
 func (g *Graph) addNode(key, label string) int32 {
 	n := int32(len(g.keys))
-	g.ids[key] = n
 	g.keys = append(g.keys, key)
 	g.labels = append(g.labels, label)
 	g.kids = append(g.kids, nil)
+	switch {
+	case g.ids != nil:
+		g.ids[key] = n
+	case len(g.keys) == indexThreshold:
+		g.ids = make(map[string]int32, 2*indexThreshold)
+		for i, k := range g.keys {
+			g.ids[k] = int32(i)
+		}
+	}
 	return n
+}
+
+// node returns the number of the node with the given key.
+func (g *Graph) node(key string) (int32, bool) {
+	if g.ids != nil {
+		n, ok := g.ids[key]
+		return n, ok
+	}
+	for i, k := range g.keys {
+		if k == key {
+			return int32(i), true
+		}
+	}
+	return 0, false
+}
+
+// nodeBytes is node for a key held in a buffer; it does not allocate.
+func (g *Graph) nodeBytes(key []byte) (int32, bool) {
+	if g.ids != nil {
+		n, ok := g.ids[string(key)]
+		return n, ok
+	}
+	for i, k := range g.keys {
+		if k == string(key) {
+			return int32(i), true
+		}
+	}
+	return 0, false
 }
 
 // addEdge appends the edge from → to unless it exists or would close a
@@ -122,7 +163,7 @@ func (g *Graph) NodeSet() map[string]bool {
 
 // Children returns the ordered child keys of a node.
 func (g *Graph) Children(key string) []string {
-	n, ok := g.ids[key]
+	n, ok := g.node(key)
 	if !ok || len(g.kids[n]) == 0 {
 		return nil
 	}
@@ -135,7 +176,7 @@ func (g *Graph) Children(key string) []string {
 
 // Label returns the path-element label of a node key.
 func (g *Graph) Label(key string) string {
-	if n, ok := g.ids[key]; ok {
+	if n, ok := g.node(key); ok {
 		return g.labels[n]
 	}
 	return ""
@@ -154,7 +195,7 @@ func SameShape(g1, g2 *Graph) bool {
 		to2 = make([]int32, 0, len(g1.keys))
 	}
 	for n1, k := range g1.keys {
-		n2, ok := g2.ids[k]
+		n2, ok := g2.node(k)
 		if !ok || g1.labels[n1] != g2.labels[n2] || len(g1.kids[n1]) != len(g2.kids[n2]) {
 			return false
 		}
@@ -200,7 +241,7 @@ func Build(res *analysis.Result, obj *absdom.AObj, maxDepth int) *Graph {
 		}
 		for _, ev := range res.Uses[w.obj] {
 			key = append(append(append(append(key[:0], "M|"...), ev.Sig.Class...), '.'), ev.Sig.Name...)
-			m, ok := g.ids[string(key)]
+			m, ok := g.nodeBytes(key)
 			if !ok {
 				m = g.addNode(string(key), ev.Sig.Name)
 			}
@@ -212,7 +253,7 @@ func Build(res *analysis.Result, obj *absdom.AObj, maxDepth int) *Graph {
 				val := argValueLabel(a)
 				key = strconv.AppendInt(append(key[:0], "A|"...), int64(i+1), 10)
 				key = append(append(key, '|'), val...)
-				n, ok := g.ids[string(key)]
+				n, ok := g.nodeBytes(key)
 				if !ok { // label e.g. `arg1:"AES"` or `arg3:IvParameterSpec`
 					n = g.addNode(string(key), "arg"+strconv.Itoa(i+1)+":"+val)
 				}
@@ -231,9 +272,13 @@ func Build(res *analysis.Result, obj *absdom.AObj, maxDepth int) *Graph {
 
 // BuildAll constructs the DAGs for all abstract objects of the given type.
 func BuildAll(res *analysis.Result, typ string, maxDepth int) []*Graph {
-	var out []*Graph
-	for _, o := range res.ObjsOfType(typ) {
-		out = append(out, Build(res, o, maxDepth))
+	objs := res.ObjsOfType(typ)
+	if len(objs) == 0 {
+		return nil
+	}
+	out := make([]*Graph, len(objs))
+	for i, o := range objs {
+		out[i] = Build(res, o, maxDepth)
 	}
 	return out
 }
@@ -347,7 +392,7 @@ func (g *Graph) Paths() []Path {
 func Dist(g1, g2 *Graph) float64 {
 	inter := 0
 	for _, k := range g1.keys {
-		if _, ok := g2.ids[k]; ok {
+		if _, ok := g2.node(k); ok {
 			inter++
 		}
 	}
@@ -369,14 +414,29 @@ type PairResult struct {
 }
 
 // Pair computes the minimum-distance bijection between old and new DAGs.
+// One graph against at most one pairs without a cost matrix: the only
+// bijection is the minimum.
 func Pair(old, new []*Graph, typ string) []PairResult {
-	n := len(old)
-	if len(new) > n {
-		n = len(new)
-	}
-	if n == 0 {
+	switch max(len(old), len(new)) {
+	case 0:
 		return nil
+	case 1:
+		return []PairResult{{Old: only(old, typ), New: only(new, typ)}}
 	}
+	return pairAssigned(old, new, typ)
+}
+
+// only returns the one graph of gs, or root-only padding when gs is empty.
+func only(gs []*Graph, typ string) *Graph {
+	if len(gs) == 1 {
+		return gs[0]
+	}
+	return NewRootOnly(typ)
+}
+
+// pairAssigned is Pair through the cost matrix and the assignment solver.
+func pairAssigned(old, new []*Graph, typ string) []PairResult {
+	n := max(len(old), len(new))
 	padded := func(gs []*Graph) []*Graph {
 		out := append([]*Graph{}, gs...)
 		for len(out) < n {

@@ -247,6 +247,51 @@ func TestPairUnequalCounts(t *testing.T) {
 	}
 }
 
+// TestPairOneByOne holds Pair's direct 1×1 pairing to the cost-matrix
+// path: the same graphs on both sides, and root-only padding of the class's
+// type where one side is empty.
+func TestPairOneByOne(t *testing.T) {
+	g1, g2 := buildOne(t, oldSrc), buildOne(t, newSrc)
+	render := func(prs []PairResult) string {
+		var sb strings.Builder
+		for _, pr := range prs {
+			for _, g := range []*Graph{pr.Old, pr.New} {
+				if g == g1 || g == g2 {
+					sb.WriteString(g.Root + " built\n")
+				} else {
+					sb.WriteString(g.Root + " padding " + strings.Join(keys(g), ",") + "\n")
+				}
+			}
+		}
+		return sb.String()
+	}
+	for _, tc := range []struct {
+		name     string
+		old, new []*Graph
+	}{
+		{"both", []*Graph{g1}, []*Graph{g2}},
+		{"same graph", []*Graph{g1}, []*Graph{g1}},
+		{"removed", []*Graph{g1}, nil},
+		{"added", nil, []*Graph{g2}},
+	} {
+		got := Pair(tc.old, tc.new, cryptoapi.Cipher)
+		want := pairAssigned(tc.old, tc.new, cryptoapi.Cipher)
+		if len(got) != 1 || render(got) != render(want) {
+			t.Errorf("%s: Pair = %q, assignment = %q", tc.name, render(got), render(want))
+		}
+		for i, g := range tc.old {
+			if got[i].Old != g {
+				t.Errorf("%s: old graph %d not paired as itself", tc.name, i)
+			}
+		}
+		for _, g := range tc.new {
+			if got[0].New != g {
+				t.Errorf("%s: new graph not paired as itself", tc.name)
+			}
+		}
+	}
+}
+
 func TestCycleGuard(t *testing.T) {
 	// Two objects that reference each other through method arguments must
 	// not loop the builder.
@@ -344,7 +389,7 @@ func TestDOTExport(t *testing.T) {
 func graphOf(edges ...[2]string) *Graph {
 	g := NewRootOnly("C")
 	node := func(k string) (int32, bool) {
-		if n, ok := g.ids[k]; ok {
+		if n, ok := g.node(k); ok {
 			return n, false
 		}
 		return g.addNode(k, k), true
@@ -382,7 +427,8 @@ func TestSameShapeSeesEdgesAndLabels(t *testing.T) {
 		t.Error("graphs with moved edges are SameShape")
 	}
 	relabeled := graphOf(base...)
-	relabeled.labels[relabeled.ids["A|x"]] = "other"
+	x, _ := relabeled.node("A|x")
+	relabeled.labels[x] = "other"
 	if SameShape(g1, relabeled) {
 		t.Error("graphs with different labels are SameShape")
 	}

@@ -167,7 +167,11 @@ func TestAnalyzeUsagesHonorsOptions(t *testing.T) {
 	var events []string
 	for _, o := range res.ObjsOfType(Cipher) {
 		for _, e := range res.Uses[o] {
-			events = append(events, e.Key())
+			ev := e.Sig.String()
+			for _, a := range e.Args {
+				ev += " " + a.Label()
+			}
+			events = append(events, ev)
 		}
 	}
 	if len(events) != 1 || !strings.Contains(events[0], `"DES"`) {

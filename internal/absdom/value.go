@@ -52,6 +52,7 @@ type AObj struct {
 	ID   int         // unique within one analyzed program version
 	Type string      // simple class name, e.g. "Cipher"
 	Site javatok.Pos // allocation site
+	File int32       // allocation site's file: its index in the analyzed program
 }
 
 // SiteLabel renders the allocation-site identity, e.g. "Cipher@l13".
@@ -164,44 +165,57 @@ func (v Value) IsConst() bool {
 // predicates. Constants render their payload; ⊤ values render as the
 // paper's ⊤-with-type notation.
 func (v Value) Label() string {
+	pre, mid, suf := v.labelParts()
+	// At most one part is non-empty except for quoted and array constants,
+	// so only those concatenate.
+	return pre + mid + suf
+}
+
+// AppendLabel appends Label() to b without building the label string.
+func (v Value) AppendLabel(b []byte) []byte {
+	pre, mid, suf := v.labelParts()
+	return append(append(append(b, pre...), mid...), suf...)
+}
+
+// labelParts returns the label as its constant prefix, dynamic middle and
+// constant suffix.
+func (v Value) labelParts() (pre, mid, suf string) {
 	switch v.Kind {
-	case KIntConst:
-		return v.Payload
+	case KIntConst, KBoolConst:
+		return "", v.Payload, ""
 	case KTopInt:
-		return "⊤int"
+		return "⊤int", "", ""
 	case KStrConst:
-		return "\"" + v.Payload + "\""
+		return "\"", v.Payload, "\""
 	case KTopStr:
-		return "⊤str"
+		return "⊤str", "", ""
 	case KIntArrConst:
-		return "int[]{" + v.Payload + "}"
+		return "int[]{", v.Payload, "}"
 	case KTopIntArr:
-		return "⊤int[]"
+		return "⊤int[]", "", ""
 	case KStrArrConst:
-		return "String[]{" + v.Payload + "}"
+		return "String[]{", v.Payload, "}"
 	case KTopStrArr:
-		return "⊤str[]"
+		return "⊤str[]", "", ""
 	case KConstByte:
-		return "const_byte"
+		return "const_byte", "", ""
 	case KTopByte:
-		return "⊤byte"
+		return "⊤byte", "", ""
 	case KConstByteArr:
-		return "const_byte[]"
+		return "const_byte[]", "", ""
 	case KTopByteArr:
-		return "⊤byte[]"
-	case KBoolConst:
-		return v.Payload
+		return "⊤byte[]", "", ""
 	case KNull:
-		return "null"
+		return "null", "", ""
 	case KObj:
-		return v.Obj.Type
+		return "", v.Obj.Type, ""
 	case KTopObj:
 		if v.Type == "" {
-			return "⊤obj"
+			return "⊤obj", "", ""
 		}
-		return v.Type
+		return "", v.Type, ""
 	default:
-		return "<invalid>"
+		return "<invalid>", "", ""
 	}
 }
 

@@ -5,3 +5,6 @@ var (
 	DeepChainSrc  = deepChainSrc
 	HelperForkSrc = helperForkSrc
 )
+
+// EventKey renders an event's identity for the external tests.
+var EventKey = eventKey

@@ -34,7 +34,7 @@ func whyText(res *analysis.Result) string {
 	for _, o := range res.Objs {
 		fmt.Fprintf(&sb, "#%d %s\n", o.ID, o.SiteLabel())
 		for _, ev := range res.Uses[o] {
-			fmt.Fprintf(&sb, "  %s\n", ev.Key())
+			fmt.Fprintf(&sb, "  %s\n", analysis.EventKey(ev))
 			for _, a := range ev.Args {
 				fmt.Fprintf(&sb, "    arg n%d\n", chainText(&sb, a.Prov, ids))
 			}

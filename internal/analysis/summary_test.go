@@ -19,7 +19,7 @@ func renderResult(r *Result) string {
 	for _, o := range r.Objs {
 		fmt.Fprintf(&sb, "#%d %s @%d:%d\n", o.ID, o.Type, o.Site.Line, o.Site.Col)
 		for _, e := range r.Uses[o] {
-			fmt.Fprintf(&sb, "  %s\n", e.Key())
+			fmt.Fprintf(&sb, "  %s\n", eventKey(e))
 		}
 	}
 	return sb.String()

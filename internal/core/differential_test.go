@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/absdom"
 	"repro/internal/analysis"
 	"repro/internal/artifact"
 	"repro/internal/obs"
@@ -133,16 +134,30 @@ func genHelperChain(r *rand.Rand, id int) genProgram {
 }
 
 // renderUses flattens a result into every abstract object in discovery
-// order with its ID, type, site, and deduplicated event keys.
+// order with its ID, type, site, and deduplicated events (eventText).
 func renderUses(r *analysis.Result) string {
 	var sb strings.Builder
 	for _, o := range r.Objs {
 		fmt.Fprintf(&sb, "#%d %s @%d:%d\n", o.ID, o.Type, o.Site.Line, o.Site.Col)
 		for _, e := range r.Uses[o] {
-			fmt.Fprintf(&sb, "  %s\n", e.Key())
+			fmt.Fprintf(&sb, "  %s\n", eventText(e))
 		}
 	}
 	return sb.String()
+}
+
+// eventText renders an event's signature, then each argument's label, or
+// for an object argument its allocation site and ID.
+func eventText(e analysis.Event) string {
+	s := e.Sig.String()
+	for _, a := range e.Args {
+		if a.Kind == absdom.KObj {
+			s += fmt.Sprintf("|@%s#%d", a.Obj.SiteLabel(), a.Obj.ID)
+		} else {
+			s += "|" + a.Label()
+		}
+	}
+	return s
 }
 
 // renderViolationSet renders violations as a sorted set of rule IDs with

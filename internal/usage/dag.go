@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/absdom"
 	"repro/internal/analysis"
+	"repro/internal/match"
 )
 
 // DefaultDepth is the expansion bound n of the paper (§3.4: "we set n=5").
@@ -452,13 +453,9 @@ func pairAssigned(old, new []*Graph, typ string) []PairResult {
 			cost[i][j] = Dist(po[i], pn[j])
 		}
 	}
-	assign := assignFn(cost)
 	out := make([]PairResult, n)
-	for i, j := range assign {
+	for i, j := range match.Assign(cost) {
 		out[i] = PairResult{Old: po[i], New: pn[j]}
 	}
 	return out
 }
-
-// assignFn is indirected for testing.
-var assignFn = defaultAssign

@@ -12,7 +12,6 @@ import (
 	"repro/internal/distcache"
 	"repro/internal/mining"
 	"repro/internal/resilience"
-	"repro/internal/ruledsl"
 	"repro/internal/rules"
 	"repro/internal/textdiff"
 	"repro/internal/usage"
@@ -115,12 +114,12 @@ func SuggestRule(c UsageChange) *Rule { return rules.Suggest(c) }
 // `Cipher : getInstance(X) ∧ X=RC4` (ASCII fallbacks && / || / ! / != are
 // accepted).
 func ParseRule(id, description, formula string) (*Rule, error) {
-	return ruledsl.Parse(id, description, formula)
+	return rules.Parse(id, description, formula)
 }
 
 // ParseRuleFile compiles an "id | description | formula" rules file.
 func ParseRuleFile(content string) ([]*Rule, error) {
-	return ruledsl.ParseFile(content)
+	return rules.ParseFile(content)
 }
 
 // Filter applies the four-stage filter pipeline and reports per-stage

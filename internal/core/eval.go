@@ -286,16 +286,37 @@ func summarize(c change.UsageChange) string {
 // Figure 9 — the elicited rules
 // ---------------------------------------------------------------------------
 
-// Figure9 renders the rule registry.
+// Figure9 renders the rule registry in the paper's notation.
 func Figure9() *report.Table {
 	t := &report.Table{
 		Title:  "Figure 9: security rules derived from security fixes applied to the Java Crypto API",
 		Header: []string{"ID", "Description", "Rule"},
 	}
 	for _, r := range rules.All() {
-		t.AddRow(r.ID, r.Description, r.Formula)
+		t.AddRow(r.ID, r.Description, figure9Notation[r.ID])
 	}
 	return t
+}
+
+// figure9Notation is each rule as the paper's Figure 9 writes it. It is
+// display only: a rule runs its Formula, the DSL source every other surface
+// prints, which spells out what the notation leaves implicit (R1 also flags
+// MD5, R7 any block cipher in default ECB mode, R6 the Android gate).
+var figure9Notation = map[string]string{
+	"R1":  "MessageDigest : getInstance(X) ∧ X=SHA-1",
+	"R2":  "PBEKeySpec : <init>(_,_,X,_) ∧ X<1000",
+	"R3":  "SecureRandom : <init>(X) ∧ X≠SHA-1PRNG",
+	"R4":  "SecureRandom : ¬getInstanceStrong",
+	"R5":  "Cipher : getInstance(_,X) ∧ X≠BC",
+	"R6":  "SecureRandom : <init>(_) ∧ ¬LPRNG ∧ MIN_SDK_VERSION≥16",
+	"R7":  "Cipher : getInstance(X) ∧ (X=AES ∨ X=AES/ECB)",
+	"R8":  "Cipher : getInstance(X) ∧ X=DES",
+	"R9":  "IvParameterSpec : <init>(X) ∧ X≠⊤byte[]",
+	"R10": "SecretKeySpec : <init>(X) ∧ X≠⊤byte[]",
+	"R11": "PBEKeySpec : <init>(_,X,_,_) ∧ X≠⊤byte[]",
+	"R12": "SecureRandom : setSeed(X) ∧ X≠⊤byte[]",
+	"R13": "(Cipher : getInstance(X) ∧ startsWith(X,AES/CBC)) ∧ " +
+		"(Cipher : getInstance(Y) ∧ Y=RSA) ∧ ¬(Mac : getInstance(Z) ∧ startsWith(Z,Hmac))",
 }
 
 // ---------------------------------------------------------------------------

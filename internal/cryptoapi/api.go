@@ -5,7 +5,11 @@
 // rules reason about.
 package cryptoapi
 
-import "strings"
+import (
+	"strings"
+	"unicode"
+	"unicode/utf8"
+)
 
 // Target API class names (paper Figure 5).
 const (
@@ -180,14 +184,9 @@ type Transformation struct {
 
 // ParseTransformation splits a Cipher.getInstance transformation string.
 func ParseTransformation(s string) Transformation {
-	parts := strings.SplitN(s, "/", 3)
-	t := Transformation{Algorithm: parts[0]}
-	if len(parts) > 1 {
-		t.Mode = parts[1]
-	}
-	if len(parts) > 2 {
-		t.Padding = parts[2]
-	}
+	var t Transformation
+	t.Algorithm, s, _ = strings.Cut(s, "/")
+	t.Mode, t.Padding, _ = strings.Cut(s, "/")
 	return t
 }
 
@@ -197,11 +196,46 @@ func (t Transformation) EffectiveMode() string {
 	if t.Mode != "" {
 		return t.Mode
 	}
-	switch strings.ToUpper(t.Algorithm) {
-	case "AES", "DES", "DESEDE", "BLOWFISH", "RC2":
-		return "ECB"
+	for _, block := range [...]string{"AES", "DES", "DESEDE", "BLOWFISH", "RC2"} {
+		if MatchUpper(t.Algorithm, block, false, false) {
+			return "ECB"
+		}
 	}
 	return ""
+}
+
+// MatchUpper reports whether s upper-cased — with its dashes dropped when
+// dropDash is set — equals t, or with prefix starts with t; t is already in
+// that form. It maps rune by rune as strings.ToUpper does, without building
+// the copy.
+func MatchUpper(s, t string, dropDash, prefix bool) bool {
+	var buf [utf8.UTFMax]byte
+	for i := 0; i < len(s); {
+		if dropDash && s[i] == '-' {
+			i++
+			continue
+		}
+		if prefix && t == "" {
+			return true
+		}
+		if c := s[i]; c < utf8.RuneSelf {
+			if 'a' <= c && c <= 'z' {
+				c -= 'a' - 'A'
+			}
+			if t == "" || t[0] != c {
+				return false
+			}
+			i, t = i+1, t[1:]
+			continue
+		}
+		r, w := utf8.DecodeRuneInString(s[i:])
+		n := utf8.EncodeRune(buf[:], unicode.ToUpper(r))
+		if len(t) < n || string(buf[:n]) != t[:n] {
+			return false
+		}
+		i, t = i+w, t[n:]
+	}
+	return t == ""
 }
 
 // String renders the transformation back to source form.
@@ -253,15 +287,3 @@ var FeedbackModes = map[string]bool{
 
 // SecureModes are the modes fixes in the mined data moved to (Figure 8).
 var SecureModes = []string{"CBC", "GCM"}
-
-// Providers.
-const (
-	ProviderBouncyCastle = "BC"
-	ProviderSun          = "SunJCE"
-)
-
-// SHA1PRNG is the SecureRandom algorithm rule R3 prescribes.
-const SHA1PRNG = "SHA1PRNG"
-
-// MinPBEIterations is the threshold of rule R2 / CL4.
-const MinPBEIterations = 1000

@@ -1,6 +1,9 @@
 package cryptoapi
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestTargetClasses(t *testing.T) {
 	if len(TargetClasses) != 6 {
@@ -164,5 +167,28 @@ func TestCipherKnowledge(t *testing.T) {
 	}
 	if FeedbackModes["ECB"] {
 		t.Error("ECB is not a feedback mode")
+	}
+}
+
+// TestMatchUpper checks MatchUpper against the string form it avoids
+// building: strings.ToUpper, with dashes dropped when asked.
+func TestMatchUpper(t *testing.T) {
+	inputs := []string{"", "aes", "AES/cbc", "sha-1", "SHA1", " des ", "ſha1", "ǆ", "ı", "\xff", "a\xffb", "Straße", "-", "--x-"}
+	for _, s := range inputs {
+		for _, target := range inputs {
+			for _, dropDash := range []bool{false, true} {
+				for _, prefix := range []bool{false, true} {
+					form := strings.ToUpper(s)
+					if dropDash {
+						form = strings.ReplaceAll(form, "-", "")
+					}
+					tt := strings.ToUpper(target)
+					want := form == tt || (prefix && strings.HasPrefix(form, tt))
+					if got := MatchUpper(s, tt, dropDash, prefix); got != want {
+						t.Errorf("MatchUpper(%q, %q, %t, %t) = %t, want %t", s, tt, dropDash, prefix, got, want)
+					}
+				}
+			}
+		}
 	}
 }

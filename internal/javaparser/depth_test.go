@@ -134,8 +134,8 @@ func TestParseErrorCap(t *testing.T) {
 	if last, want := res.Errors[maxErrors].Msg, fmt.Sprintf("more than %d syntax errors", maxErrors); last != want {
 		t.Errorf("last error %q, want %q", last, want)
 	}
-	if mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20); mb >= 32 {
-		t.Errorf("parse allocated %.1f MB, want under 32", mb)
+	if mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20); mb >= parseCapMB {
+		t.Errorf("parse allocated %.1f MB, want under %d", mb, parseCapMB)
 	}
 	if res := Parse("class A { " + strings.Repeat("int; ", maxErrors-1) + "}"); len(res.Errors) != maxErrors-1 {
 		t.Errorf("%d broken members: %d errors", maxErrors-1, len(res.Errors))

@@ -3,24 +3,21 @@ package ruledsl
 import (
 	"fmt"
 	"strings"
-
-	"repro/internal/rules"
 )
 
 // PackRule is one rule line of a pack: the raw fields, where they sit in
-// the pack file, and the parsed and compiled forms (one parse feeds both).
-// Rule and Syntax are nil when Err is set. FormulaCol is the 1-based
-// column of the formula's first character on Line, letting diagnostics
-// translate formula-relative positions into pack-absolute ones.
+// the pack file, and the parsed formula. Syntax is nil when Err is set.
+// FormulaCol is the 1-based column of the formula's first character on
+// Line, letting diagnostics translate formula-relative positions into
+// pack-absolute ones.
 type PackRule struct {
 	ID          string
 	Description string
 	Formula     string
 	Line        int // 1-based line in the pack file
 	FormulaCol  int
-	Rule        *rules.Rule
 	Syntax      *Syntax
-	Err         error // parse/compile error, already line:col-resolved
+	Err         error // parse error, already line:col-resolved
 }
 
 // PackLineError is a structurally malformed pack line (wrong field count,
@@ -51,8 +48,8 @@ type Pack struct {
 //
 // Blank lines and lines starting with '#' are ignored. Each rule line has
 // three '|'-separated fields: id, description, formula. Unlike ParseFile,
-// ParsePack never fails: malformed lines land in LineErrs, uncompilable
-// formulas in PackRule.Err, and duplicate ids are kept (rulelint reports
+// ParsePack never fails: malformed lines land in LineErrs, formulas that do
+// not parse in PackRule.Err, and duplicate ids are kept (rulelint reports
 // them as collisions).
 func ParsePack(name, content string) *Pack {
 	p := &Pack{Name: name, Source: content}
@@ -89,19 +86,19 @@ func ParsePack(name, content string) *Pack {
 		if syn, err := ParseSyntax(formula); err != nil {
 			pr.Err = fmt.Errorf("rule %s: %w", id, err)
 		} else {
-			pr.Syntax, pr.Rule = syn, compile(id, pr.Description, syn)
+			pr.Syntax = syn
 		}
 		p.Rules = append(p.Rules, pr)
 	}
 	return p
 }
 
-// ParseFile compiles a rules file, failing on the first defect. It is the
+// ParseFile parses a rules file, failing on the first defect. It is the
 // strict form of ParsePack: same format, but malformed lines, duplicate
-// ids, and uncompilable formulas are immediate errors.
-func ParseFile(content string) ([]*rules.Rule, error) {
+// ids, and formulas that do not parse are immediate errors.
+func ParseFile(content string) ([]PackRule, error) {
 	p := ParsePack("", content)
-	var out []*rules.Rule
+	var out []PackRule
 	seen := map[string]bool{}
 	le := 0
 	for _, pr := range p.Rules {
@@ -116,7 +113,7 @@ func ParseFile(content string) ([]*rules.Rule, error) {
 		if pr.Err != nil {
 			return nil, fmt.Errorf("line %d: %w", pr.Line, pr.Err)
 		}
-		out = append(out, pr.Rule)
+		out = append(out, pr)
 	}
 	if le < len(p.LineErrs) {
 		return nil, p.LineErrs[le]

@@ -77,11 +77,11 @@ func MergeActive(builtins, reserved []*rules.Rule, packs []*ruledsl.Pack) []*rul
 	for _, p := range packs {
 		for i := range p.Rules {
 			pr := &p.Rules[i]
-			if pr.Err != nil || pr.Rule == nil || seen[pr.ID] {
+			if pr.Syntax == nil || seen[pr.ID] {
 				continue
 			}
 			seen[pr.ID] = true
-			out = append(out, pr.Rule)
+			out = append(out, rules.Compile(pr.ID, pr.Description, pr.Syntax))
 		}
 	}
 	return out

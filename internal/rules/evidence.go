@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/absdom"
 	"repro/internal/analysis"
+	"repro/internal/ruledsl"
 )
 
 // Evidence pinpoints, per witnessing object, which recorded usage events a
@@ -12,38 +13,28 @@ import (
 // witness reconstruction uses it to start traces at the right sink call and
 // the right sink arguments instead of dumping every event of the object.
 
-// EventMatch identifies one matched usage event of an object.
-type EventMatch struct {
-	// EventIndex indexes into res.Uses[obj].
-	EventIndex int
-	// Args lists the argument positions the rule predicate inspected (the
-	// "interesting" values whose provenance a witness trace should follow).
-	// Empty means the event itself — not a particular argument — is the
-	// evidence (e.g. R4's getInstanceStrong).
-	Args []int
-}
+// EventMatch identifies one matched usage event of an object: EventIndex
+// indexes into res.Uses[obj], and Args lists the argument positions the
+// rule found decisive (the values whose provenance a witness trace
+// follows); empty means the call itself is the evidence (R4's
+// getInstanceStrong).
+type EventMatch = ruledsl.EventMatch
 
 // EvidenceFn locates the events of one object that satisfy a clause.
 type EvidenceFn func(res *analysis.Result, obj *absdom.AObj, ctx Context) []EventMatch
 
 // Evidence maps each witnessing object of the violation to the events that
-// made it match. Clauses that carry a Find function report exact matches;
-// clauses without one (DSL-compiled and custom rules) fall back to every
+// made it match. Compiled clauses report exact matches through Find;
+// suggested rules, whose clauses carry only a predicate, fall back to every
 // event of the object with its constant arguments marked. The result is
-// deterministic: matches are ordered by event index with sorted, deduplicated
-// argument lists.
+// deterministic: matches are ordered by event index with sorted,
+// deduplicated argument lists.
 func (v Violation) Evidence(res *analysis.Result, ctx Context) map[*absdom.AObj][]EventMatch {
 	out := make(map[*absdom.AObj][]EventMatch, len(v.Objs))
 	for _, obj := range v.Objs {
 		var matches []EventMatch
 		for _, c := range v.Rule.Clauses {
-			if c.Negated || c.Class != obj.Type {
-				continue
-			}
-			if c.Pred != nil && !c.Pred(res, obj, ctx) {
-				continue
-			}
-			if c.Find != nil {
+			if c.Find != nil && !c.Negated && c.Class == obj.Type {
 				matches = append(matches, c.Find(res, obj, ctx)...)
 			}
 		}
@@ -56,8 +47,8 @@ func (v Violation) Evidence(res *analysis.Result, ctx Context) map[*absdom.AObj]
 }
 
 // fallbackEvidence marks every event of the object, flagging its constant
-// arguments — the best generic guess for rules compiled from the DSL or
-// registered programmatically, which only expose an opaque predicate.
+// arguments — the best generic guess for suggested rules, whose
+// path-containment predicate is opaque.
 func fallbackEvidence(res *analysis.Result, obj *absdom.AObj) []EventMatch {
 	evs := res.Uses[obj]
 	matches := make([]EventMatch, 0, len(evs))

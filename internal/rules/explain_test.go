@@ -17,7 +17,7 @@ func TestExplain(t *testing.T) {
 	out := Explain(vs[0], res)
 	for _, want := range []string{
 		"R8:", "Do not use Cipher with DES",
-		"Cipher : getInstance(X) ∧ X=DES",
+		"rule: Cipher : getInstance(X, …) ∧ alg(X, DES)",
 		"Cipher@l", `Cipher.getInstance("DES")`,
 		"Cipher.init(ENCRYPT_MODE, Key)",
 	} {

@@ -30,10 +30,6 @@ var extendedClasses = map[string]bool{
 	TrustManagerFactory: true,
 }
 
-// IsExtendedClass reports whether the simple class name belongs to the
-// extended (non-target) modeled surface.
-func IsExtendedClass(name string) bool { return extendedClasses[name] }
-
 // extendedMethods is appended to apiMethods at init.
 var extendedMethods = []MethodSig{
 	// SSLContext.
@@ -77,10 +73,6 @@ var extendedMethods = []MethodSig{
 
 func init() { apiMethods = append(apiMethods, extendedMethods...) }
 
-// AllMethods returns every modeled method signature. The slice is shared;
-// callers must not mutate it.
-func AllMethods() []MethodSig { return apiMethods }
-
 // AllClasses returns every modeled class name (targets, Mac, extended) in
 // a stable order.
 func AllClasses() []string {
@@ -91,45 +83,12 @@ func AllClasses() []string {
 	return out
 }
 
-// ---------------------------------------------------------------------------
-// TLS / key-size / keystore knowledge
-// ---------------------------------------------------------------------------
-
-// WeakTLSProtocols are SSLContext.getInstance arguments selecting broken
-// or deprecated protocol versions (POODLE, BEAST; TLS <1.2 deprecated by
-// RFC 8996).
-var WeakTLSProtocols = map[string]bool{
-	"SSL": true, "SSLv2": true, "SSLv3": true,
-	"TLSv1": true, "TLSv1.1": true,
-}
-
-// IsWeakTLSProtocol reports whether the protocol string is deprecated.
-func IsWeakTLSProtocol(p string) bool { return WeakTLSProtocols[p] }
-
-// WeakMacAlgorithms are Mac.getInstance arguments built on broken digests.
-var WeakMacAlgorithms = map[string]bool{
-	"HmacMD5": true, "HmacSHA1": true,
-}
-
-// MinSymmetricKeyBits is the minimum acceptable symmetric key size
-// (KeyGenerator.init below this is flagged).
-const MinSymmetricKeyBits = 128
-
-// MinRSAKeyBits is the minimum acceptable RSA/DSA modulus
-// (KeyPairGenerator.initialize below this is flagged).
-const MinRSAKeyBits = 2048
-
-// WeakKeystoreTypes are KeyStore.getInstance types with broken integrity
-// protection (JKS/JCEKS use weak custom ciphers; PKCS12 is the fix).
-var WeakKeystoreTypes = map[string]bool{
-	"JKS": true, "JCEKS": true,
-}
-
 // knownAlgorithmStrings is the vocabulary of modeled string arguments:
 // digest names, cipher algorithms and transformations, PRNG algorithms,
 // MAC algorithms, TLS protocols, keystore types, and key-generation
-// algorithms. rulelint's satisfiability pass uses it to flag prefix tests
-// that cannot match any string the model knows about.
+// algorithms. rulelint uses it to flag prefix tests that cannot match any
+// string the model knows about, and to decide which named tests an
+// equality implies.
 var knownAlgorithmStrings = []string{
 	// Digests.
 	"MD2", "MD4", "MD5", "SHA", "SHA-1", "SHA-224", "SHA-256", "SHA-384",
@@ -166,16 +125,17 @@ func SomeKnownStringHasPrefix(prefix string) bool {
 	return false
 }
 
-// IsKnownAlgorithmString reports whether the literal names a modeled
-// algorithm/transformation/protocol string, under DSL normalization.
-func IsKnownAlgorithmString(lit string) bool {
+// KnownStringsEqual lists the modeled algorithm strings equal to the
+// literal under DSL normalization: "SHA-1" lists "SHA-1" and "SHA1".
+func KnownStringsEqual(lit string) []string {
 	n := normAlg(lit)
+	var out []string
 	for _, s := range knownAlgorithmStrings {
 		if normAlg(s) == n {
-			return true
+			out = append(out, s)
 		}
 	}
-	return false
+	return out
 }
 
 // normAlg mirrors the rule DSL's literal normalization: uppercase with

@@ -20,6 +20,11 @@ func TestExplanationCoverage(t *testing.T) {
 			t.Errorf("rule %s has no explanation", r.ID)
 		}
 	}
+	for cl, r := range relabels {
+		if ByID(cl).Formula != ByID(r).Formula {
+			t.Errorf("%s explains as %s but runs %q, not %q", cl, r, ByID(cl).Formula, ByID(r).Formula)
+		}
+	}
 }
 
 // TestEvidenceFindersCoverAllRules requires every positive clause of the

@@ -83,7 +83,7 @@ func TestElicitDirectionVote(t *testing.T) {
 			for _, p := range m.Added {
 				if len(p) >= 3 && p[1] == "getInstance" {
 					if s, ok := argString(p[2]); ok &&
-						cryptoapi.ParseTransformation(s).EffectiveMode() == "ECB" {
+						cryptoapi.ParseTransformation(s).IsECB() {
 						addsECB = true
 					}
 				}
@@ -91,7 +91,7 @@ func TestElicitDirectionVote(t *testing.T) {
 			for _, p := range m.Removed {
 				if len(p) >= 3 && p[1] == "getInstance" {
 					if s, ok := argString(p[2]); ok &&
-						cryptoapi.ParseTransformation(s).EffectiveMode() == "CBC" {
+						cryptoapi.ParseTransformation(s).Mode == "CBC" {
 						removesCBC = true
 					}
 				}

@@ -248,7 +248,7 @@ func removesECB(c change.UsageChange) bool {
 	for _, p := range c.Removed {
 		if len(p) >= 3 && p[1] == "getInstance" {
 			if s, ok := argString(p[2]); ok {
-				if cryptoapi.ParseTransformation(s).EffectiveMode() == "ECB" {
+				if cryptoapi.ParseTransformation(s).IsECB() {
 					return true
 				}
 			}

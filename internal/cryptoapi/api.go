@@ -190,53 +190,66 @@ func ParseTransformation(s string) Transformation {
 	return t
 }
 
-// EffectiveMode returns the mode the JCA would actually use: the explicit
-// mode, or ECB when only a block-cipher algorithm is named.
-func (t Transformation) EffectiveMode() string {
-	if t.Mode != "" {
-		return t.Mode
+// IsECB reports whether the transformation runs a block cipher in ECB
+// mode: its mode is ECB, or it names no mode and a block cipher, which the
+// JCA then runs in ECB. Algorithm and mode compare in canonical form.
+func (t Transformation) IsECB() bool {
+	if !MatchCanon(t.Mode, "", false) {
+		return MatchCanon(t.Mode, "ECB", false)
 	}
 	for _, block := range [...]string{"AES", "DES", "DESEDE", "BLOWFISH", "RC2"} {
-		if MatchUpper(t.Algorithm, block, false, false) {
-			return "ECB"
+		if MatchCanon(t.Algorithm, block, false) {
+			return true
 		}
 	}
-	return ""
+	return false
 }
 
-// MatchUpper reports whether s upper-cased — with its dashes dropped when
-// dropDash is set — equals t, or with prefix starts with t; t is already in
-// that form. It maps rune by rune as strings.ToUpper does, without building
-// the copy.
-func MatchUpper(s, t string, dropDash, prefix bool) bool {
+// Canon is the form every string test of the rule language compares in:
+// upper-cased, dashes dropped and surrounding white space trimmed. The JCA
+// looks algorithm names up case-insensitively, and the paper writes the
+// JCA's "SHA1PRNG" as SHA-1PRNG, so " sha-1" and SHA1 are one name.
+func Canon(s string) string {
+	return strings.TrimSpace(strings.ToUpper(strings.ReplaceAll(s, "-", "")))
+}
+
+// MatchCanon reports whether Canon(s) equals canon, or with prefix starts
+// with it; canon is already in canonical form. It maps rune by rune as
+// strings.ToUpper does, without building the copy.
+func MatchCanon(s, canon string, prefix bool) bool {
+	s = strings.TrimFunc(s, isPad)
 	var buf [utf8.UTFMax]byte
 	for i := 0; i < len(s); {
-		if dropDash && s[i] == '-' {
+		if s[i] == '-' {
 			i++
 			continue
 		}
-		if prefix && t == "" {
+		if prefix && canon == "" {
 			return true
 		}
 		if c := s[i]; c < utf8.RuneSelf {
 			if 'a' <= c && c <= 'z' {
 				c -= 'a' - 'A'
 			}
-			if t == "" || t[0] != c {
+			if canon == "" || canon[0] != c {
 				return false
 			}
-			i, t = i+1, t[1:]
+			i, canon = i+1, canon[1:]
 			continue
 		}
 		r, w := utf8.DecodeRuneInString(s[i:])
 		n := utf8.EncodeRune(buf[:], unicode.ToUpper(r))
-		if len(t) < n || string(buf[:n]) != t[:n] {
+		if len(canon) < n || string(buf[:n]) != canon[:n] {
 			return false
 		}
-		i, t = i+w, t[n:]
+		i, canon = i+w, canon[n:]
 	}
-	return t == ""
+	return canon == ""
 }
+
+// isPad reports whether r is trimmed from the ends of a string before it
+// is compared: white space, and dashes, which Canon drops anyway.
+func isPad(r rune) bool { return r == '-' || unicode.IsSpace(r) }
 
 // String renders the transformation back to source form.
 func (t Transformation) String() string {
@@ -249,41 +262,3 @@ func (t Transformation) String() string {
 	}
 	return s
 }
-
-// WeakDigests are hash algorithms with practical or theoretical collision
-// attacks (R1 and its MD5 sibling).
-var WeakDigests = map[string]bool{
-	"MD2": true, "MD4": true, "MD5": true,
-	"SHA1": true, "SHA-1": true, "SHA": true,
-}
-
-// StrongDigestFor suggests the replacement digest for a weak one.
-func StrongDigestFor(alg string) string {
-	switch strings.ToUpper(alg) {
-	case "MD2", "MD4", "MD5":
-		return "SHA-256"
-	case "SHA1", "SHA-1", "SHA":
-		return "SHA-256"
-	}
-	return alg
-}
-
-// WeakCipherAlgorithms are symmetric ciphers no longer considered secure
-// (R8 and related fixes).
-var WeakCipherAlgorithms = map[string]bool{
-	"DES": true, "DESede": false, "RC2": true, "RC4": true, "ARCFOUR": true,
-	"Blowfish": false,
-}
-
-// IsWeakCipherAlgorithm reports whether the named algorithm is broken.
-func IsWeakCipherAlgorithm(alg string) bool {
-	return WeakCipherAlgorithms[alg] || WeakCipherAlgorithms[strings.ToUpper(alg)]
-}
-
-// FeedbackModes are cipher modes that require an initialization vector.
-var FeedbackModes = map[string]bool{
-	"CBC": true, "CFB": true, "OFB": true, "CTR": true, "GCM": true,
-}
-
-// SecureModes are the modes fixes in the mined data moved to (Figure 8).
-var SecureModes = []string{"CBC", "GCM"}

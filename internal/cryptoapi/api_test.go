@@ -1,8 +1,10 @@
 package cryptoapi
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
+	"unicode"
 )
 
 func TestTargetClasses(t *testing.T) {
@@ -112,23 +114,30 @@ func TestParseTransformation(t *testing.T) {
 		in        string
 		alg, mode string
 		pad       string
-		effective string
+		ecb       bool
 	}{
-		{"AES", "AES", "", "", "ECB"},
-		{"AES/CBC/PKCS5Padding", "AES", "CBC", "PKCS5Padding", "CBC"},
-		{"AES/GCM/NoPadding", "AES", "GCM", "NoPadding", "GCM"},
-		{"DES", "DES", "", "", "ECB"},
-		{"RSA", "RSA", "", "", ""},
-		{"RSA/ECB/PKCS1Padding", "RSA", "ECB", "PKCS1Padding", "ECB"},
-		{"Blowfish", "Blowfish", "", "", "ECB"},
+		{"AES", "AES", "", "", true},
+		{"AES/CBC/PKCS5Padding", "AES", "CBC", "PKCS5Padding", false},
+		{"AES/GCM/NoPadding", "AES", "GCM", "NoPadding", false},
+		{"DES", "DES", "", "", true},
+		{"RSA", "RSA", "", "", false},
+		{"RSA/ECB/PKCS1Padding", "RSA", "ECB", "PKCS1Padding", true},
+		{"Blowfish", "Blowfish", "", "", true},
+		// Algorithm and mode compare in canonical form.
+		{"aes/ecb/PKCS5Padding", "aes", "ecb", "PKCS5Padding", true},
+		{" D-ES ", " D-ES ", "", "", true},
+		{"AES/ /NoPadding", "AES", " ", "NoPadding", true},
+		{"AES/-E-CB-/NoPadding", "AES", "-E-CB-", "NoPadding", true},
+		{"aes/cbc/PKCS5Padding", "aes", "cbc", "PKCS5Padding", false},
+		{"AESX", "AESX", "", "", false},
 	}
 	for _, c := range cases {
 		tr := ParseTransformation(c.in)
 		if tr.Algorithm != c.alg || tr.Mode != c.mode || tr.Padding != c.pad {
 			t.Errorf("%s: parsed %+v", c.in, tr)
 		}
-		if got := tr.EffectiveMode(); got != c.effective {
-			t.Errorf("%s: effective mode = %q, want %q", c.in, got, c.effective)
+		if got := tr.IsECB(); got != c.ecb {
+			t.Errorf("%q: IsECB = %t, want %t", c.in, got, c.ecb)
 		}
 		if tr.String() != c.in {
 			t.Errorf("%s: round trip = %q", c.in, tr.String())
@@ -136,59 +145,58 @@ func TestParseTransformation(t *testing.T) {
 	}
 }
 
-func TestDigestKnowledge(t *testing.T) {
-	for _, weak := range []string{"MD5", "SHA-1", "SHA1", "MD2"} {
-		if !WeakDigests[weak] {
-			t.Errorf("WeakDigests[%s] = false", weak)
+// TestMatchCanon checks MatchCanon against the form it avoids building: on
+// generated pairs of ASCII and non-ASCII strings with dashes and white
+// space, MatchCanon(s, Canon(t), prefix) agrees with comparing Canon(s) to
+// Canon(t). Half the pairs derive t from s by changing case, dashes and
+// padding, so both answers occur often.
+func TestMatchCanon(t *testing.T) {
+	pieces := []string{"a", "A", "s", "S", "1", "/", "-", "--", " ", "\t", "\u00a0", "\u0085",
+		"ſ", "ß", "ǆ", "ı", "é", "É", "\xff", "\xe2\x82"}
+	rng := rand.New(rand.NewSource(1))
+	gen := func() string {
+		var b strings.Builder
+		for n := rng.Intn(7); n > 0; n-- {
+			b.WriteString(pieces[rng.Intn(len(pieces))])
 		}
-		if StrongDigestFor(weak) != "SHA-256" {
-			t.Errorf("StrongDigestFor(%s) = %s", weak, StrongDigestFor(weak))
+		return b.String()
+	}
+	respell := func(s string) string {
+		var b strings.Builder
+		b.WriteString([]string{"", " ", "-", "\t-"}[rng.Intn(4)])
+		for _, r := range s {
+			switch rng.Intn(4) {
+			case 0:
+				r = unicode.ToLower(r)
+			case 1:
+				r = unicode.ToUpper(r)
+			case 2:
+				b.WriteByte('-')
+			}
+			b.WriteRune(r)
 		}
+		b.WriteString([]string{"", " ", "-", " -\n"}[rng.Intn(4)])
+		return b.String()
 	}
-	if WeakDigests["SHA-256"] {
-		t.Error("SHA-256 flagged weak")
-	}
-	if StrongDigestFor("SHA-512") != "SHA-512" {
-		t.Error("strong digest should map to itself")
-	}
-}
-
-func TestCipherKnowledge(t *testing.T) {
-	if !IsWeakCipherAlgorithm("DES") || !IsWeakCipherAlgorithm("RC4") {
-		t.Error("DES/RC4 not flagged weak")
-	}
-	if IsWeakCipherAlgorithm("AES") {
-		t.Error("AES flagged weak")
-	}
-	for _, m := range []string{"CBC", "GCM", "CTR"} {
-		if !FeedbackModes[m] {
-			t.Errorf("FeedbackModes[%s] = false", m)
-		}
-	}
-	if FeedbackModes["ECB"] {
-		t.Error("ECB is not a feedback mode")
-	}
-}
-
-// TestMatchUpper checks MatchUpper against the string form it avoids
-// building: strings.ToUpper, with dashes dropped when asked.
-func TestMatchUpper(t *testing.T) {
-	inputs := []string{"", "aes", "AES/cbc", "sha-1", "SHA1", " des ", "ſha1", "ǆ", "ı", "\xff", "a\xffb", "Straße", "-", "--x-"}
-	for _, s := range inputs {
-		for _, target := range inputs {
-			for _, dropDash := range []bool{false, true} {
-				for _, prefix := range []bool{false, true} {
-					form := strings.ToUpper(s)
-					if dropDash {
-						form = strings.ReplaceAll(form, "-", "")
-					}
-					tt := strings.ToUpper(target)
-					want := form == tt || (prefix && strings.HasPrefix(form, tt))
-					if got := MatchUpper(s, tt, dropDash, prefix); got != want {
-						t.Errorf("MatchUpper(%q, %q, %t, %t) = %t, want %t", s, tt, dropDash, prefix, got, want)
-					}
-				}
+	outcomes := map[bool]int{}
+	for i := 0; i < 50000; i++ {
+		s, target := gen(), gen()
+		if i%2 == 0 {
+			target = respell(s)
+			if i%4 == 0 && len(target) > 0 {
+				target = target[:rng.Intn(len(target))]
 			}
 		}
+		cs, ct := Canon(s), Canon(target)
+		for _, prefix := range []bool{false, true} {
+			want := cs == ct || (prefix && strings.HasPrefix(cs, ct))
+			if got := MatchCanon(s, ct, prefix); got != want {
+				t.Fatalf("MatchCanon(%q, %q, %t) = %t, want %t", s, ct, prefix, got, want)
+			}
+			outcomes[want]++
+		}
+	}
+	if outcomes[true] < 10000 || outcomes[false] < 10000 {
+		t.Errorf("outcomes %v: want both answers often", outcomes)
 	}
 }

@@ -8,8 +8,6 @@
 
 package cryptoapi
 
-import "strings"
-
 // Extended API class names.
 const (
 	SSLContext          = "SSLContext"
@@ -87,8 +85,7 @@ func AllClasses() []string {
 // digest names, cipher algorithms and transformations, PRNG algorithms,
 // MAC algorithms, TLS protocols, keystore types, and key-generation
 // algorithms. rulelint uses it to flag prefix tests that cannot match any
-// string the model knows about, and to decide which named tests an
-// equality implies.
+// string the model knows about.
 var knownAlgorithmStrings = []string{
 	// Digests.
 	"MD2", "MD4", "MD5", "SHA", "SHA-1", "SHA-224", "SHA-256", "SHA-384",
@@ -112,36 +109,17 @@ var knownAlgorithmStrings = []string{
 }
 
 // SomeKnownStringHasPrefix reports whether any modeled algorithm string
-// matches the prefix (after the DSL's normalization: case-insensitive,
-// dashes removed). A startsWith constraint whose prefix fails this test
-// can never hold on a modeled constant.
+// starts with the prefix, both in canonical form (Canon). A startsWith
+// constraint whose prefix fails this test can never hold on a modeled
+// constant.
 func SomeKnownStringHasPrefix(prefix string) bool {
-	n := normAlg(prefix)
+	n := Canon(prefix)
 	for _, s := range knownAlgorithmStrings {
-		if strings.HasPrefix(normAlg(s), n) {
+		if MatchCanon(s, n, true) {
 			return true
 		}
 	}
 	return false
-}
-
-// KnownStringsEqual lists the modeled algorithm strings equal to the
-// literal under DSL normalization: "SHA-1" lists "SHA-1" and "SHA1".
-func KnownStringsEqual(lit string) []string {
-	n := normAlg(lit)
-	var out []string
-	for _, s := range knownAlgorithmStrings {
-		if normAlg(s) == n {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// normAlg mirrors the rule DSL's literal normalization: uppercase with
-// dashes removed ("SHA-1" == "sha1").
-func normAlg(s string) string {
-	return strings.ReplaceAll(strings.ToUpper(s), "-", "")
 }
 
 // IsSymbolicIntConstant reports whether the literal names a symbolic API

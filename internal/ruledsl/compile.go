@@ -142,12 +142,12 @@ func (c *compiler) node(f Formula, succ *node) *node {
 
 // cmpTest compiles a comparison. Equality against a ⊤-literal holds on any
 // ⊤ value, against any other literal on a string, integer or boolean
-// constant of the literal's norm form, and against a quoted literal on
-// exactly that string; X≠⊤T holds on constant data; any other inequality
-// holds unless X is provably the literal; an ordered comparison needs an
-// integer constant.
+// constant of the literal's canonical form (cryptoapi.Canon), and against a
+// quoted literal on exactly that string; X≠⊤T holds on constant data; any
+// other inequality holds unless X is provably the literal; an ordered
+// comparison needs an integer constant.
 func cmpTest(x CmpAtom) func(v *absdom.Value) bool {
-	lit, top := norm(x.Value), !x.Quoted && isTopLiteral(x.Value)
+	lit, top := cryptoapi.Canon(x.Value), !x.Quoted && isTopLiteral(x.Value)
 	eq := func(v *absdom.Value) bool {
 		switch {
 		case top:
@@ -157,7 +157,7 @@ func cmpTest(x CmpAtom) func(v *absdom.Value) bool {
 		}
 		k := v.Kind
 		return (k == absdom.KStrConst || k == absdom.KIntConst || k == absdom.KBoolConst) &&
-			cryptoapi.MatchUpper(v.Payload, lit, true, false)
+			cryptoapi.MatchCanon(v.Payload, lit, false)
 	}
 	switch {
 	case x.Op == OpEq:
@@ -368,53 +368,31 @@ func strTest(f func(s string) bool) testAtom {
 	}}
 }
 
-// nameTest builds a testAtom that matches part of a string constant
-// against its literal, both upper-cased (and, with dropDash, without
-// dashes), exactly or, with prefix, as a prefix.
-func nameTest(part func(s string) string, dropDash, prefix bool) testAtom {
-	form := nameForm
-	if dropDash {
-		form = norm
-	}
+// litTest builds a testAtom that reads a string constant together with the
+// canonical form of its literal.
+func litTest(f func(s, canon string) bool) testAtom {
 	return testAtom{withArg: true, compile: func(lit string) func(*absdom.Value) bool {
-		lit = form(lit)
-		return func(v *absdom.Value) bool {
-			return v.Kind == absdom.KStrConst && cryptoapi.MatchUpper(part(v.Payload), lit, dropDash, prefix)
-		}
+		lit = cryptoapi.Canon(lit)
+		return func(v *absdom.Value) bool { return v.Kind == absdom.KStrConst && f(v.Payload, lit) }
 	}}
 }
 
-// testAtoms are the named tests of the language. Each holds only on a
-// string constant. startsWith compares in the form of the literals of
-// comparisons; name, prefix and alg compare algorithm names with case and
-// surrounding space ignored, as the JCA's own lookup ignores case.
+// testAtoms are the named tests of the language: the ones an equality
+// cannot state. Each holds only on a string constant and reads it in
+// canonical form (cryptoapi.Canon), the form comparisons use.
 var testAtoms = map[string]testAtom{
 	// str(X): X is a string constant.
 	"str": strTest(func(string) bool { return true }),
-	// startsWith(X, L): X starts with L, dashes dropped.
-	"startsWith": nameTest(func(s string) string { return s }, true, true),
-	// name(X, L): X names L.
-	"name": nameTest(strings.TrimSpace, false, false),
-	// prefix(X, L): X's name starts with L.
-	"prefix": nameTest(strings.TrimSpace, false, true),
+	// startsWith(X, L): X starts with L.
+	"startsWith": litTest(func(s, canon string) bool { return cryptoapi.MatchCanon(s, canon, true) }),
 	// alg(X, L): the algorithm of transformation X (before the first '/')
 	// is L.
-	"alg": nameTest(func(s string) string {
-		return strings.TrimSpace(cryptoapi.ParseTransformation(s).Algorithm)
-	}, false, false),
+	"alg": litTest(func(s, canon string) bool {
+		return cryptoapi.MatchCanon(cryptoapi.ParseTransformation(s).Algorithm, canon, false)
+	}),
 	// ecb(X): transformation X runs a block cipher in ECB mode, named or
 	// by the JCA default.
-	"ecb": strTest(func(s string) bool { return cryptoapi.ParseTransformation(s).EffectiveMode() == "ECB" }),
-	// weakDigest(X): X names a digest with practical or theoretical
-	// collisions (cryptoapi.WeakDigests).
-	"weakDigest": strTest(func(s string) bool {
-		for d, weak := range cryptoapi.WeakDigests {
-			if weak && cryptoapi.MatchUpper(strings.TrimSpace(s), d, false, false) {
-				return true
-			}
-		}
-		return false
-	}),
+	"ecb": strTest(func(s string) bool { return cryptoapi.ParseTransformation(s).IsECB() }),
 }
 
 // HoldsOn reports whether the named test holds on the string constant s.
@@ -434,19 +412,6 @@ func isConstData(v *absdom.Value) bool {
 		return true
 	}
 	return false
-}
-
-// norm canonicalizes algorithm-ish literals for comparison: upper-case with
-// dashes removed, so the paper's SHA-1PRNG matches the JCA's "SHA1PRNG" and
-// SHA-1 matches both "SHA-1" and "SHA1".
-func norm(s string) string {
-	return strings.ReplaceAll(strings.ToUpper(s), "-", "")
-}
-
-// nameForm is the form the named tests compare: upper-case, surrounding
-// space trimmed.
-func nameForm(s string) string {
-	return strings.ToUpper(strings.TrimSpace(s))
 }
 
 // isTopLiteral recognizes the ⊤-notation literals of Figure 3.

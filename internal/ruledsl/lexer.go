@@ -1,7 +1,7 @@
 // Package ruledsl is the security-rule language of the paper's Figure 9:
 // textual rules such as
 //
-//	MessageDigest : getInstance(X, …) ∧ weakDigest(X)
+//	MessageDigest : getInstance(X, …) ∧ (X=MD5 ∨ X=SHA-1)
 //	PBEKeySpec : <init>(_, _, X, …) ∧ X<1000
 //	Cipher : getInstance(_) ∨ getInstance(_, X) ∧ X≠"BC"
 //	(Cipher : getInstance(X) ∧ startsWith(X,AES/CBC)) ∧ ¬(Mac : getInstance(Z) ∧ startsWith(Z,Hmac))
@@ -21,26 +21,26 @@
 //	call      = method [ "(" [ argpat { "," argpat } [ "," "…" ] | "…" ] ")" ]
 //	argpat    = "_" | Var | literal
 //	comparison= Var ("=" | "≠" | "<" | "≤" | ">" | "≥") ( literal | "\"" text "\"" )
-//	test      = ("str" | "ecb" | "weakDigest") "(" Var ")"
-//	          | ("startsWith" | "name" | "prefix" | "alg") "(" Var "," literal ")"
+//	test      = ("str" | "ecb") "(" Var ")"
+//	          | ("startsWith" | "alg") "(" Var "," literal ")"
 //
 // Variables are single-letter uppercase identifiers (X, Y, Z). A call
 // without arguments matches any arity; a trailing … admits further
-// arguments. Literals compare upper-cased with dashes removed (SHA-1 equals
-// "sha1"); a quoted literal compares exactly; X≠⊤T holds when X is constant
-// data (a constant array, integer or string). The named tests hold only on
-// a string constant: str(X) on any, startsWith(X, L) when it starts with L
-// in the form literals compare in; name, prefix and alg compare its name
-// (for alg, the algorithm before the first '/') upper-cased with surrounding
-// space trimmed, ecb(X) holds when the transformation runs a block cipher
-// in ECB mode, named or by default, and weakDigest(X) when it names a
-// collision-broken digest. Test names are reserved: no method atom takes
-// one. ASCII fallbacks are accepted for the logical
-// operators: "&&" or "and" for ∧, "||" or "or" for ∨, "!" or "not" for ¬,
-// "!=" for ≠, "<=" for ≤, ">=" for ≥ and "..." for …. Context flags are
-// LPRNG, ANDROID, and MIN_SDK_VERSION (the last in comparisons); a rule
-// that tests MIN_SDK_VERSION applies to Android projects only. Parentheses,
-// ¬ and parenthesised clauses nest at most 256 levels deep.
+// arguments. Every string test compares in one form, upper-cased with
+// dashes dropped and surrounding white space trimmed (cryptoapi.Canon), so
+// X=SHA-1 holds on " sha1"; a quoted literal compares exactly; X≠⊤T holds
+// when X is constant data (a constant array, integer or string). The named
+// tests are the ones an equality cannot state, and hold only on a string
+// constant: str(X) on any, startsWith(X, L) when it starts with L, alg(X, L)
+// when the algorithm of transformation X (before the first '/') is L, and
+// ecb(X) when the transformation runs a block cipher in ECB mode, named or
+// by default. Test names are reserved: no method atom takes one. ASCII
+// fallbacks are accepted for the logical operators: "&&" or "and" for ∧,
+// "||" or "or" for ∨, "!" or "not" for ¬, "!=" for ≠, "<=" for ≤, ">="
+// for ≥ and "..." for …. Context flags are LPRNG, ANDROID, and
+// MIN_SDK_VERSION (the last in comparisons); a rule that tests
+// MIN_SDK_VERSION applies to Android projects only. Parentheses, ¬ and
+// parenthesised clauses nest at most 256 levels deep.
 //
 // A rule is parsed once: Compile turns its clause formulas into Programs,
 // and rulelint analyzes the same tree.

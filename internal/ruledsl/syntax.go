@@ -209,11 +209,6 @@ func ParseSyntax(src string) (s *Syntax, err error) {
 	return &Syntax{Source: src, Clauses: clauses}, nil
 }
 
-// NormLiteral canonicalizes an algorithm-ish literal exactly the way rule
-// evaluation does: upper-case with dashes removed. Exported for rulelint,
-// whose satisfiability reasoning must agree with the evaluator.
-func NormLiteral(s string) string { return norm(s) }
-
 // IsTopLit reports whether the literal uses the ⊤-notation of Figure 3
 // (⊤byte[], ⊤int, ...), which tests constancy rather than a value.
 func IsTopLit(lit string) bool { return isTopLiteral(lit) }

@@ -100,25 +100,27 @@ func TestPackLoadScalesLinearly(t *testing.T) {
 }
 
 // scalesLinearly times the pack at n and at 2n, interleaving the two
-// sizes over several rounds and keeping each size's fastest run. The times
-// are the process's CPU time where the platform reports it, so test
-// packages running alongside do not inflate either side, and each call
-// starts after a collection, so no call pays for the garbage of the one
-// before.
+// sizes over several rounds and keeping each size's fastest run. A timed
+// run loads the n pack twice and the 2n pack once, so when loading is
+// linear the two runs allocate alike and last alike: neither starts with
+// more free memory than it needs, and a load that comes and goes on the
+// machine weighs on both the same. The times are the process's CPU time
+// where the platform reports it, with the collector off (cputime.Collected).
 func scalesLinearly(t *testing.T, gen func(n int) string) {
 	const n, rounds = 5000, 7
-	load := func(src string) time.Duration {
-		runtime.GC()
-		start := cputime.Process()
-		pack := ruledsl.ParsePack("wide.rules", src)
-		Lint([]*ruledsl.Pack{pack}, Options{Builtins: rules.All(), Reserved: rules.CryptoLint()})
-		return cputime.Process() - start
+	load := func(src string, times int) time.Duration {
+		return cputime.Collected(func() {
+			for range times {
+				pack := ruledsl.ParsePack("wide.rules", src)
+				Lint([]*ruledsl.Pack{pack}, Options{Builtins: rules.All(), Reserved: rules.CryptoLint()})
+			}
+		}) / time.Duration(times)
 	}
 	src1, src2 := gen(n), gen(2*n)
 	t1, t2 := time.Duration(1<<62), time.Duration(1<<62)
 	for i := 0; i < rounds; i++ {
-		t1 = min(t1, load(src1))
-		t2 = min(t2, load(src2))
+		t1 = min(t1, load(src1, 2))
+		t2 = min(t2, load(src2, 1))
 	}
 	t.Logf("%d arms: %v, %d arms: %v", n, t1, 2*n, t2)
 	if ratio := float64(t2) / float64(t1); ratio >= 3 {

@@ -23,8 +23,8 @@ func lintSrc(t *testing.T, name, src string) *Report {
 // unsatisfiable conjunction, subsumed/duplicate rules, ID collision,
 // unbound variables, and structural/parse failures. Every rule on a
 // one-argument Cipher.getInstance is also subsumed by R5, which flags each
-// Cipher without the BouncyCastle provider. D10 is not subsumed by R7:
-// X=AES/ECB also matches "aes/ecb", whose lower-case mode ecb(X) misses.
+// Cipher without the BouncyCastle provider. D10 is also subsumed by R7:
+// every spelling X=AES/ECB admits names the ECB mode.
 func TestDefectivePackGolden(t *testing.T) {
 	src := `# defective pack
 D1 | unknown class | Ciphr : getInstance(X)
@@ -42,7 +42,7 @@ D11 | unbound | Cipher : getInstance(_) ∧ Y=AES
 D12 | dead literal | Cipher : init(AES,_)
 bad line
 D13 | parse error | Cipher : getInstance(X) ∧ X=
-D14 | duplicate | MessageDigest : getInstance(X, …) ∧ weakDigest(X)
+D14 | duplicate | MessageDigest : getInstance(X, …) ∧ (X=MD2 ∨ X=MD4 ∨ X=MD5 ∨ X=SHA-1 ∨ X=SHA)
 D15 | subsumed | Cipher : getInstance(X, …) ∧ X=DES/CBC/PKCS5Padding
 `
 	rep := lintSrc(t, "defective.rules", src)
@@ -59,6 +59,7 @@ defective.rules:9:66: warn RL204: rule D8: disjunct {X=DES ∧ X=RC2} can never 
 defective.rules:10:18: error RL010: rule R7: rule id R7 collides with built-in rule R7
 defective.rules:11:18: warn RL302: rule D9: every match of this rule is already matched by built-in rule R1
 defective.rules:12:18: warn RL302: rule D10: every match of this rule is already matched by built-in rule R5
+defective.rules:12:18: warn RL302: rule D10: every match of this rule is already matched by built-in rule R7
 defective.rules:13:17: warn RL302: rule D11: every match of this rule is already matched by built-in rule R5
 defective.rules:13:43: error RL401: rule D11: variable Y is constrained but never bound by a call atom
 defective.rules:14:36: warn RL402: rule D12: literal "AES" can never match parameter 1 of Cipher.init (type int)
@@ -67,7 +68,7 @@ defective.rules:16:49: error RL001: rule D13: expected literal, found EOF
 defective.rules:17:19: warn RL301: rule D14: duplicate of built-in rule R1: identical trigger
 defective.rules:17:19: warn RL302: rule D14: this rule shadows rule D9 (defective.rules line 11): every match of that rule also matches this one
 defective.rules:18:18: warn RL302: rule D15: every match of this rule is already matched by built-in rule R8
-rulelint: 1 pack(s), 16 rule(s): 10 error(s), 11 warning(s)
+rulelint: 1 pack(s), 16 rule(s): 10 error(s), 12 warning(s)
 `
 	if got := rep.Render(); got != want {
 		t.Errorf("rendered diagnostics mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)
@@ -162,19 +163,30 @@ func TestImplication(t *testing.T) {
 		{"Cipher : getInstance(X) ∧ X=DES", "Mac : getInstance(X) ∧ X=DES", false},
 		// Normalized literals: SHA-1 == SHA1.
 		{"MessageDigest : getInstance(X) ∧ X=SHA1", "MessageDigest : getInstance(X) ∧ X=SHA-1", true},
-		// An equality implies a named test that holds on every spelling it
-		// admits: the literal and the modeled strings equal to it, in
-		// upper and lower case.
-		{"MessageDigest : getInstance(X) ∧ X=SHA-1", "MessageDigest : getInstance(X) ∧ weakDigest(X)", true},
-		{"MessageDigest : getInstance(X) ∧ X=SHA-1", "MessageDigest : getInstance(X) ∧ name(X, SHA-1)", false}, // "SHA1"
-		{"MessageDigest : getInstance(X) ∧ X=SHA-256", "MessageDigest : getInstance(X) ∧ weakDigest(X)", false},
+		// An equality implies a named test exactly when the test holds on
+		// its literal and the literal admits only strings: every string it
+		// admits has the literal's canonical form, all a named test reads.
+		{"MessageDigest : getInstance(X) ∧ X=SHA-1", "MessageDigest : getInstance(X) ∧ (X=MD5 ∨ X=SHA1 ∨ X=SHA)", true},
+		{"MessageDigest : getInstance(X) ∧ X=SHA-256", "MessageDigest : getInstance(X) ∧ (X=MD5 ∨ X=SHA1 ∨ X=SHA)", false},
+		{"MessageDigest : getInstance(X) ∧ X=SHA-1", "MessageDigest : getInstance(X) ∧ startsWith(X, sha1)", true},
 		{"Cipher : getInstance(X) ∧ X=DES", "Cipher : getInstance(X) ∧ alg(X, DES)", true},
+		{"Cipher : getInstance(X) ∧ X=D-ES/CBC", "Cipher : getInstance(X) ∧ alg(X, DES)", true},
 		{"Cipher : getInstance(X) ∧ X=DESede", "Cipher : getInstance(X) ∧ alg(X, DES)", false},
-		{"Cipher : getInstance(X) ∧ X=AES/CBC/NoPadding", "Cipher : getInstance(X) ∧ prefix(X, AES/CBC)", true},
+		{"Cipher : getInstance(X) ∧ X=AES/CBC/NoPadding", "Cipher : getInstance(X) ∧ startsWith(X, AES/CBC)", true},
 		{"Cipher : getInstance(X) ∧ X=AES", "Cipher : getInstance(X) ∧ str(X)", true},
-		{"KeyGenerator : init(X) ∧ X=128", "KeyGenerator : init(X) ∧ str(X)", false}, // an int constant
 		{"Cipher : getInstance(X) ∧ X=\"AES/ECB\"", "Cipher : getInstance(X) ∧ ecb(X)", true},
-		{"Cipher : getInstance(X) ∧ X=AES/ECB", "Cipher : getInstance(X) ∧ ecb(X)", false}, // "aes/ecb"
+		{"Cipher : getInstance(X) ∧ X=\"aes/ecb\"", "Cipher : getInstance(X) ∧ ecb(X)", true},
+		{"Cipher : getInstance(X) ∧ X=AES/ECB", "Cipher : getInstance(X) ∧ ecb(X)", true},
+		{"Cipher : getInstance(X) ∧ X=aes/ecb/PKCS5Padding", "Cipher : getInstance(X) ∧ ecb(X)", true},
+		{"Cipher : getInstance(X) ∧ X=AES/CBC", "Cipher : getInstance(X) ∧ ecb(X)", false},
+		{"Cipher : getInstance(X) ∧ X≠AES/CBC", "Cipher : getInstance(X) ∧ str(X)", false},
+		// A numeric, boolean, symbolic-constant or ⊤ literal also admits
+		// values no named test holds on.
+		{"KeyGenerator : init(X) ∧ X=128", "KeyGenerator : init(X) ∧ str(X)", false},
+		{"PBEKeySpec : <init>(_,_,X,_) ∧ X=1000", "PBEKeySpec : <init>(_,_,X,_) ∧ startsWith(X, 1000)", false},
+		{"Cipher : getInstance(X) ∧ X=true", "Cipher : getInstance(X) ∧ str(X)", false},
+		{"Cipher : init(X,_) ∧ X=ENCRYPT_MODE", "Cipher : init(X,_) ∧ str(X)", false},
+		{"Cipher : getInstance(X) ∧ X=⊤str", "Cipher : getInstance(X) ∧ str(X)", false},
 		{"Cipher : getInstance(X) ∧ ecb(X)", "Cipher : getInstance(X) ∧ X=AES/ECB", false},
 	}
 	for _, c := range cases {
@@ -279,27 +291,31 @@ func TestThreeArgPBESubsumedByR2(t *testing.T) {
 
 // TestNewAtomsLint pins the conformance, satisfiability and subsumption
 // handling of the atoms the built-ins brought in: rest patterns, quoted
-// literals and named tests. Two different named tests never compare equal.
+// literals and named tests. Equalities that spell one name in two cases
+// are duplicates, and an equality implies the startsWith its literal
+// passes.
 func TestNewAtomsLint(t *testing.T) {
 	src := `N1 | rest arity | PBEKeySpec : <init>(_,_,_,_,X,…)
 N2 | quoted type | Cipher : init(X,_) ∧ X="BC"
 N3 | test type | KeyGenerator : init(X) ∧ ecb(X)
-N4 | str conflict | Mac : getInstance(X, …) ∧ prefix(X, Hmac) ∧ ¬str(X)
-N5 | bad prefix | Mac : getInstance(X) ∧ prefix(X, ZZZ)
-N6 | named | Mac : getInstance(X) ∧ name(X, HmacSHA1)
-N7 | prefixed | Mac : getInstance(X) ∧ prefix(X, HmacSHA1)
-N8 | named again | Mac : getInstance(X) ∧ name(X, hmacsha1)
-N9 | any arity | Mac : getInstance(X, …) ∧ name(X, HmacSHA1) ∧ str(X)
+N4 | str conflict | Mac : getInstance(X, …) ∧ startsWith(X, Hmac) ∧ ¬str(X)
+N5 | bad prefix | Mac : getInstance(X) ∧ startsWith(X, ZZZ)
+N6 | named | Mac : getInstance(X) ∧ str(X) ∧ X=HmacSHA1
+N7 | prefixed | Mac : getInstance(X) ∧ startsWith(X, HmacSHA1)
+N8 | named again | Mac : getInstance(X) ∧ str(X) ∧ X=hmacsha1
+N9 | any arity | Mac : getInstance(X, …) ∧ X=HmacSHA1 ∧ str(X)
 `
 	want := `new.rules:1:32: error RL103: rule N1: PBEKeySpec.<init> has no overload of 5 or more arguments (modeled arities: 1, 3, 4)
 new.rules:2:41: error RL104: rule N2: constraint X="BC" can never hold: X only binds at int parameters
 new.rules:3:43: error RL104: rule N3: ecb(X) but X only binds at SecureRandom/int parameters
-new.rules:4:66: error RL201: rule N4: clause Mac can never match: prefix(X,Hmac) needs a string constant but ¬str(X)
+new.rules:4:70: error RL201: rule N4: clause Mac can never match: startsWith(X,Hmac) needs a string constant but ¬str(X)
 new.rules:5:42: warn RL203: rule N5: prefix "ZZZ" matches no modeled algorithm string
+new.rules:7:17: warn RL302: rule N7: this rule shadows rule N6 (new.rules line 6): every match of that rule also matches this one
 new.rules:8:20: warn RL301: rule N8: duplicate of rule N6 (new.rules line 6): identical trigger
+new.rules:8:20: warn RL302: rule N8: every match of this rule is already matched by rule N7 (new.rules line 7)
 new.rules:9:18: warn RL302: rule N9: this rule shadows rule N6 (new.rules line 6): every match of that rule also matches this one
 new.rules:9:18: warn RL302: rule N9: this rule shadows rule N8 (new.rules line 8): every match of that rule also matches this one
-rulelint: 1 pack(s), 9 rule(s): 4 error(s), 4 warning(s)
+rulelint: 1 pack(s), 9 rule(s): 4 error(s), 6 warning(s)
 `
 	if got := lintSrc(t, "new.rules", src).Render(); got != want {
 		t.Errorf("got:\n%swant:\n%s", got, want)

@@ -61,7 +61,7 @@ func (l *linter) lintSat(p *ruledsl.Pack, pr *ruledsl.PackRule) {
 		// suspicious whatever the rest of the formula does.
 		ruledsl.Walk(cl.Formula, func(f ruledsl.Formula) {
 			t, ok := f.(ruledsl.TestAtom)
-			if ok && (t.Name == "startsWith" || t.Name == "prefix") && !cryptoapi.SomeKnownStringHasPrefix(t.Arg) {
+			if ok && t.Name == "startsWith" && !cryptoapi.SomeKnownStringHasPrefix(t.Arg) {
 				l.add(p, pr, t.Pos, CodeBadPrefix, SevWarn,
 					"prefix %q matches no modeled algorithm string", t.Arg)
 			}
@@ -292,7 +292,7 @@ func unsat(conj []cLit) satReason {
 		}
 		// X="v" implies X=v: an exact match is a normalised one.
 		vf := get(a.Var)
-		nv := ruledsl.NormLiteral(a.Value)
+		nv := cryptoapi.Canon(a.Value)
 		switch a.Op {
 		case ruledsl.OpEq:
 			if vf.eq != "" && vf.eq != nv {
@@ -365,7 +365,7 @@ func unsat(conj []cLit) satReason {
 			}
 		}
 		for _, s := range vf.prefixes {
-			if !strings.HasPrefix(vf.eq, ruledsl.NormLiteral(s.Arg)) {
+			if !strings.HasPrefix(vf.eq, cryptoapi.Canon(s.Arg)) {
 				return satReason{
 					why: fmt.Sprintf("%s=%s does not start with %q", name, vf.eqRaw, s.Arg),
 					pos: s.Pos,

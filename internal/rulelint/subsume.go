@@ -168,9 +168,9 @@ func newCform(f ruledsl.Formula) *cform {
 type prover struct{ left int }
 
 // ruleImplies reports whether rule A's trigger implies rule B's: whenever
-// A matches, B matches. Conservative and syntactic but for named tests,
-// which are decided on the spellings an equality admits (spellings) —
-// false negatives are fine (no finding), false positives are not.
+// A matches, B matches. Conservative and syntactic but for an equality and
+// a named test, which are decided on the literal (atomImplies) — false
+// negatives are fine (no finding), false positives are not.
 func (p *prover) ruleImplies(a, b trigger) bool {
 	for _, bc := range b {
 		ok := false
@@ -274,7 +274,7 @@ func atomImplies(a, b ruledsl.Formula) bool {
 				}
 			case ruledsl.ArgLit:
 				if ap.Kind != ruledsl.ArgLit ||
-					ruledsl.NormLiteral(ap.Name) != ruledsl.NormLiteral(bp.Name) {
+					cryptoapi.Canon(ap.Name) != cryptoapi.Canon(bp.Name) {
 					return false
 				}
 			}
@@ -295,50 +295,27 @@ func atomImplies(a, b ruledsl.Formula) bool {
 			// Every named test holds only on a string constant, and a
 			// longer startsWith prefix implies a shorter one.
 			return bb.Name == "str" || (aa.Name == "startsWith" && bb.Name == "startsWith" &&
-				strings.HasPrefix(ruledsl.NormLiteral(aa.Arg), ruledsl.NormLiteral(bb.Arg)))
+				strings.HasPrefix(cryptoapi.Canon(aa.Arg), cryptoapi.Canon(bb.Arg)))
 		case ruledsl.CmpAtom:
-			ss := spellings(aa)
-			if aa.Var != bb.Var || aa.Op != ruledsl.OpEq || len(ss) == 0 {
-				return false
-			}
-			if bb.Name == "startsWith" && !aa.Quoted {
-				// Both drop dashes: X=lit implies startsWith(X,p) exactly
-				// when lit starts with p.
-				return strings.HasPrefix(ruledsl.NormLiteral(aa.Value), ruledsl.NormLiteral(bb.Arg))
-			}
-			for _, s := range ss {
-				if !bb.HoldsOn(s) {
-					return false
-				}
-			}
-			return true
+			// Every string X=lit admits has lit's canonical form (is lit,
+			// when quoted), and that form is all a named test reads.
+			return aa.Var == bb.Var && aa.Op == ruledsl.OpEq && onlyStrings(aa) && bb.HoldsOn(aa.Value)
 		}
 	}
 	return false
 }
 
-// spellings lists the string constants an equality X=lit is taken to hold
-// on when deciding which named tests it implies. A quoted literal is its
-// text. An unquoted one is the literal as written and every modeled
-// algorithm string equal to it under the comparison's normalisation, so
-// X=SHA-1 spells "SHA-1" and "SHA1", each in upper and lower case: that
-// catches a test that reads case (ecb reads the mode as written). Other
-// dash placements ("S-HA1") are left out: they name no algorithm the JCA
-// accepts. A ⊤, numeric or boolean literal also matches non-string
-// constants, which no named test accepts, so it has no spellings.
-func spellings(c ruledsl.CmpAtom) []string {
-	switch {
-	case c.Quoted:
-		return []string{c.Value}
-	case ruledsl.IsTopLit(c.Value), c.Value == "" || strings.ContainsAny(c.Value[:1], "+-0123456789"),
-		strings.EqualFold(c.Value, "true"), strings.EqualFold(c.Value, "false"):
-		return nil
+// onlyStrings reports whether an equality holds on string constants alone.
+// A ⊤ literal also holds on ⊤ values, and a numeric, boolean or symbolic
+// int-constant literal on the integer and boolean constants of its form,
+// on which no named test holds.
+func onlyStrings(c ruledsl.CmpAtom) bool {
+	if c.Quoted {
+		return true
 	}
-	var out []string
-	for _, s := range append(cryptoapi.KnownStringsEqual(c.Value), c.Value) {
-		out = append(out, strings.ToUpper(s), strings.ToLower(s))
-	}
-	return out
+	canon := cryptoapi.Canon(c.Value)
+	return !ruledsl.IsTopLit(c.Value) && canon != "" && !strings.ContainsAny(canon[:1], "+.0123456789") &&
+		canon != "TRUE" && canon != "FALSE" && !cryptoapi.IsSymbolicIntConstant(canon)
 }
 
 // cmpImplies decides a ⇒ b for two comparisons on the same variable.
@@ -348,7 +325,7 @@ func cmpImplies(a, b ruledsl.CmpAtom) bool {
 	if a.Op == ruledsl.OpEq {
 		switch b.Op {
 		case ruledsl.OpNe:
-			return ruledsl.NormLiteral(a.Value) != ruledsl.NormLiteral(b.Value) &&
+			return cryptoapi.Canon(a.Value) != cryptoapi.Canon(b.Value) &&
 				!ruledsl.IsTopLit(a.Value) && !ruledsl.IsTopLit(b.Value)
 		case ruledsl.OpLt:
 			return aNum && bNum && an < bn
@@ -413,7 +390,7 @@ func canonAtom(f ruledsl.Formula) string {
 			case ruledsl.ArgVar:
 				parts[i] = "$" + a.Name
 			case ruledsl.ArgLit:
-				parts[i] = "'" + ruledsl.NormLiteral(a.Name)
+				parts[i] = "'" + cryptoapi.Canon(a.Name)
 			}
 		}
 		if x.Rest {
@@ -424,9 +401,9 @@ func canonAtom(f ruledsl.Formula) string {
 		if x.Quoted {
 			return "cmp(" + x.Var + ";" + x.Op.String() + ";" + strconv.Quote(x.Value) + ")"
 		}
-		return "cmp(" + x.Var + ";" + x.Op.String() + ";" + ruledsl.NormLiteral(x.Value) + ")"
+		return "cmp(" + x.Var + ";" + x.Op.String() + ";" + cryptoapi.Canon(x.Value) + ")"
 	case ruledsl.TestAtom:
-		return "test(" + x.Name + ";" + x.Var + ";" + strings.ToUpper(x.Arg) + ")"
+		return "test(" + x.Name + ";" + x.Var + ";" + cryptoapi.Canon(x.Arg) + ")"
 	case ruledsl.CtxAtom:
 		if x.HasOp {
 			return fmt.Sprintf("ctx(%s;%s;%d)", x.Name, x.Op, x.Num)

@@ -76,6 +76,11 @@ func TestR7ECB(t *testing.T) {
 	matchCase(t, R7, `Cipher c = Cipher.getInstance("AES/CBC/PKCS5Padding");`, Context{}, false)
 	matchCase(t, R7, `Cipher c = Cipher.getInstance("AES/GCM/NoPadding");`, Context{}, false)
 	matchCase(t, R7, `Cipher c = Cipher.getInstance("RSA");`, Context{}, false)
+	// The JCA reads the mode in any case, as it reads algorithm names.
+	for _, r := range []*Rule{R7, CL1} {
+		matchCase(t, r, `Cipher c = Cipher.getInstance("aes/ecb/PKCS5Padding", "BC");`, Context{}, true)
+		matchCase(t, r, `Cipher c = Cipher.getInstance("aes/cbc/PKCS5Padding", "BC");`, Context{}, false)
+	}
 }
 
 func TestR8DES(t *testing.T) {

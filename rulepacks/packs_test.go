@@ -30,16 +30,16 @@ func parseShipped(t *testing.T) []*ruledsl.Pack {
 
 // TestShippedPacksLintClean is the shipped-quality gate: both packs must
 // compile and produce zero linter findings (not even warnings) against the
-// built-in rules, and all 11 rules must register.
+// built-in rules, and all 10 rules must register.
 func TestShippedPacksLintClean(t *testing.T) {
 	res := rulelint.LoadParsed(parseShipped(t))
 	if n := len(res.Report.Diags); n != 0 {
 		t.Fatalf("shipped packs must lint clean, got %d finding(s):\n%s", n, res.Report.Render())
 	}
-	if res.Added != 11 {
-		t.Fatalf("expected 11 pack rules registered, got %d", res.Added)
+	if res.Added != 10 {
+		t.Fatalf("expected 10 pack rules registered, got %d", res.Added)
 	}
-	if want := len(rules.All()) + 11; len(res.Active) != want {
+	if want := len(rules.All()) + 10; len(res.Active) != want {
 		t.Fatalf("active set: got %d rules, want %d", len(res.Active), want)
 	}
 }
@@ -79,13 +79,12 @@ func violatedIDs(vs []rules.Violation) map[string]bool {
 	return out
 }
 
-// TestPackRuleExamples pins, for each of the 11 shipped rules, a positive
+// TestPackRuleExamples pins, for each of the 10 shipped rules, a positive
 // example (testdata/<ID>.java fires the rule) and a negative one
-// (testdata/<ID>_ok.java does not). P105 also fires on a provider-qualified
-// call (testdata/P105_provider.java).
+// (testdata/<ID>_ok.java does not).
 func TestPackRuleExamples(t *testing.T) {
 	ids := []string{
-		"P101", "P102", "P103", "P104", "P105", "P106",
+		"P101", "P102", "P103", "P104", "P106",
 		"P201", "P202", "P203", "P205", "P206",
 	}
 	checker := activeChecker(t)
@@ -100,9 +99,6 @@ func TestPackRuleExamples(t *testing.T) {
 				t.Errorf("%s_ok.java: rule %s fired on the fixed example", id, id)
 			}
 		})
-	}
-	if pos := violatedIDs(checkExample(t, checker, "P105_provider.java", false).Violations); !pos["P105"] {
-		t.Errorf("P105_provider.java: rule P105 did not fire (got %v)", keys(pos))
 	}
 }
 

@@ -92,9 +92,8 @@ func TestBigClassIndexed(t *testing.T) {
 // sixteen times the size of another, in fields, methods and sites, must
 // cost under 28 times as much CPU per analysis. Indexed lookups read 18 to
 // 22, and 24 under the race detector; a linear scan per lookup reads about
-// 37 for allocation sites and 125 for fields. Each side is
-// timed over about the same CPU time, with the collector off
-// (cputime.Collected).
+// 37 for allocation sites and 125 for fields. Each side is timed over
+// about the same CPU time, with the collector off (cputime.Collected).
 func TestAnalyzeScalesWithClassSize(t *testing.T) {
 	const n, scale, rounds, reps = 250, 16, 5, 2
 	run := func(prog *Program, reps int) time.Duration {

@@ -217,7 +217,9 @@ func Canon(s string) string {
 // with it; canon is already in canonical form. It maps rune by rune as
 // strings.ToUpper does, without building the copy.
 func MatchCanon(s, canon string, prefix bool) bool {
-	s = strings.TrimFunc(s, isPad)
+	if s != "" && (mayPad(s[0]) || mayPad(s[len(s)-1])) {
+		s = strings.TrimFunc(s, isPad)
+	}
 	var buf [utf8.UTFMax]byte
 	for i := 0; i < len(s); {
 		if s[i] == '-' {
@@ -250,6 +252,10 @@ func MatchCanon(s, canon string, prefix bool) bool {
 // isPad reports whether r is trimmed from the ends of a string before it
 // is compared: white space, and dashes, which Canon drops anyway.
 func isPad(r rune) bool { return r == '-' || unicode.IsSpace(r) }
+
+// mayPad reports whether c can be a byte of a pad rune: a dash, ASCII
+// white space, or a byte of a multi-byte rune.
+func mayPad(c byte) bool { return c == '-' || c == ' ' || '\t' <= c && c <= '\r' || c >= utf8.RuneSelf }
 
 // String renders the transformation back to source form.
 func (t Transformation) String() string {

@@ -309,7 +309,7 @@ func (l *linter) checkVar(p *ruledsl.Pack, pr *ruledsl.PackRule, name string, vi
 	}
 }
 
-// renderTest renders a named test as written, e.g. name(X,SHA1PRNG).
+// renderTest renders a named test as written, e.g. startsWith(X,Hmac).
 func renderTest(t ruledsl.TestAtom) string {
 	if t.Arg == "" {
 		return fmt.Sprintf("%s(%s)", t.Name, t.Var)
